@@ -37,6 +37,7 @@ import yaml
 from .errors import ConfigError, OuBenchError, TooLarge
 from .estimators import Estimator, IndexConvention
 from .harness import (
+    FIT_MIN_REPLICATIONS,
     GATE_SE,
     Schedule,
     bound_terms,
@@ -46,6 +47,7 @@ from .harness import (
     run_cell,
     run_schedule,
 )
+from .metrics import CUMULANT_MIN_SAMPLE
 from .oracles import MomentQuantity, moment_report
 from .ou_core import OuParams, Variant, simulate_coupled, simulate_path
 
@@ -373,6 +375,13 @@ def _verify_lines(config: RunConfig) -> tuple[list[str], bool]:
 
 def cmd_verify(config: RunConfig) -> int:
     """Run gated oracle checks; exit 0 iff all pass.  Report goes to stdout."""
+    if config.replications < CUMULANT_MIN_SAMPLE:
+        # Below this every cumulant gate would be skipped and the verdict
+        # would rest on the second moment alone.
+        raise ConfigError(
+            f"replications must be >= {CUMULANT_MIN_SAMPLE} for verify (the "
+            f"cumulant gates need them), got {config.replications}"
+        )
     lines, all_pass = _verify_lines(config)
     print("\n".join(lines))
     if "report_md" in config.emit:
@@ -400,6 +409,14 @@ _CLAIMS = {
 def cmd_rates(config: RunConfig) -> list[Path]:
     """Run the configured preset per estimator; emit cells/rates/plotdata/report."""
     schedule = preset_schedule(config.schedule)
+    # cells.csv reports the normalized-error cumulants, and a CLT-valid
+    # preset also fits rates.
+    floor = FIT_MIN_REPLICATIONS if schedule.clt_valid else CUMULANT_MIN_SAMPLE
+    if config.replications < floor:
+        raise ConfigError(
+            f"replications must be >= {floor} for rates on preset "
+            f"{schedule.name!r}, got {config.replications}"
+        )
     cell_rows, rate_rows, plot_rows = [], [], []
     report: list[str] = [
         "# ou-drift-bench rate report",

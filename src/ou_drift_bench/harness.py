@@ -16,6 +16,12 @@ the worker pool without affecting values.  Cells share streams (common random
 numbers): comparisons across cells and between estimators on the same cell
 reuse the same paths, which tightens monotonicity comparisons.
 
+Memory: a block of paths is scanned along time in chunks of _SCAN_CHUNK
+steps, carrying the AR(1) state and per-path running sums from chunk to
+chunk, so memory per worker is bounded by the block size, not by n.  The
+paths are the same as an unchunked scan; for n > _SCAN_CHUNK only the order
+in which the per-path sums are added differs.
+
 Oracle gating: rows marked gated compare Monte Carlo moments against exact
 closed forms (and the pathwise decomposition identity) and must pass at 4
 standard errors; `cmd_verify` turns them into an exit code.  Rows for the
@@ -31,7 +37,7 @@ import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -39,12 +45,19 @@ import numpy as np
 from . import oracles
 from .errors import ExcessiveDegeneracy, InsufficientCells, NonPositiveValue
 from .estimators import EPS_DEN, Estimator, IndexConvention
-from .metrics import DistanceReport, SampleCumulants, distance_report, sample_cumulants
+from .metrics import (
+    CUMULANT_MIN_SAMPLE,
+    DistanceReport,
+    SampleCumulants,
+    distance_report,
+    sample_cumulants,
+)
 from .ou_core import OuParams, _ar1_scan, path_rng, transition_coefficients
 
 __all__ = [
     "DECOMP_TOL",
     "DEGENERACY_ABORT_FRACTION",
+    "FIT_MIN_REPLICATIONS",
     "GATE_SE",
     "ConsistencyReport",
     "ConsistencyRow",
@@ -72,10 +85,16 @@ __all__ = [
 GATE_SE = 4.0
 DECOMP_TOL = 1e-10
 DEGENERACY_ABORT_FRACTION = 1e-3
+# Rate fits are CLT statements; below this many replications per cell the W1
+# estimates are too noisy to fit.
+FIT_MIN_REPLICATIONS = 100
 
 # Dense-oracle rows are included only when the cell is small enough for the
 # cubic-cost contractions.
 _DENSE_ORACLE_MAX_N = 512
+
+# Time steps per scan chunk in _fill_block (see the module docstring).
+_SCAN_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -276,7 +295,8 @@ class ScheduleResult:
 class _CellStats:
     """Per-path scalar statistics of one simulated cell, all shape (reps,).
 
-    Arrays are cached and shared between calls; treat them as read-only.
+    Arrays are cached and shared between calls, so they are marked read-only
+    once filled.
     """
 
     f_body: np.ndarray
@@ -314,35 +334,61 @@ def _fill_block(
     Path i draws from stream (master_seed, i) in the stationary layout: Z_0
     first, then the n innovations.  X and Z are built from the same
     innovations, so the pair is the exact coupling.
+
+    The time axis is walked in chunks of _SCAN_CHUNK steps, each chunk's scan
+    starting from the previous chunk's last column, so the block holds
+    (hi - lo) x _SCAN_CHUNK values per array whatever n is.  Each row's
+    generator draws its innovations chunk by chunk, which yields the same
+    numbers as one draw, so paths are unchanged; the row sums are added per
+    chunk.
     """
     theta, delta, n = params.theta, params.delta, params.n
     a, s2 = transition_coefficients(theta, delta)
     scale = math.sqrt(s2)
     sd0 = math.sqrt(1.0 / (2.0 * theta))
-    block = hi - lo
-    eta = np.empty((block, n))
-    z0 = np.empty(block)
-    for k in range(block):
-        rng = path_rng(master_seed, stream=lo + k)
-        z0[k] = rng.standard_normal() * sd0
-        eta[k] = rng.standard_normal(n)
-    x = _ar1_scan(eta, a, scale, 0.0)
-    decay = np.exp(-theta * delta * np.arange(n + 1))
-    z = x + z0[:, None] * decay[None, :]
+    width = min(n, _SCAN_CHUNK)
+    buffer = np.empty((hi - lo, width))
+    z0 = np.empty(hi - lo)
+    # Generators are kept only when later chunks still draw from them, so a
+    # one-chunk block frees each as the next is built.
+    rngs = []
+    # Rows: sum x_head^2, x_tail^2, z_head^2, z_tail^2, the AMLE numerator
+    # -sum x_head (x_tail - x_head), and sum x_head eta.
+    sums = np.zeros((6, hi - lo))
+    x_last: np.ndarray | float = 0.0
+    for start in range(0, n, width):
+        m = min(width, n - start)
+        eta = buffer[:, :m]
+        if start == 0:
+            for k, row in enumerate(eta):
+                rng = path_rng(master_seed, stream=lo + k)
+                z0[k] = rng.standard_normal() * sd0
+                rng.standard_normal(out=row)
+                if m < n:
+                    rngs.append(rng)
+        else:
+            for rng, row in zip(rngs, eta):
+                rng.standard_normal(out=row)
+        x = _ar1_scan(eta, a, scale, x_last)
+        decay = np.exp(-theta * delta * np.arange(start, start + m + 1))
+        z = x + z0[:, None] * decay[None, :]
+        x_head, x_tail = x[:, :m], x[:, 1:]
+        z_head, z_tail = z[:, :m], z[:, 1:]
+        sums[0] += np.einsum("ij,ij->i", x_head, x_head)
+        sums[1] += np.einsum("ij,ij->i", x_tail, x_tail)
+        sums[2] += np.einsum("ij,ij->i", z_head, z_head)
+        sums[3] += np.einsum("ij,ij->i", z_tail, z_tail)
+        sums[4] -= np.einsum("ij,ij->i", x_head, x_tail - x_head)
+        sums[5] += np.einsum("ij,ij->i", x_head, eta)
+        x_last = x[:, -1].copy()
 
-    x_head = x[:, :n]
-    sum_sq_head = np.einsum("ij,ij->i", x_head, x_head)
-    out.f_body[lo:hi] = sum_sq_head / n
-    x_tail = x[:, 1:]
-    out.f_abs[lo:hi] = np.einsum("ij,ij->i", x_tail, x_tail) / n
-    z_head = z[:, :n]
-    out.fz_body[lo:hi] = np.einsum("ij,ij->i", z_head, z_head) / n
-    z_tail = z[:, 1:]
-    out.fz_abs[lo:hi] = np.einsum("ij,ij->i", z_tail, z_tail) / n
-    increments = x_tail - x_head
-    out.amle_num[lo:hi] = -np.einsum("ij,ij->i", x_head, increments)
-    out.s_n[lo:hi] = delta * sum_sq_head
-    out.lam[lo:hi] = scale * np.einsum("ij,ij->i", x_head, eta)
+    out.f_body[lo:hi] = sums[0] / n
+    out.f_abs[lo:hi] = sums[1] / n
+    out.fz_body[lo:hi] = sums[2] / n
+    out.fz_abs[lo:hi] = sums[3] / n
+    out.amle_num[lo:hi] = sums[4]
+    out.s_n[lo:hi] = delta * sums[0]
+    out.lam[lo:hi] = scale * sums[5]
 
 
 def _compute_cell_stats(params: OuParams, reps: int, master_seed: int) -> _CellStats:
@@ -370,6 +416,8 @@ def _compute_cell_stats(params: OuParams, reps: int, master_seed: int) -> _CellS
             ]
             for future in futures:
                 future.result()
+    for field in fields(stats):
+        getattr(stats, field.name).flags.writeable = False
     return stats
 
 
@@ -410,7 +458,7 @@ def _oracle_checks(
     checks: list[OracleCheck] = []
     # Jackknife cumulants need 4 observations; below that only the raw second
     # moment and the pathwise decomposition are checked.
-    enough = stats.lam.size >= 4
+    enough = stats.lam.size >= CUMULANT_MIN_SAMPLE
 
     fz = stats.fz_body if convention is IndexConvention.BODY else stats.fz_abs
     big_f = sqrt_t * (fz - 1.0 / (2.0 * theta))
@@ -590,7 +638,7 @@ def run_cell(
 
     errors = estimates - theta
     nerr = math.sqrt(params.horizon / (2.0 * theta)) * errors
-    cumulants = sample_cumulants(nerr) if nerr.size >= 4 else None
+    cumulants = sample_cumulants(nerr) if nerr.size >= CUMULANT_MIN_SAMPLE else None
     distance = distance_report(nerr, n_bootstrap=n_bootstrap, seed=master_seed)
     checks = _oracle_checks(params, convention, stats, cumulants)
     return McSummary(
@@ -663,8 +711,8 @@ def run_schedule(
     """Run every cell of a schedule and fit W1 against the rate bound.
 
     Rate fits are CLT statements, so they are produced only for CLT-valid
-    schedules (with >= 3 cells and >= 100 replications); other schedules get
-    summaries with no fit.
+    schedules (with >= 3 cells and >= FIT_MIN_REPLICATIONS replications); other
+    schedules get summaries with no fit.
     """
     summaries = tuple(
         run_cell(
@@ -679,9 +727,10 @@ def run_schedule(
     )
     bound_fit = dominant_fit = None
     if schedule.clt_valid:
-        if replications < 100:
+        if replications < FIT_MIN_REPLICATIONS:
             raise ValueError(
-                f"rate fits need replications >= 100, got {replications}"
+                f"rate fits need replications >= {FIT_MIN_REPLICATIONS}, "
+                f"got {replications}"
             )
         response = (
             RateResponse.W1_AMCE if estimator is Estimator.AMCE else RateResponse.W1_AMLE

@@ -25,6 +25,7 @@ from scipy.special import ndtr, ndtri
 from .errors import EmptySample, NonFiniteValue, TooSmall
 
 __all__ = [
+    "CUMULANT_MIN_SAMPLE",
     "DistanceReport",
     "SampleCumulants",
     "distance_report",
@@ -34,6 +35,8 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Smallest sample sample_cumulants accepts (the jackknife needs 4).
+CUMULANT_MIN_SAMPLE = 4
 # Stream id for bootstrap resampling, far above any per-path stream index so a
 # (seed, stream) pair never collides with a simulation stream.
 _BOOTSTRAP_STREAM = (0xB007 << 32) | 0x57EA
@@ -125,8 +128,10 @@ def sample_cumulants(sample) -> SampleCumulants:
     """
     x = _as_clean_1d(sample, "sample_cumulants")
     n = x.size
-    if n < 4:
-        raise TooSmall("sample_cumulants needs at least 4 observations")
+    if n < CUMULANT_MIN_SAMPLE:
+        raise TooSmall(
+            f"sample_cumulants needs at least {CUMULANT_MIN_SAMPLE} observations"
+        )
     mean = float(np.mean(x))
     y = x - mean
     s2_full, s3_full, s4_full = (float(np.sum(y**p)) for p in (2, 3, 4))

@@ -192,3 +192,23 @@ def test_rates_byte_identical_across_reruns_and_workers(tmp_path, monkeypatch):
     run_into(b, 8)
     for name in ("cells.csv", "rates.csv", "plotdata.csv", "coupling.csv", "report.md"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "argv, floor",
+    [
+        (["rates", "--preset", "amce-gamma-half", "--reps", "50"], ">= 100"),
+        (["rates", "--preset", "coupling-sweep", "--reps", "3"], ">= 4"),
+        (["verify", "--n", "64", "--reps", "3"], ">= 4"),
+    ],
+    ids=["rates-clt-fit-floor", "rates-cumulant-floor", "verify-cumulant-floor"],
+)
+def test_too_few_replications_is_a_config_error(tmp_path, capsys, argv, floor):
+    # Each once ended in a traceback (ValueError, AttributeError) or a
+    # vacuous VERIFY PASS with every cumulant gate skipped.
+    assert _run(argv + ["--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert "replications" in captured.err and floor in captured.err
+    assert "VERIFY" not in captured.out
+    assert not (tmp_path / "o").exists()

@@ -1,28 +1,35 @@
 """Monte Carlo harness: cells, schedules, rate fits, coupling, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ou_drift_bench import (
     Estimator,
+    IndexConvention,
     InsufficientCells,
     NonPositiveValue,
     OuParams,
     RateResponse,
     Schedule,
     ScheduleCell,
+    amle,
     bound_terms,
     clear_caches,
     consistency_check,
     coupling_check,
     exact_var_fn_z,
+    f_n,
     fit_rate,
+    harness,
+    lambda_n,
     preset_names,
     preset_schedule,
     run_cell,
     run_schedule,
+    simulate_coupled,
 )
 
 SEED = 20260822
@@ -137,6 +144,70 @@ def test_run_cell_bit_identical_across_workers(monkeypatch):
     threaded = run_cell(p, Estimator.AMLE, 500, SEED, n_bootstrap=50)
     clear_caches()
     assert serial == threaded
+
+
+_STATS_FIELDS = ("f_body", "f_abs", "fz_body", "fz_abs", "amle_num", "s_n", "lam")
+
+
+def _per_path_stats(p, reps, seed):
+    """Every _CellStats field recomputed one path at a time through the API."""
+    ref = {name: np.empty(reps) for name in _STATS_FIELDS}
+    for i in range(reps):
+        x, z = simulate_coupled(p, seed, stream=i)
+        s_n = p.delta * float(np.dot(x.values[:-1], x.values[:-1]))
+        ref["f_body"][i] = f_n(x, IndexConvention.BODY)
+        ref["f_abs"][i] = f_n(x, IndexConvention.ABSTRACT)
+        ref["fz_body"][i] = f_n(z, IndexConvention.BODY)
+        ref["fz_abs"][i] = f_n(z, IndexConvention.ABSTRACT)
+        ref["amle_num"][i] = amle(x).estimate * s_n
+        ref["s_n"][i] = s_n
+        ref["lam"][i] = lambda_n(x)
+    return ref
+
+
+def test_chunked_scan_matches_per_path_api(monkeypatch):
+    # Three full chunks and a partial one: the scan state, the decay offsets
+    # and the row sums must carry across every chunk boundary.
+    monkeypatch.setattr(harness, "_SCAN_CHUNK", 64)
+    p = OuParams(theta=1.0, delta=0.05, n=3 * 64 + 17)
+    monkeypatch.setenv("OU_BENCH_THREADS", "1")
+    stats = harness._compute_cell_stats(p, 130, SEED)
+    ref = _per_path_stats(p, 130, SEED)
+    for name in _STATS_FIELDS:
+        np.testing.assert_allclose(
+            getattr(stats, name), ref[name], rtol=1e-12, err_msg=name
+        )
+
+    # Enough rows for two blocks, so two workers really split the cell.
+    reps = 4_000_000 // p.n + 100
+    serial = harness._compute_cell_stats(p, reps, SEED)
+    monkeypatch.setenv("OU_BENCH_THREADS", "2")
+    threaded = harness._compute_cell_stats(p, reps, SEED)
+    for name in _STATS_FIELDS:
+        assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
+
+
+def test_long_cell_memory_bounded(monkeypatch):
+    # One block of 64 rows at n = 2^20: whole-path arrays would trace about
+    # 2 GiB; chunked scanning keeps the traced peak near 48 MiB.
+    monkeypatch.setenv("OU_BENCH_THREADS", "1")
+    p = OuParams(theta=1.0, delta=0.05, n=2**20)
+    tracemalloc.start()
+    try:
+        harness._compute_cell_stats(p, 64, SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_cached_cell_stats_are_read_only():
+    clear_caches()
+    stats = harness._cell_stats_cached(1.0, 0.1, 64, 8, SEED)
+    for name in _STATS_FIELDS:
+        with pytest.raises(ValueError):
+            getattr(stats, name)[0] = 0.0
+    clear_caches()
 
 
 def test_run_cell_two_replications_deterministic():

@@ -25,7 +25,6 @@ from .errors import (
     NonFiniteValue,
     NonPositiveValue,
     OuBenchError,
-    TooLarge,
     TooSmall,
 )
 from .estimators import (
@@ -107,7 +106,6 @@ __all__ = [
     "MissingInnovations",
     "NonFiniteValue",
     "NonPositiveValue",
-    "TooLarge",
     "TooSmall",
     # ou_core
     "OuParams",

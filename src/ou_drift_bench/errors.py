@@ -6,7 +6,6 @@ __all__ = [
     "OuBenchError",
     "DegenerateDenominator",
     "MissingInnovations",
-    "TooLarge",
     "TooSmall",
     "EmptySample",
     "NonFiniteValue",
@@ -27,10 +26,6 @@ class DegenerateDenominator(OuBenchError):
 
 class MissingInnovations(OuBenchError):
     """An operation needed the path's innovation increments but none were stored."""
-
-
-class TooLarge(OuBenchError):
-    """A dense oracle was asked for a grid size beyond its cost cap."""
 
 
 class TooSmall(OuBenchError):

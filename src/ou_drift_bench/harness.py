@@ -12,7 +12,8 @@ master_seed).  Path i of a cell draws from the counter-based stream
 (master_seed, i), blocks of paths are filled into disjoint slices of
 preallocated arrays, and reductions run in index order, so results are
 bit-identical across runs and across worker counts.  OU_BENCH_THREADS caps
-the worker pool without affecting values.  Cells share streams (common random
+the worker pool without affecting values; anything but a positive integer
+there is a ConfigError.  Cells share streams (common random
 numbers): comparisons across cells and between estimators on the same cell
 reuse the same paths, which tightens monotonicity comparisons.
 
@@ -24,7 +25,11 @@ in which the per-path sums are added differs.
 
 Oracle gating: rows marked gated compare Monte Carlo moments against exact
 closed forms (and the pathwise decomposition identity) and must pass at 4
-standard errors; `cmd_verify` turns them into an exit code.  Rows for the
+standard errors; `cmd_verify` turns them into an exit code.  Every oracle is
+O(n), so a cell with at least CUMULANT_MIN_SAMPLE replications gates the
+variance, third and fourth cumulants of F_n(Z) and the exact Lambda_n
+cumulants at any n; below that only the second moment of Lambda_n and the
+decomposition identity are checked.  Rows for the
 first-order values `k3_lambda_is_zero` and `k4_lambda` are reported but not
 gated: at desk scale the terms those values drop are dominant, the empirical
 cumulants match the exact oracles instead, and gating on them would fail every
@@ -43,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oracles
-from .errors import ExcessiveDegeneracy, InsufficientCells, NonPositiveValue
+from .errors import ConfigError, ExcessiveDegeneracy, InsufficientCells, NonPositiveValue
 from .estimators import EPS_DEN, Estimator, IndexConvention
 from .metrics import (
     CUMULANT_MIN_SAMPLE,
@@ -88,10 +93,6 @@ DEGENERACY_ABORT_FRACTION = 1e-3
 # Rate fits are CLT statements; below this many replications per cell the W1
 # estimates are too noisy to fit.
 FIT_MIN_REPLICATIONS = 100
-
-# Dense-oracle rows are included only when the cell is small enough for the
-# cubic-cost contractions.
-_DENSE_ORACLE_MAX_N = 512
 
 # Time steps per scan chunk in _fill_block (see the module docstring).
 _SCAN_CHUNK = 16384
@@ -309,6 +310,7 @@ class _CellStats:
 
 
 def _worker_count() -> int:
+    """Worker pool size: OU_BENCH_THREADS if set, else min(cores, 8)."""
     raw = os.environ.get("OU_BENCH_THREADS")
     cores = os.cpu_count() or 1
     if raw is None:
@@ -316,9 +318,9 @@ def _worker_count() -> int:
     try:
         workers = int(raw)
     except ValueError as exc:
-        raise ValueError(f"OU_BENCH_THREADS must be an integer, got {raw!r}") from exc
+        raise ConfigError(f"OU_BENCH_THREADS must be an integer, got {raw!r}") from exc
     if workers < 1:
-        raise ValueError(f"OU_BENCH_THREADS must be >= 1, got {workers}")
+        raise ConfigError(f"OU_BENCH_THREADS must be >= 1, got {workers}")
     return workers
 
 
@@ -473,26 +475,25 @@ def _oracle_checks(
                 gated=True,
             )
         )
-        if params.n <= _DENSE_ORACLE_MAX_N:
-            checks.append(
-                _se_check(
-                    "k3_fn_z",
-                    oracles.k3_fn_z(params),
-                    sc_f.k3,
-                    sc_f.se_k3,
-                    gated=True,
-                )
+        checks.append(
+            _se_check(
+                "k3_fn_z",
+                oracles.k3_fn_z(params),
+                sc_f.k3,
+                sc_f.se_k3,
+                gated=True,
             )
-            checks.append(
-                _se_check(
-                    "k4_fn_z_bound",
-                    oracles.k4_fn_z_bound(params),
-                    sc_f.k4,
-                    sc_f.se_k4,
-                    gated=True,
-                    note="bound attained exactly for this kernel; checked as parity",
-                )
+        )
+        checks.append(
+            _se_check(
+                "k4_fn_z_bound",
+                oracles.k4_fn_z_bound(params),
+                sc_f.k4,
+                sc_f.se_k4,
+                gated=True,
+                note="bound attained exactly for this kernel; checked as parity",
             )
+        )
 
     lam_scaled = stats.lam / sqrt_t
     # exact_var_lambda is the raw second moment; E[Lambda_n] = 0 exactly.

@@ -9,7 +9,10 @@ vector, which is what makes exact cumulants available:
 * ``F_n(Z) = sqrt(T) (f_n(Z) - 1/(2 theta))`` for the stationary path Z.  With
   M the n x n covariance matrix M_ij = rho((i-j) delta), the cumulants are
   var = 2 (delta/n) tr(M^2), kappa3 = 8 (delta/n)^{3/2} tr(M^3) and
-  kappa4 = 48 (delta/n)^2 tr(M^4).
+  kappa4 = 48 (delta/n)^2 tr(M^4).  M_ij = c e^{-theta delta |i-j|} is a
+  Kac-Murdock-Szego Toeplitz matrix, so each trace reduces to an O(n) sum of
+  nonnegative terms (`exact_var_fn_z`, `k3_fn_z`, `k4_fn_z_bound`); no n x n
+  matrix is formed and no grid size is refused.
 * ``Lambda_n / sqrt(T)``, the scaled martingale part of the AMLE error.  Its
   variance has a first-order closed form (`exact_var_lambda`), and the full
   Wick expansion gives exact third and fourth cumulants (`exact_k3_lambda`,
@@ -31,15 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLarge
 from .ou_core import OuParams, transition_coefficients
 
 __all__ = [
-    "DENSE_CAP_DEFAULT",
-    "K3_CAP_DEFAULT",
     "MomentQuantity",
     "MomentReport",
-    "covariance_matrix",
     "exact_var_fn_z",
     "k3_fn_z",
     "k4_fn_z_bound",
@@ -50,10 +49,6 @@ __all__ = [
     "k4_lambda",
     "moment_report",
 ]
-
-# Cost caps for the dense-matrix contractions.
-K3_CAP_DEFAULT = 512
-DENSE_CAP_DEFAULT = 4096
 
 
 class MomentQuantity(enum.Enum):
@@ -80,78 +75,46 @@ class MomentReport:
     params: OuParams
 
 
-def covariance_matrix(params: OuParams, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Dense stationary covariance M_ij = rho((i-j) delta), i,j = 0..n-1."""
-    if params.n > cap:
-        raise TooLarge(f"dense covariance needs n <= {cap}, got n = {params.n}")
-    idx = np.arange(params.n)
-    lags = np.abs(idx[:, None] - idx[None, :]) * params.delta
-    return np.exp(-params.theta * lags) / (2.0 * params.theta)
-
-
 def exact_var_fn_z(params: OuParams) -> float:
     """Exact variance of F_n(Z).
 
-    Equal to (2 delta / n) sum_{i,j} rho((j-i) delta)^2, evaluated in O(1) via
-    geometric sums: with q = e^{-2 theta delta},
+    var = 2 (delta/n) tr(M^2).  With c = 1/(2 theta) and x = 2 theta delta,
+    M_ij^2 = c^2 e^{-x |i-j|}, and n - s index pairs sit at each lag s >= 1
+    in either order, so
 
-        var = delta/(2 theta^2) + (delta/(theta^2 n)) sum_{k=1}^{n-1} (n-k) q^k.
+        tr(M^2) = c^2 [n + sum_{s=1}^{n-1} 2 (n-s) e^{-x s}].
 
-    All subtractions are between expm1-computed terms, stable for small
-    theta*delta.
+    An O(n) sum of nonnegative terms, accurate in every regime including
+    theta*delta -> 0, where the closed-form geometric sums cancel.
     """
     theta, delta, n = params.theta, params.delta, params.n
-    if n == 1:
-        return delta / (2.0 * theta**2)
-    q = math.exp(-2.0 * theta * delta)
-    u = -math.expm1(-2.0 * theta * delta)  # 1 - q
-    head = -math.expm1(-2.0 * theta * delta * (n - 1))  # 1 - q^{n-1}
-    geo = q * head / u  # sum_{k=1}^{n-1} q^k
-    weighted_num = head - (n - 1) * q ** (n - 1) * u  # 1 - n q^{n-1} + (n-1) q^n
-    weighted = q * weighted_num / u**2  # sum_{k=1}^{n-1} k q^k
-    tail = n * geo - weighted  # sum_{k=1}^{n-1} (n-k) q^k, nonnegative
-    return delta / (2.0 * theta**2) + delta / (theta**2 * n) * tail
+    c = 1.0 / (2.0 * theta)
+    x = 2.0 * theta * delta
+    s = np.arange(1, n, dtype=np.float64)
+    trace2 = c**2 * (n + float(np.sum(2.0 * (n - s) * np.exp(-x * s))))
+    return 2.0 * (delta / n) * trace2
 
 
-def _var_fn_z_double_sum(params: OuParams, cap: int = DENSE_CAP_DEFAULT) -> float:
-    """Literal O(n^2) evaluation of the variance double sum, for cross-checks."""
-    m = covariance_matrix(params, cap)
-    return 2.0 * (params.delta / params.n) * float(np.sum(m * m))
-
-
-def k3_fn_z(params: OuParams, n_cap: int = K3_CAP_DEFAULT) -> float:
+def k3_fn_z(params: OuParams) -> float:
     """Exact third cumulant of F_n(Z).
 
-    kappa3 = 8 (delta/n)^{3/2} sum_{i,j,k} rho((j-i)d) rho((i-k)d) rho((k-j)d);
-    the triple sum is tr(M^3), evaluated by two dense matrix products.  Cost is
-    capped at ``n_cap`` (TooLarge beyond); raise the cap explicitly for larger
-    grids.
+    kappa3 = 8 (delta/n)^{3/2} tr(M^3).  Around any index triple the cyclic
+    gap sum |i-j| + |j-k| + |k-i| is twice the triple's span, and 6 s (n-s)
+    ordered triples have span s >= 1, so
+
+        tr(M^3) = c^3 [n + sum_{s=1}^{n-1} 6 s (n-s) e^{-x s}],
+
+    an O(n) sum of nonnegative terms (c = 1/(2 theta), x = 2 theta delta).
     """
-    m = covariance_matrix(params, n_cap)
-    trace3 = float(np.sum((m @ m) * m))
-    return 8.0 * (params.delta / params.n) ** 1.5 * trace3
-
-
-def _k3_fn_z_triple_loop(params: OuParams) -> float:
-    """Literal O(n^3) triple sum, tiny n only, for cross-checks."""
-    if params.n > 32:
-        raise TooLarge("literal triple sum is for n <= 32")
-    from .ou_core import rho
-
     theta, delta, n = params.theta, params.delta, params.n
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total += (
-                    rho(theta, (j - i) * delta)
-                    * rho(theta, (i - k) * delta)
-                    * rho(theta, (k - j) * delta)
-                )
-    return 8.0 * (delta / n) ** 1.5 * total
+    c = 1.0 / (2.0 * theta)
+    x = 2.0 * theta * delta
+    s = np.arange(1, n, dtype=np.float64)
+    trace3 = c**3 * (n + float(np.sum(6.0 * s * (n - s) * np.exp(-x * s))))
+    return 8.0 * (delta / n) ** 1.5 * trace3
 
 
-def k4_fn_z_bound(params: OuParams, n_cap: int = DENSE_CAP_DEFAULT) -> float:
+def k4_fn_z_bound(params: OuParams) -> float:
     """Contraction-norm bound on |kappa4(F_n(Z))|, which it attains exactly.
 
     48 (delta/n)^2 sum over four indices of the pairwise-linked rho products;
@@ -159,20 +122,42 @@ def k4_fn_z_bound(params: OuParams, n_cap: int = DENSE_CAP_DEFAULT) -> float:
     kernel the usual 16(||.||^2 + 2||~||^2) expression collapses to exactly
     this value, so the bound holds with equality and Monte Carlo fourth
     cumulants should match it, not merely stay below it.
+
+    Evaluated in O(n) from the entries of M^2 on each diagonal d, with
+    m = n - d, g = e^{-x}/(1 - e^{-x}) and p_k = 1 - e^{-x k}:
+
+        (M^2)_{i,i+d} = c^2 e^{-x d/2} [(d+1) + g (p_i + p_{m-1-i})].
+
+    Summing the square over i gives, with weight 1 at d = 0 and 2 above it,
+
+        e^{-x d} [m (d+1)^2 + 4 (d+1) g P1(m) + g^2 (2 P2(m) + 2 C(m))],
+
+    where P1, P2 are prefix sums of p and p^2 and C(m) = sum_i p_i p_{m-1-i}
+    = (1 - e^{-x})^2 D(m-3), D the double prefix sum of (k+1) e^{-x k}
+    (C = 0 for m < 3).  Every term is nonnegative; expanding the square into
+    closed-form geometric sums instead loses about 8 digits at
+    theta*delta = 1e-6.
     """
-    m = covariance_matrix(params, n_cap)
-    m2 = m @ m
-    trace4 = float(np.sum(m2 * m2))
-    return 48.0 * (params.delta / params.n) ** 2 * trace4
-
-
-def _k4_contraction_literal(params: OuParams) -> float:
-    """Literal O(n^4) quadruple sum via an unoptimized einsum, n <= 128 only."""
-    if params.n > 128:
-        raise TooLarge("literal quadruple sum is for n <= 128")
-    m = covariance_matrix(params)
-    total = float(np.einsum("ab,cd,ac,bd->", m, m, m, m, optimize=False))
-    return 48.0 * (params.delta / params.n) ** 2 * total
+    theta, delta, n = params.theta, params.delta, params.n
+    c = 1.0 / (2.0 * theta)
+    x = 2.0 * theta * delta
+    k = np.arange(n, dtype=np.float64)
+    decay = np.exp(-x * k)
+    p = -np.expm1(-x * k)
+    u = -math.expm1(-x)
+    g = math.exp(-x) / u
+    # prefix sums indexed by m = 0..n
+    p1 = np.concatenate(([0.0], np.cumsum(p)))
+    p2 = np.concatenate(([0.0], np.cumsum(p * p)))
+    cross = np.zeros(n + 1)
+    cross[3:] = u * u * np.cumsum(np.cumsum((k + 1.0) * decay))[: max(n - 2, 0)]
+    m = n - np.arange(n)  # diagonal d = k has m = n - d entries
+    lead = k + 1.0
+    diagonals = decay * (
+        m * lead**2 + 4.0 * lead * g * p1[m] + g * g * (2.0 * p2[m] + 2.0 * cross[m])
+    )
+    trace4 = c**4 * (float(diagonals[0]) + 2.0 * float(np.sum(diagonals[1:])))
+    return 48.0 * (delta / n) ** 2 * trace4
 
 
 def _var_x_grid(params: OuParams) -> np.ndarray:
@@ -207,17 +192,17 @@ def exact_k3_lambda(params: OuParams) -> float:
                            * a (1 - q^{n-i}) / (1 - q),
 
     scaled here by T^{-3/2}.  Strictly positive for n >= 3, identically zero
-    for n <= 2, and of order 1/sqrt(T) after scaling.
+    for n <= 2, and of order 1/sqrt(T) after scaling.  Both 1 - q^k factors
+    are taken with expm1, so small theta*delta loses no digits.
     """
     theta, delta, n = params.theta, params.delta, params.n
     if n <= 2:
         return 0.0
     a, s2 = transition_coefficients(theta, delta)
-    q = a * a
     u = -math.expm1(-2.0 * theta * delta)
     i = np.arange(2, n, dtype=np.float64)
     var_x = -np.expm1(-2.0 * theta * delta * (i - 1.0)) / (2.0 * theta)
-    tail = a * (1.0 - q ** (n - i)) / u
+    tail = a * -np.expm1(-2.0 * theta * delta * (n - i)) / u
     kappa3 = 6.0 * s2**2 * float(np.sum(var_x * tail))
     return kappa3 / params.horizon**1.5
 

@@ -3,9 +3,11 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ou_drift_bench import OuParams, clear_caches, exact_var_fn_z
-from ou_drift_bench.cli import CSV_SCHEMA_LINE, main, read_bench_csv
+from ou_drift_bench import OuParams, clear_caches, exact_var_fn_z, k3_fn_z
+from ou_drift_bench.cli import CSV_SCHEMA_LINE, build_config, main, read_bench_csv
 from ou_drift_bench.errors import ConfigError
 
 
@@ -49,6 +51,15 @@ def test_simulate_variant_columns(tmp_path):
     assert float(rows2[0]["x"]) == 0.0
 
 
+def test_simulate_coupled_needs_stationary_variant(tmp_path, capsys):
+    # the flag was once dropped without a word and t,x written
+    out = tmp_path / "coupled-from-zero"
+    assert _run(["simulate", "--n", "3", "--coupled", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "coupled" in err
+    assert not out.exists()
+
+
 def test_simulate_byte_identical_rerun(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -79,15 +90,17 @@ def test_oracle_values_round_trip(tmp_path):
     assert float(by_name["var_fn_z"]["exact"]) == expected
 
 
-def test_oracle_dense_cap_is_reported_not_fatal(tmp_path, capsys):
-    out = tmp_path / "orc-big"
-    assert _run(["oracle", "--n", "1000", "--delta", "0.05", "--out", str(out)]) == 0
-    err = capsys.readouterr().err
-    assert "n <= 512" in err
-    _, rows = _rows(out / "oracle.csv")
-    by_name = {r["quantity"]: r for r in rows}
-    assert by_name["k3_fn_z"]["exact"] == ""
-    assert by_name["var_fn_z"]["exact"] != ""
+def test_oracle_rows_filled_at_large_n(tmp_path, capsys):
+    # k3_fn_z was once refused above n = 512, leaving a blank row even at
+    # the default n = 1000
+    for n in (513, 1000):
+        out = tmp_path / f"orc-{n}"
+        assert _run(["oracle", "--n", str(n), "--delta", "0.05", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = _rows(out / "oracle.csv")
+        by_name = {r["quantity"]: r for r in rows}
+        assert all(r["exact"] != "" for r in rows)
+        assert float(by_name["k3_fn_z"]["exact"]) == k3_fn_z(OuParams(theta=1.0, delta=0.05, n=n))
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -212,3 +225,62 @@ def test_too_few_replications_is_a_config_error(tmp_path, capsys, argv, floor):
     assert "replications" in captured.err and floor in captured.err
     assert "VERIFY" not in captured.out
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "2.5"])
+def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threads):
+    # once a ValueError traceback from the worker-pool sizing
+    monkeypatch.setenv("OU_BENCH_THREADS", threads)
+    assert _run(["verify", "--n", "64", "--reps", "10", "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "OU_BENCH_THREADS" in captured.err
+    assert "VERIFY" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("replications: 2.9\n", "replications"),
+        ("n: true\n", "n"),
+        ('coupled: "false"\n', "coupled"),
+    ],
+    ids=["float-truncated", "bool-as-int", "string-as-bool"],
+)
+def test_config_file_values_are_not_coerced(tmp_path, capsys, text, field):
+    # each was once coerced: 2.9 to 2, true to n = 1, "false" to True
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    assert _run(["simulate", "--variant", "stationary", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{field}:" in err
+    assert not (tmp_path / "o").exists()
+
+
+_INT_FIELDS = ("replications", "n", "master_seed", "n_bootstrap")
+_JUNK = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.recursive(st.lists(st.integers(), max_size=3), lambda inner: st.lists(inner, max_size=3)),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    field=st.sampled_from(_INT_FIELDS),
+    value=st.one_of(
+        _JUNK,
+        st.booleans(),
+        st.text().filter(lambda s: not (s.isascii() and s.isdigit())),
+    ),
+)
+def test_ill_typed_integer_fields_raise_config_error(field, value):
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        build_config({field: value})
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(value=st.one_of(_JUNK, st.integers(), st.text()))
+def test_ill_typed_coupled_raises_config_error(value):
+    with pytest.raises(ConfigError, match="^coupled:"):
+        build_config({"coupled": value})

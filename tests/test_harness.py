@@ -1,5 +1,6 @@
 """Monte Carlo harness: cells, schedules, rate fits, coupling, determinism."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -224,8 +225,10 @@ def test_run_cell_two_replications_deterministic():
 
 
 def test_run_cell_gated_oracle_checks_pass():
-    p = OuParams(theta=1.0, delta=0.1, n=128)
-    for estimator in (Estimator.AMCE, Estimator.AMLE):
+    # n = 1024 is above the size where the F_n(Z) cumulant rows were once
+    # left ungated
+    cells = [OuParams(theta=1.0, delta=0.1, n=128), OuParams(theta=1.0, delta=0.05, n=1024)]
+    for p, estimator in itertools.product(cells, (Estimator.AMCE, Estimator.AMLE)):
         summary = run_cell(p, estimator, 4000, SEED)
         assert summary.degenerate_count == 0
         assert summary.gated_pass, summary.failed_gates
@@ -239,8 +242,9 @@ def test_run_cell_gated_oracle_checks_pass():
             "exact_k4_lambda",
             "decomposition_identity",
         } <= names
-        # first-order rows are informational, never gated
         by_name = {c.name: c for c in summary.oracle_checks}
+        assert by_name["k3_fn_z"].gated and by_name["k4_fn_z_bound"].gated
+        # first-order rows are informational, never gated
         assert not by_name["k3_lambda_is_zero"].gated
         assert not by_name["k4_lambda"].gated
 

@@ -13,7 +13,6 @@ import pytest
 
 from ou_drift_bench import (
     OuParams,
-    TooLarge,
     exact_k3_lambda,
     exact_k4_lambda,
     exact_var_fn_z,
@@ -25,7 +24,6 @@ from ou_drift_bench import (
     moment_report,
     MomentQuantity,
 )
-from ou_drift_bench.oracles import covariance_matrix
 
 GRID = [
     (1.0, 0.05, 1),
@@ -35,6 +33,10 @@ GRID = [
     (1.0, 0.1, 64),
     (2.5, 0.01, 201),
     (0.3, 0.5, 40),
+    (1.0, 1e-6, 100),
+    (0.25, 1e-5, 300),
+    (1.0, 0.05, 513),
+    (1.0, 0.03125, 1024),
 ]
 
 
@@ -165,10 +167,9 @@ def test_frozen_oracle_values(cell):
     theta, delta, n = cell
     p = OuParams(theta=theta, delta=delta, n=n)
     var_z, k3_z, k4_z, var_l, k3_l, k4_l, k4_first = FROZEN[cell]
-    n_cap = max(1024, n)
     assert exact_var_fn_z(p) == pytest.approx(var_z, rel=1e-13)
-    assert k3_fn_z(p, n_cap=n_cap) == pytest.approx(k3_z, rel=1e-13)
-    assert k4_fn_z_bound(p, n_cap=n_cap) == pytest.approx(k4_z, rel=1e-13)
+    assert k3_fn_z(p) == pytest.approx(k3_z, rel=1e-13)
+    assert k4_fn_z_bound(p) == pytest.approx(k4_z, rel=1e-13)
     assert exact_var_lambda(p) == pytest.approx(var_l, rel=1e-13)
     assert exact_k3_lambda(p) == pytest.approx(k3_l, rel=1e-13)
     assert exact_k4_lambda(p) == pytest.approx(k4_l, rel=1e-13)
@@ -196,13 +197,14 @@ def test_variance_gap_shrinks_on_root_n_schedule():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_dense_oracle_caps():
-    with pytest.raises(TooLarge):
-        k3_fn_z(OuParams(theta=1.0, delta=0.05, n=513))
-    with pytest.raises(TooLarge):
-        covariance_matrix(OuParams(theta=1.0, delta=0.05, n=5000))
-    # explicit cap override admits larger grids
-    assert k3_fn_z(OuParams(theta=1.0, delta=0.05, n=513), n_cap=1024) > 0.0
+def test_fn_z_cumulants_have_no_size_cap():
+    # the O(n) forms take any n; at n = 2^20 on delta = n^{-1/2} they sit
+    # within 1% of their large-T limits sqrt(T) k3 -> 3/(2 theta^5) and
+    # T k4 -> 15/(2 theta^7), derived from the same traces at delta -> 0
+    theta, n = 1.0, 2**20
+    p = OuParams(theta=theta, delta=n**-0.5, n=n)
+    assert math.sqrt(p.horizon) * k3_fn_z(p) == pytest.approx(1.5 / theta**5, rel=1e-2)
+    assert p.horizon * k4_fn_z_bound(p) == pytest.approx(7.5 / theta**7, rel=1e-2)
 
 
 def test_moment_report_fields():

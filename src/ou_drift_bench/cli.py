@@ -154,6 +154,13 @@ def _parse_int(value) -> int:
     raise TypeError(f"expected an integer or a string of digits, got {type(value).__name__}")
 
 
+def _parse_real(value) -> float:
+    # float() would take True for 1.0
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"expected a number or a numeric string, got {type(value).__name__}")
+
+
 def _parse_bool(value) -> bool:
     # bool() would take the string "false" for True
     if isinstance(value, bool):
@@ -162,7 +169,7 @@ def _parse_bool(value) -> bool:
 
 
 _FIELD_PARSERS = {
-    "theta_true": float,
+    "theta_true": _parse_real,
     "estimators": _parse_estimators,
     "schedule": str,
     "replications": _parse_int,
@@ -171,7 +178,7 @@ _FIELD_PARSERS = {
     "output_dir": Path,
     "emit": lambda v: frozenset(str(e) for e in v),
     "n": _parse_int,
-    "delta": float,
+    "delta": _parse_real,
     "variant": _parse_variant,
     "coupled": _parse_bool,
     "n_bootstrap": _parse_int,
@@ -215,7 +222,7 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
                 merged[key] = _FIELD_PARSERS[key](value)
             except ConfigError:
                 raise
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from exc
     return RunConfig(**merged)
 
@@ -258,22 +265,14 @@ def cmd_simulate(config: RunConfig) -> list[Path]:
             f"coupled needs variant stationary, got variant {config.variant.value}"
         )
     params = OuParams(theta=config.theta_true, delta=config.delta, n=config.n)
-    times = params.times()
-    if config.variant is Variant.STATIONARY and config.coupled:
+    if config.coupled:
         x_path, z_path = simulate_coupled(params, config.master_seed)
-        header = ["t", "z", "x"]
-        rows = [
-            [float(t), float(z), float(x)]
-            for t, z, x in zip(times, z_path.values, x_path.values)
-        ]
-    elif config.variant is Variant.STATIONARY:
-        path = simulate_path(params, Variant.STATIONARY, config.master_seed)
-        header = ["t", "z"]
-        rows = [[float(t), float(z)] for t, z in zip(times, path.values)]
+        header, columns = ["t", "z", "x"], (z_path.values, x_path.values)
     else:
-        path = simulate_path(params, Variant.FROM_ZERO, config.master_seed)
-        header = ["t", "x"]
-        rows = [[float(t), float(x)] for t, x in zip(times, path.values)]
+        path = simulate_path(params, config.variant, config.master_seed)
+        header = ["t", "z" if config.variant is Variant.STATIONARY else "x"]
+        columns = (path.values,)
+    rows = [[float(v) for v in row] for row in zip(params.times(), *columns)]
     out = _write_csv(config.output_dir / "paths.csv", header, rows)
     return [out]
 

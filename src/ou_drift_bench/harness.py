@@ -17,11 +17,11 @@ there is a ConfigError.  Cells share streams (common random
 numbers): comparisons across cells and between estimators on the same cell
 reuse the same paths, which tightens monotonicity comparisons.
 
-Memory: a block of paths is scanned along time in chunks of _SCAN_CHUNK
-steps, carrying the AR(1) state and per-path running sums from chunk to
-chunk, so memory per worker is bounded by the block size, not by n.  The
-paths are the same as an unchunked scan; for n > _SCAN_CHUNK only the order
-in which the per-path sums are added differs.
+Memory: each block of paths goes through `ou_core.simulate_block`, which
+scans along time in chunks of 16384 steps and keeps only per-path sums.  A
+block has `ou_core.block_rows(n)` rows, about 2^18 values per rows x chunk
+array (2 MiB), so memory per worker is bounded whatever n and the
+replication count are.  Block size changes no path's values.
 
 Oracle gating: rows marked gated compare Monte Carlo moments against exact
 closed forms (and the pathwise decomposition identity) and must pass at 4
@@ -57,7 +57,7 @@ from .metrics import (
     distance_report,
     sample_cumulants,
 )
-from .ou_core import OuParams, _ar1_scan, path_rng, transition_coefficients
+from .ou_core import OuParams, Variant, block_rows, simulate_block, transition_coefficients
 
 __all__ = [
     "DECOMP_TOL",
@@ -93,9 +93,6 @@ DEGENERACY_ABORT_FRACTION = 1e-3
 # Rate fits are CLT statements; below this many replications per cell the W1
 # estimates are too noisy to fit.
 FIT_MIN_REPLICATIONS = 100
-
-# Time steps per scan chunk in _fill_block (see the module docstring).
-_SCAN_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -263,7 +260,6 @@ class McSummary:
 class RateResponse(enum.Enum):
     W1_AMCE = "w1_amce"
     W1_AMLE = "w1_amle"
-    VAR_GAP_FN_Z = "var_gap_fn_z"
 
 
 @dataclass(frozen=True)
@@ -308,6 +304,20 @@ class _CellStats:
     s_n: np.ndarray
     lam: np.ndarray
 
+    def estimates(
+        self, estimator: Estimator, convention: IndexConvention, horizon: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Estimates on the paths whose `amce` / `amle` denominator (f_n or
+        S_n / T) is above EPS_DEN, and the mask of those paths."""
+        if estimator is Estimator.AMCE:
+            den = self.f_body if convention is IndexConvention.BODY else self.f_abs
+            good = den > EPS_DEN
+            return 1.0 / (2.0 * den[good]), good
+        if estimator is Estimator.AMLE:
+            good = self.s_n / horizon > EPS_DEN
+            return self.amle_num[good] / self.s_n[good], good
+        raise TypeError(f"estimator must be an Estimator, got {estimator!r}")
+
 
 def _worker_count() -> int:
     """Worker pool size: OU_BENCH_THREADS if set, else min(cores, 8)."""
@@ -324,100 +334,32 @@ def _worker_count() -> int:
     return workers
 
 
-def _fill_block(
-    lo: int,
-    hi: int,
-    params: OuParams,
-    master_seed: int,
-    out: _CellStats,
-) -> None:
-    """Simulate paths [lo, hi) and write their statistics into out[lo:hi].
-
-    Path i draws from stream (master_seed, i) in the stationary layout: Z_0
-    first, then the n innovations.  X and Z are built from the same
-    innovations, so the pair is the exact coupling.
-
-    The time axis is walked in chunks of _SCAN_CHUNK steps, each chunk's scan
-    starting from the previous chunk's last column, so the block holds
-    (hi - lo) x _SCAN_CHUNK values per array whatever n is.  Each row's
-    generator draws its innovations chunk by chunk, which yields the same
-    numbers as one draw, so paths are unchanged; the row sums are added per
-    chunk.
-    """
-    theta, delta, n = params.theta, params.delta, params.n
-    a, s2 = transition_coefficients(theta, delta)
-    scale = math.sqrt(s2)
-    sd0 = math.sqrt(1.0 / (2.0 * theta))
-    width = min(n, _SCAN_CHUNK)
-    buffer = np.empty((hi - lo, width))
-    z0 = np.empty(hi - lo)
-    # Generators are kept only when later chunks still draw from them, so a
-    # one-chunk block frees each as the next is built.
-    rngs = []
-    # Rows: sum x_head^2, x_tail^2, z_head^2, z_tail^2, the AMLE numerator
-    # -sum x_head (x_tail - x_head), and sum x_head eta.
-    sums = np.zeros((6, hi - lo))
-    x_last: np.ndarray | float = 0.0
-    for start in range(0, n, width):
-        m = min(width, n - start)
-        eta = buffer[:, :m]
-        if start == 0:
-            for k, row in enumerate(eta):
-                rng = path_rng(master_seed, stream=lo + k)
-                z0[k] = rng.standard_normal() * sd0
-                rng.standard_normal(out=row)
-                if m < n:
-                    rngs.append(rng)
-        else:
-            for rng, row in zip(rngs, eta):
-                rng.standard_normal(out=row)
-        x = _ar1_scan(eta, a, scale, x_last)
-        decay = np.exp(-theta * delta * np.arange(start, start + m + 1))
-        z = x + z0[:, None] * decay[None, :]
-        x_head, x_tail = x[:, :m], x[:, 1:]
-        z_head, z_tail = z[:, :m], z[:, 1:]
-        sums[0] += np.einsum("ij,ij->i", x_head, x_head)
-        sums[1] += np.einsum("ij,ij->i", x_tail, x_tail)
-        sums[2] += np.einsum("ij,ij->i", z_head, z_head)
-        sums[3] += np.einsum("ij,ij->i", z_tail, z_tail)
-        sums[4] -= np.einsum("ij,ij->i", x_head, x_tail - x_head)
-        sums[5] += np.einsum("ij,ij->i", x_head, eta)
-        x_last = x[:, -1].copy()
-
-    out.f_body[lo:hi] = sums[0] / n
-    out.f_abs[lo:hi] = sums[1] / n
-    out.fz_body[lo:hi] = sums[2] / n
-    out.fz_abs[lo:hi] = sums[3] / n
-    out.amle_num[lo:hi] = sums[4]
-    out.s_n[lo:hi] = delta * sums[0]
-    out.lam[lo:hi] = scale * sums[5]
-
-
 def _compute_cell_stats(params: OuParams, reps: int, master_seed: int) -> _CellStats:
-    stats = _CellStats(
-        f_body=np.empty(reps),
-        f_abs=np.empty(reps),
-        fz_body=np.empty(reps),
-        fz_abs=np.empty(reps),
-        amle_num=np.empty(reps),
-        s_n=np.empty(reps),
-        lam=np.empty(reps),
-    )
-    # Block size targets a few MB of innovations per task.
-    block = max(64, min(reps, int(4_000_000 // max(params.n, 1)) or 1))
-    ranges = [(lo, min(lo + block, reps)) for lo in range(0, reps, block)]
+    """Statistics of paths 0..reps-1, path i on stream (master_seed, i) in the
+    stationary layout, so X and Z are the exact coupling."""
+    stats = _CellStats(*(np.empty(reps) for _ in fields(_CellStats)))
+    _, s2 = transition_coefficients(params.theta, params.delta)
+
+    def fill(lo: int, hi: int) -> None:
+        sums = simulate_block(params, Variant.STATIONARY, master_seed, lo, hi)
+        stats.f_body[lo:hi] = sums.x_head_sq / params.n
+        stats.f_abs[lo:hi] = sums.x_tail_sq / params.n
+        stats.fz_body[lo:hi] = sums.z_head_sq / params.n
+        stats.fz_abs[lo:hi] = sums.z_tail_sq / params.n
+        stats.amle_num[lo:hi] = sums.amle_num
+        stats.s_n[lo:hi] = params.delta * sums.x_head_sq
+        stats.lam[lo:hi] = math.sqrt(s2) * sums.x_xi
+
+    block = block_rows(params.n)
+    los = range(0, reps, block)
+    his = [min(lo + block, reps) for lo in los]
     workers = _worker_count()
-    if workers == 1 or len(ranges) == 1:
-        for lo, hi in ranges:
-            _fill_block(lo, hi, params, master_seed, stats)
+    if workers == 1 or len(los) == 1:
+        for lo, hi in zip(los, his):
+            fill(lo, hi)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_fill_block, lo, hi, params, master_seed, stats)
-                for lo, hi in ranges
-            ]
-            for future in futures:
-                future.result()
+            list(pool.map(fill, los, his))
     for field in fields(stats):
         getattr(stats, field.name).flags.writeable = False
     return stats
@@ -555,8 +497,7 @@ def _oracle_checks(
     # + Lambda_n / S_n, checked on every non-degenerate path.
     a, _ = transition_coefficients(theta, params.delta)
     drift_term = (a - 1.0) / params.delta
-    good = stats.s_n / horizon > EPS_DEN
-    est = stats.amle_num[good] / stats.s_n[good]
+    est, good = stats.estimates(Estimator.AMLE, convention, horizon)
     resid = np.abs(-est - (drift_term + stats.lam[good] / stats.s_n[good]))
     rel = resid / (1.0 + np.abs(est))
     worst = float(np.max(rel)) if rel.size else 0.0
@@ -620,15 +561,7 @@ def run_cell(
     stats = _cell_stats_cached(
         params.theta, params.delta, params.n, replications, master_seed
     )
-    if estimator is Estimator.AMCE:
-        den = stats.f_body if convention is IndexConvention.BODY else stats.f_abs
-        good = den > EPS_DEN
-        estimates = 1.0 / (2.0 * den[good])
-    elif estimator is Estimator.AMLE:
-        good = stats.s_n / params.horizon > EPS_DEN
-        estimates = stats.amle_num[good] / stats.s_n[good]
-    else:
-        raise TypeError(f"estimator must be an Estimator, got {estimator!r}")
+    estimates, good = stats.estimates(estimator, convention, params.horizon)
     degenerate = replications - int(np.count_nonzero(good))
     if degenerate > DEGENERACY_ABORT_FRACTION * replications:
         raise ExcessiveDegeneracy(
@@ -879,13 +812,7 @@ def consistency_check(
         stats = _cell_stats_cached(
             params.theta, params.delta, params.n, replications, master_seed
         )
-        if estimator is Estimator.AMCE:
-            den = stats.f_body if convention is IndexConvention.BODY else stats.f_abs
-            good = den > EPS_DEN
-            estimates = 1.0 / (2.0 * den[good])
-        else:
-            good = stats.s_n / params.horizon > EPS_DEN
-            estimates = stats.amle_num[good] / stats.s_n[good]
+        estimates, _ = stats.estimates(estimator, convention, params.horizon)
         abs_err = np.abs(estimates - theta)
         rows.append(
             ConsistencyRow(

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import EmptySample, NonFiniteValue, TooSmall
+from .ou_core import path_rng
 
 __all__ = [
     "CUMULANT_MIN_SAMPLE",
@@ -207,9 +208,7 @@ def distance_report(sample, n_bootstrap: int = 200, seed: int = 0) -> DistanceRe
     kolm = kolmogorov_to_std_normal(x)
     if n_bootstrap < 2:
         raise ValueError("n_bootstrap must be at least 2")
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, _BOOTSTRAP_STREAM], dtype=np.uint64))
-    )
+    rng = path_rng(seed, _BOOTSTRAP_STREAM)
     idx = rng.integers(0, x.size, size=(n_bootstrap, x.size))
     w1_rep = np.empty(n_bootstrap)
     k_rep = np.empty(n_bootstrap)

@@ -9,6 +9,10 @@ regular grid t_i = i * delta, i = 0..n.  On that grid it is an exact AR(1) chain
 The stationary variant starts from Z_0 ~ N(0, 1/(2 theta)) and follows the same
 recursion.  When both variants share one innovation stream the coupling identity
 X_{t_i} = Z_{t_i} - e^{-theta t_i} Z_0 holds pathwise, exactly.
+
+`simulate_block` is the one simulation kernel, with the draw layout, the
+AR(1) scan and the per-path sums; the per-path functions and the harness
+both call it.
 """
 
 from __future__ import annotations
@@ -26,12 +30,19 @@ __all__ = [
     "SamplePath",
     "transition_coefficients",
     "rho",
+    "BlockPaths",
+    "BlockSums",
+    "block_rows",
     "path_rng",
+    "simulate_block",
     "simulate_path",
     "simulate_coupled",
 ]
 
 _SEED_MAX = 2**64
+# Time steps per scan chunk, and values per rows x chunk array of a block.
+_SCAN_CHUNK = 16384
+_BLOCK_VALUES = 2**18
 
 
 class Variant(enum.Enum):
@@ -133,6 +144,14 @@ def rho(theta: float, t: float) -> float:
     return math.exp(-theta * abs(t)) / (2.0 * theta)
 
 
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    if not (0 <= seed < _SEED_MAX):
+        raise ValueError(f"seed must be a uint64, got {seed!r}")
+    if not (0 <= stream < _SEED_MAX):
+        raise ValueError(f"stream must be a uint64, got {stream!r}")
+    return np.array([seed, stream], dtype=np.uint64)
+
+
 def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for one (seed, stream) pair.
 
@@ -140,54 +159,122 @@ def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
     independent streams, so replication i of a run seeded s draws from
     (s, i) with no coordination between workers.
     """
-    if not (0 <= seed < _SEED_MAX):
-        raise ValueError(f"seed must be a uint64, got {seed!r}")
-    if not (0 <= stream < _SEED_MAX):
-        raise ValueError(f"stream must be a uint64, got {stream!r}")
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
 
 
-def _ar1_scan(innovations: np.ndarray, a: float, scale: float, x0: np.ndarray | float) -> np.ndarray:
-    """Run x_i = a x_{i-1} + scale * xi_i along the last axis, prepending x0.
+def _add_start(x: np.ndarray, z0, params: OuParams, start: int = 0, out=None) -> np.ndarray:
+    """Z = X + e^{-theta t} Z_0 on the columns t_start, t_start+1, ... of x."""
+    steps = np.arange(start, start + x.shape[-1])
+    z = np.multiply.outer(z0, np.exp(-params.theta * params.delta * steps), out=out)
+    z += x
+    return z
 
-    ``innovations`` has shape (..., n); the result has shape (..., n + 1) with
-    the initial state in column 0.
+
+def block_rows(n: int) -> int:
+    """Rows per block, so that a rows x chunk array holds about _BLOCK_VALUES values."""
+    return max(1, _BLOCK_VALUES // min(n, _SCAN_CHUNK))
+
+
+@dataclass(frozen=True)
+class BlockSums:
+    """Per-row sums of a block, each of shape (rows,); head is t_0..t_{n-1}, tail t_1..t_n.
+
+    Z = X + e^{-theta t} Z_0, and Z = X in the from-zero layout.  amle_num is
+    -sum x_head (x_tail - x_head); x_xi is sum x_head xi over the innovations.
     """
-    eta = scale * innovations
-    x0_arr = np.broadcast_to(np.asarray(x0, dtype=np.float64), eta.shape[:-1])
-    zi = (a * x0_arr)[..., np.newaxis]
-    body, _ = lfilter([1.0], [1.0, -a], eta, axis=-1, zi=zi)
-    return np.concatenate([x0_arr[..., np.newaxis], body], axis=-1)
+
+    x_head_sq: np.ndarray
+    x_tail_sq: np.ndarray
+    z_head_sq: np.ndarray
+    z_tail_sq: np.ndarray
+    amle_num: np.ndarray
+    x_xi: np.ndarray
+
+
+@dataclass(frozen=True)
+class BlockPaths:
+    """Whole rows of a block: X and the variant's values (Z or X), innovations, Z_0."""
+
+    x: np.ndarray
+    values: np.ndarray
+    innovations: np.ndarray
+    z0: np.ndarray | None
+
+
+def simulate_block(
+    params: OuParams, variant: Variant, seed: int, lo: int, hi: int, *, paths: bool = False
+) -> BlockSums | BlockPaths:
+    """Simulate the paths on streams [lo, hi) of seed: the one simulation kernel.
+
+    Draw order is part of the determinism contract: a stationary row draws
+    Z_0 first, then the n innovations; a from-zero row draws the innovations
+    only.  One Philox serves the block; re-keyed to [seed, stream] with a zero
+    counter and an empty buffer it gives exactly path_rng(seed, stream).  X is
+    scanned from zero and a stationary path is Z = X + e^{-theta t} Z_0.
+
+    By default time is walked in chunks of _SCAN_CHUNK steps, carrying the
+    scan's last column and each row's generator state, and only the per-row
+    sums are kept, so memory is bounded by the block size whatever n is.
+    With ``paths`` the rows are scanned whole and returned.  No row's values
+    depend on the chunking or on the block it is in.
+    """
+    n, rows = params.n, hi - lo
+    width = n if paths else min(n, _SCAN_CHUNK)
+    a, s2 = transition_coefficients(params.theta, params.delta)
+    scale = math.sqrt(s2)
+    sd0 = math.sqrt(1.0 / (2.0 * params.theta))
+    bitgen = np.random.Philox(key=_philox_key(seed, lo))
+    fresh = bitgen.state if rows > 1 else None
+    rng = np.random.Generator(bitgen)
+    z0 = np.empty(rows) if variant is Variant.STATIONARY else None
+    saved: list = [None] * rows
+    # Buffers are reused from chunk to chunk; a fresh 2 MiB array per step
+    # costs more in page faults than the arithmetic on it.
+    xi_buf, eta = np.empty((rows, width)), np.empty((rows, width))
+    x = np.zeros((rows, width + 1))
+    z = None if z0 is None else np.empty((rows, width + 1))
+    diff, sums = (None, None) if paths else (np.empty((rows, width)), np.zeros((6, rows)))
+    for start in range(0, n, width):
+        m = min(width, n - start)
+        xi = xi_buf[:, :m]
+        for k, row in enumerate(xi):
+            if start:
+                bitgen.state = saved[k]
+            else:
+                if k:  # row 0 draws from the generator as keyed above
+                    fresh["state"]["key"] = _philox_key(seed, lo + k)
+                    bitgen.state = fresh
+                if z0 is not None:
+                    z0[k] = rng.standard_normal() * sd0
+            rng.standard_normal(out=row)
+            if start + m < n:
+                saved[k] = bitgen.state
+        # AR(1) scan x_i = a x_{i-1} + scale xi_i from the state in column 0.
+        xc = x[:, : m + 1]
+        np.multiply(xi, scale, out=eta[:, :m])
+        xc[:, 1:], _ = lfilter([1.0], [1.0, -a], eta[:, :m], axis=-1, zi=a * xc[:, :1])
+        zc = None if z is None else _add_start(xc, z0, params, start, out=z[:, : m + 1])
+        if paths:
+            return BlockPaths(x=x, values=x if zc is None else zc, innovations=xi, z0=z0)
+        x_head, x_tail = xc[:, :m], xc[:, 1:]
+        sums[0] += np.einsum("ij,ij->i", x_head, x_head)
+        sums[1] += np.einsum("ij,ij->i", x_tail, x_tail)
+        if zc is not None:
+            sums[2] += np.einsum("ij,ij->i", zc[:, :m], zc[:, :m])
+            sums[3] += np.einsum("ij,ij->i", zc[:, 1:], zc[:, 1:])
+        sums[4] -= np.einsum("ij,ij->i", x_head, np.subtract(x_tail, x_head, out=diff[:, :m]))
+        sums[5] += np.einsum("ij,ij->i", x_head, xi)
+        x[:, 0] = xc[:, m]
+    if z0 is None:
+        sums[2:4] = sums[0:2]
+    return BlockSums(*sums)
 
 
 def simulate_path(params: OuParams, variant: Variant, seed: int, stream: int = 0) -> SamplePath:
-    """Simulate one path by the exact AR(1) recursion.
-
-    Draw order is part of the determinism contract: the stationary variant
-    draws Z_0 first, then the n innovations; the from-zero variant draws the
-    innovations only.  Innovations are always retained on the returned path.
-    """
-    rng = path_rng(seed, stream)
-    a, s2 = transition_coefficients(params.theta, params.delta)
-    scale = math.sqrt(s2)
-    if variant is Variant.STATIONARY:
-        z0 = float(rng.standard_normal()) * math.sqrt(1.0 / (2.0 * params.theta))
-        x0 = z0
-    else:
-        z0 = None
-        x0 = 0.0
-    xi = rng.standard_normal(params.n)
-    values = _ar1_scan(xi, a, scale, x0)
-    return SamplePath(
-        params=params,
-        variant=variant,
-        values=values,
-        innovations=xi,
-        z0=z0,
-        seed=seed,
-        stream=stream,
-    )
+    """Simulate one path: a one-row simulate_block.  Innovations are retained."""
+    block = simulate_block(params, variant, seed, stream, stream + 1, paths=True)
+    z0 = None if block.z0 is None else float(block.z0[0])
+    return SamplePath(params, variant, block.values[0], block.innovations[0], z0, seed, stream)
 
 
 def simulate_coupled(
@@ -198,36 +285,15 @@ def simulate_coupled(
 ) -> tuple[SamplePath, SamplePath]:
     """Simulate an (X, Z) pair driven by one innovation stream.
 
-    X starts at 0, Z at Z_0 ~ N(0, 1/(2 theta)); both follow the same AR(1)
-    recursion with identical innovations, so X_{t_i} = Z_{t_i} - e^{-theta t_i} Z_0
-    holds exactly for every i.  The stream layout matches the stationary variant
-    (Z_0 first, then innovations).  Pass ``z0`` to force the initial value; the
-    Z_0 draw is still consumed so the innovations do not shift.
+    X starts at 0 and Z = X + e^{-theta t} Z_0 with Z_0 ~ N(0, 1/(2 theta)),
+    the path the same AR(1) recursion gives from Z_0 with identical
+    innovations.  The stream layout is the stationary variant's (Z_0 first,
+    then innovations).  Pass ``z0`` to force the initial value; the Z_0 draw
+    is still consumed so the innovations do not shift.
     """
-    rng = path_rng(seed, stream)
-    a, s2 = transition_coefficients(params.theta, params.delta)
-    scale = math.sqrt(s2)
-    z0_draw = float(rng.standard_normal()) * math.sqrt(1.0 / (2.0 * params.theta))
-    z0_val = z0_draw if z0 is None else float(z0)
-    xi = rng.standard_normal(params.n)
-    x_values = _ar1_scan(xi, a, scale, 0.0)
-    z_values = _ar1_scan(xi, a, scale, z0_val)
-    x_path = SamplePath(
-        params=params,
-        variant=Variant.FROM_ZERO,
-        values=x_values,
-        innovations=xi,
-        z0=None,
-        seed=seed,
-        stream=stream,
-    )
-    z_path = SamplePath(
-        params=params,
-        variant=Variant.STATIONARY,
-        values=z_values,
-        innovations=xi,
-        z0=z0_val,
-        seed=seed,
-        stream=stream,
-    )
-    return x_path, z_path
+    block = simulate_block(params, Variant.STATIONARY, seed, stream, stream + 1, paths=True)
+    x, xi = block.x[0], block.innovations[0]
+    z0_val = float(block.z0[0]) if z0 is None else float(z0)
+    z = _add_start(x, z0_val, params)
+    x_path = SamplePath(params, Variant.FROM_ZERO, x, xi, None, seed, stream)
+    return x_path, SamplePath(params, Variant.STATIONARY, z, xi, z0_val, seed, stream)

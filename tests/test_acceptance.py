@@ -1,10 +1,11 @@
 """Acceptance suite: nine numbered end-to-end checks, one verdict line each.
 
-Monte Carlo checks use an in-test vectorized sampler that reproduces the
-draw layout of simulate_path stream by stream; a bitwise spot-check against
-the simulator runs inside each test that uses it, so the batched statistics
-are provably the simulator's own output.  Every random quantity is keyed to
-one fixed master seed, which makes each verdict deterministic.
+Monte Carlo checks 1-3 draw their samples from the package's one simulation
+kernel, `ou_core.simulate_block`, block by block; a spot-check against the
+per-path API (simulate_path with big_f_n or lambda_n) runs inside each test
+that reduces paths to sums.  The kernel's draw layout is pinned against
+path_rng in test_ou_core.  Every random quantity is keyed to one fixed
+master seed, which makes each verdict deterministic.
 
 Check 3 pins the Lambda_n / sqrt(T) cumulants to the exact closed forms and
 asserts that the same sample rejects the first-order values (0 and
@@ -16,11 +17,11 @@ import json
 import math
 import os
 import time
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter
 
 from ou_drift_bench import (
     Estimator,
@@ -40,7 +41,6 @@ from ou_drift_bench import (
     k4_lambda,
     kolmogorov_to_std_normal,
     lambda_n,
-    path_rng,
     preset_schedule,
     rho,
     run_schedule,
@@ -50,68 +50,26 @@ from ou_drift_bench import (
     w1_to_std_normal,
 )
 from ou_drift_bench.cli import main
+from ou_drift_bench.ou_core import BlockSums, block_rows, simulate_block
 
 from test_metrics import _w1_by_quadrature
 
 SEED = 20260822
 
 
-def _scan(eta, a, scale, x0):
-    """AR(1) recursion along the last axis, identical ops to the simulator."""
-    eta_scaled = scale * eta
-    x0_arr = np.broadcast_to(np.asarray(x0, dtype=np.float64), eta_scaled.shape[:-1])
-    zi = (a * x0_arr)[..., np.newaxis]
-    body, _ = lfilter([1.0], [1.0, -a], eta_scaled, axis=-1, zi=zi)
-    return np.concatenate([x0_arr[..., np.newaxis], body], axis=-1)
+def _row_sums(params, variant, reps):
+    """Kernel row sums of streams 0..reps-1, one field per BlockSums name."""
+    step = block_rows(params.n)
+    blocks = [
+        simulate_block(params, variant, SEED, lo, min(lo + step, reps))
+        for lo in range(0, reps, step)
+    ]
+    return {f.name: np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(BlockSums)}
 
 
-def _stationary_values(theta, delta, n, reps, stream0=0, chunk=20_000):
-    """Batch of stationary paths, row k on stream stream0 + k."""
-    a, s2 = transition_coefficients(theta, delta)
-    scale = math.sqrt(s2)
-    sd0 = math.sqrt(1.0 / (2.0 * theta))
-    out = np.empty((reps, n + 1))
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        z0 = np.empty(hi - lo)
-        eta = np.empty((hi - lo, n))
-        for k in range(hi - lo):
-            rng = path_rng(SEED, stream=stream0 + lo + k)
-            z0[k] = rng.standard_normal() * sd0
-            eta[k] = rng.standard_normal(n)
-        out[lo:hi] = _scan(eta, a, scale, z0)
-    return out
-
-
-def _check_stationary_layout(theta, delta, n, batch, stream0=0):
-    """Rows of the batch must equal the simulator's output bit for bit."""
-    params = OuParams(theta=theta, delta=delta, n=n)
-    for probe in (0, 1, batch.shape[0] - 1):
-        path = simulate_path(params, Variant.STATIONARY, SEED, stream=stream0 + probe)
-        assert np.array_equal(path.values, batch[probe])
-
-
-def _big_f_batch(values, theta, delta, n):
-    """big_f_n of every row, body convention."""
-    head = values[:, :n]
-    sqrt_t = math.sqrt(n * delta)
-    return sqrt_t * (np.einsum("ij,ij->i", head, head) / n - 1.0 / (2.0 * theta))
-
-
-def _lambda_scaled_batch(theta, delta, n, reps, chunk=50_000):
-    """Lambda_n / sqrt(T) of from-zero paths, row k on stream k."""
-    a, s2 = transition_coefficients(theta, delta)
-    scale = math.sqrt(s2)
-    sqrt_t = math.sqrt(n * delta)
-    out = np.empty(reps)
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        eta = np.empty((hi - lo, n))
-        for k in range(hi - lo):
-            eta[k] = path_rng(SEED, stream=lo + k).standard_normal(n)
-        x = _scan(eta, a, scale, 0.0)
-        out[lo:hi] = scale * np.einsum("ij,ij->i", x[:, :n], eta) / sqrt_t
-    return out
+def _big_f_batch(sums, theta, delta, n):
+    """big_f_n of every stationary row, body convention."""
+    return math.sqrt(n * delta) * (sums["z_head_sq"] / n - 1.0 / (2.0 * theta))
 
 
 def test_01_stationary_covariance_matches_rho_grid():
@@ -122,8 +80,10 @@ def test_01_stationary_covariance_matches_rho_grid():
     start = time.perf_counter()
     reps, n, delta = 100_000, 4, 0.5
     for idx, theta in enumerate((0.5, 1.0, 2.0)):
-        batch = _stationary_values(theta, delta, n, reps, stream0=idx * reps)
-        _check_stationary_layout(theta, delta, n, batch, stream0=idx * reps)
+        params = OuParams(theta=theta, delta=delta, n=n)
+        batch = simulate_block(
+            params, Variant.STATIONARY, SEED, idx * reps, (idx + 1) * reps, paths=True
+        ).values
         for i in range(n + 1):
             for j in range(n + 1):
                 prod = batch[:, i] * batch[:, j]
@@ -147,9 +107,7 @@ def test_02_var_fn_z_parity_and_monotone_asymptotic_gap():
     start = time.perf_counter()
     theta, delta, n, reps = 1.0, 0.05, 1000, 100_000
     params = OuParams(theta=theta, delta=delta, n=n)
-    batch = _stationary_values(theta, delta, n, reps, chunk=10_000)
-    _check_stationary_layout(theta, delta, n, batch)
-    f = _big_f_batch(batch, theta, delta, n)
+    f = _big_f_batch(_row_sums(params, Variant.STATIONARY, reps), theta, delta, n)
     probe = simulate_path(params, Variant.STATIONARY, SEED, stream=7)
     probe_f = big_f_n(probe, theta)
     assert f[7] == pytest.approx(probe_f, rel=1e-12, abs=1e-12)
@@ -187,9 +145,10 @@ def test_03_cumulant_oracles_fn_z_and_lambda():
 
     theta, delta, n = 1.0, 0.1, 64
     params = OuParams(theta=theta, delta=delta, n=n)
-    batch = _stationary_values(theta, delta, n, reps, chunk=100_000)
-    _check_stationary_layout(theta, delta, n, batch)
-    sc_f = sample_cumulants(_big_f_batch(batch, theta, delta, n))
+    f = _big_f_batch(_row_sums(params, Variant.STATIONARY, reps), theta, delta, n)
+    probe = simulate_path(params, Variant.STATIONARY, SEED, stream=5)
+    assert f[5] == pytest.approx(big_f_n(probe, theta), rel=1e-12, abs=1e-12)
+    sc_f = sample_cumulants(f)
     k3_exact = k3_fn_z(params)
     assert abs(sc_f.k3 - k3_exact) <= 3.0 * sc_f.se_k3, (
         f"k3 {sc_f.k3:.5f} vs k3_fn_z {k3_exact:.5f}, "
@@ -202,7 +161,8 @@ def test_03_cumulant_oracles_fn_z_and_lambda():
 
     theta, delta, n = 1.0, 0.05, 256
     params = OuParams(theta=theta, delta=delta, n=n)
-    lam = _lambda_scaled_batch(theta, delta, n, reps)
+    _, s2 = transition_coefficients(theta, delta)
+    lam = math.sqrt(s2) * _row_sums(params, Variant.FROM_ZERO, reps)["x_xi"] / math.sqrt(n * delta)
     probe = simulate_path(params, Variant.FROM_ZERO, SEED, stream=3)
     probe_lam = lambda_n(probe) / math.sqrt(params.horizon)
     assert lam[3] == pytest.approx(probe_lam, rel=1e-12, abs=1e-12)

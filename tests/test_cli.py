@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ou_drift_bench import OuParams, clear_caches, exact_var_fn_z, k3_fn_z
+from ou_drift_bench import (
+    IndexConvention,
+    OuBenchError,
+    OuParams,
+    Variant,
+    amce,
+    amle,
+    clear_caches,
+    exact_var_fn_z,
+    k3_fn_z,
+    simulate_path,
+)
 from ou_drift_bench.cli import CSV_SCHEMA_LINE, build_config, main, read_bench_csv
 from ou_drift_bench.errors import ConfigError
 
@@ -76,6 +87,39 @@ def test_estimate_outputs_records(tmp_path):
     # both estimators on each of the 8 paths
     assert len(rows) == 16
     assert {r["estimator"] for r in rows} == {"amce", "amle"}
+
+
+@pytest.mark.parametrize("convention", ["body", "abstract"])
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_estimate_rows_match_per_path_api(tmp_path, n, convention):
+    # estimate must skip exactly the paths the per-path estimators reject (at
+    # n = 1 from zero: AMLE always, AMCE under the body convention) and agree
+    # with them on the rest, path i on stream i.
+    out = tmp_path / "est"
+    reps, theta, delta = 40, 1.5, 0.05
+    assert _run(["estimate", "--n", str(n), "--delta", str(delta), "--theta", str(theta),
+                 "--reps", str(reps), "--index-convention", convention, "--seed", "4",
+                 "--out", str(out)]) == 0
+    _, rows = _rows(out / "estimates.csv")
+    params = OuParams(theta=theta, delta=delta, n=n)
+    expected = []
+    for index in range(reps):
+        path = simulate_path(params, Variant.FROM_ZERO, 4, stream=index)
+        for name, estimate in (
+            ("amce", lambda: amce(path, theta, IndexConvention(convention))),
+            ("amle", lambda: amle(path, theta)),
+        ):
+            try:
+                record = estimate()
+            except OuBenchError:
+                continue
+            expected.append((name, index, record))
+    assert [(r["estimator"], int(r["path"])) for r in rows] == [e[:2] for e in expected]
+    for row, (_, _, record) in zip(rows, expected):
+        for column in ("estimate", "denominator", "normalized_error"):
+            assert float(row[column]) == pytest.approx(
+                getattr(record, column), rel=1e-12, abs=1e-12
+            ), column
 
 
 def test_oracle_values_round_trip(tmp_path):
@@ -243,11 +287,13 @@ def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threa
         ("replications: 2.9\n", "replications"),
         ("n: true\n", "n"),
         ('coupled: "false"\n', "coupled"),
+        ("theta_true: true\n", "theta_true"),
+        ("delta: true\n", "delta"),
     ],
-    ids=["float-truncated", "bool-as-int", "string-as-bool"],
+    ids=["float-truncated", "bool-as-int", "string-as-bool", "bool-as-theta", "bool-as-delta"],
 )
 def test_config_file_values_are_not_coerced(tmp_path, capsys, text, field):
-    # each was once coerced: 2.9 to 2, true to n = 1, "false" to True
+    # each was once coerced: 2.9 to 2, true to n = 1 or to 1.0, "false" to True
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     assert _run(["simulate", "--variant", "stationary", "--config", str(cfg),
@@ -284,3 +330,41 @@ def test_ill_typed_integer_fields_raise_config_error(field, value):
 def test_ill_typed_coupled_raises_config_error(value):
     with pytest.raises(ConfigError, match="^coupled:"):
         build_config({"coupled": value})
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+_REAL_FIELDS = ("theta_true", "delta")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    field=st.sampled_from(_REAL_FIELDS),
+    value=st.one_of(
+        st.booleans(),
+        st.recursive(st.lists(st.floats(), max_size=3), lambda inner: st.lists(inner, max_size=3)),
+        st.dictionaries(st.text(max_size=3), st.floats(), max_size=2),
+        st.text().filter(_not_a_number),
+        st.just(10**400),
+    ),
+)
+def test_ill_typed_real_fields_raise_config_error(field, value):
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        build_config({field: value})
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    field=st.sampled_from(_REAL_FIELDS),
+    number=st.floats(min_value=1e-3, max_value=1e3) | st.integers(min_value=1, max_value=1000),
+    as_text=st.booleans(),
+)
+def test_real_fields_take_numbers_and_numeric_strings(field, number, as_text):
+    value = repr(number) if as_text else number
+    assert getattr(build_config({field: value}), field) == float(number)

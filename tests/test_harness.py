@@ -26,6 +26,7 @@ from ou_drift_bench import (
     fit_rate,
     harness,
     lambda_n,
+    ou_core,
     preset_names,
     preset_schedule,
     run_cell,
@@ -155,12 +156,13 @@ def _per_path_stats(p, reps, seed):
     ref = {name: np.empty(reps) for name in _STATS_FIELDS}
     for i in range(reps):
         x, z = simulate_coupled(p, seed, stream=i)
-        s_n = p.delta * float(np.dot(x.values[:-1], x.values[:-1]))
+        rec = amle(x)
+        s_n = rec.denominator * p.horizon
         ref["f_body"][i] = f_n(x, IndexConvention.BODY)
         ref["f_abs"][i] = f_n(x, IndexConvention.ABSTRACT)
         ref["fz_body"][i] = f_n(z, IndexConvention.BODY)
         ref["fz_abs"][i] = f_n(z, IndexConvention.ABSTRACT)
-        ref["amle_num"][i] = amle(x).estimate * s_n
+        ref["amle_num"][i] = rec.estimate * s_n
         ref["s_n"][i] = s_n
         ref["lam"][i] = lambda_n(x)
     return ref
@@ -169,7 +171,7 @@ def _per_path_stats(p, reps, seed):
 def test_chunked_scan_matches_per_path_api(monkeypatch):
     # Three full chunks and a partial one: the scan state, the decay offsets
     # and the row sums must carry across every chunk boundary.
-    monkeypatch.setattr(harness, "_SCAN_CHUNK", 64)
+    monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
     p = OuParams(theta=1.0, delta=0.05, n=3 * 64 + 17)
     monkeypatch.setenv("OU_BENCH_THREADS", "1")
     stats = harness._compute_cell_stats(p, 130, SEED)
@@ -180,7 +182,7 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
         )
 
     # Enough rows for two blocks, so two workers really split the cell.
-    reps = 4_000_000 // p.n + 100
+    reps = ou_core.block_rows(p.n) + 100
     serial = harness._compute_cell_stats(p, reps, SEED)
     monkeypatch.setenv("OU_BENCH_THREADS", "2")
     threaded = harness._compute_cell_stats(p, reps, SEED)
@@ -188,18 +190,20 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
         assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
 
 
-def test_long_cell_memory_bounded(monkeypatch):
-    # One block of 64 rows at n = 2^20: whole-path arrays would trace about
-    # 2 GiB; chunked scanning keeps the traced peak near 48 MiB.
+@pytest.mark.parametrize("n, reps", [(1024, 10_000), (4096, 1024), (2**20, 64)])
+def test_long_cell_memory_bounded(monkeypatch, n, reps):
+    # Whole-path arrays would trace about 2 GiB at n = 2^20, and a block size
+    # of 4e6 / n rows once traced about 123 MiB at the two smaller cells; the
+    # value-based block size keeps each cell near 12 MiB.
     monkeypatch.setenv("OU_BENCH_THREADS", "1")
-    p = OuParams(theta=1.0, delta=0.05, n=2**20)
+    p = OuParams(theta=1.0, delta=0.05, n=n)
     tracemalloc.start()
     try:
-        harness._compute_cell_stats(p, 64, SEED)
+        harness._compute_cell_stats(p, reps, SEED)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_cached_cell_stats_are_read_only():

@@ -9,12 +9,14 @@ from ou_drift_bench import (
     OuParams,
     SamplePath,
     Variant,
+    ou_core,
     path_rng,
     rho,
     simulate_coupled,
     simulate_path,
     transition_coefficients,
 )
+from ou_drift_bench.ou_core import simulate_block
 
 
 def test_transition_coefficients_closed_form():
@@ -156,3 +158,79 @@ def test_path_rng_streams_are_reproducible_and_distinct():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
+
+
+_U64 = 2**64
+
+
+def _reference_rows(p, variant, seed, lo, hi):
+    """Z_0, innovations and from-zero X of streams [lo, hi), one path_rng each."""
+    a, s2 = transition_coefficients(p.theta, p.delta)
+    z0, xi, x = [], [], np.zeros((hi - lo, p.n + 1))
+    for k, stream in enumerate(range(lo, hi)):
+        rng = path_rng(seed, stream)
+        if variant is Variant.STATIONARY:
+            z0.append(rng.standard_normal() * math.sqrt(1.0 / (2.0 * p.theta)))
+        xi.append(rng.standard_normal(p.n))
+        for i in range(p.n):
+            x[k, i + 1] = a * x[k, i] + math.sqrt(s2) * xi[k][i]
+    return np.array(z0), np.array(xi), x
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize(
+    "seed, lo, hi",
+    [(11, 0, 5), (11, 1000, 1007), (_U64 - 1, _U64 - 3, _U64)],
+    ids=["from-stream-0", "offset-block", "streams-near-2^64"],
+)
+def test_block_draw_layout_matches_path_rng(variant, seed, lo, hi):
+    # Z_0 (stationary only) then the innovations, bit for bit as path_rng
+    # draws them; the one scan gives X and Z = X + e^{-theta t} Z_0.
+    p = OuParams(theta=0.7, delta=0.1, n=40)
+    block = simulate_block(p, variant, seed, lo, hi, paths=True)
+    z0, xi, x = _reference_rows(p, variant, seed, lo, hi)
+    assert np.array_equal(block.innovations, xi)
+    np.testing.assert_allclose(block.x, x, rtol=1e-12, atol=1e-14)
+    if variant is Variant.STATIONARY:
+        assert np.array_equal(block.z0, z0)
+        decay = np.exp(-p.theta * p.times())
+        np.testing.assert_allclose(block.values, x + np.outer(z0, decay), rtol=1e-12, atol=1e-14)
+        assert np.array_equal(block.values[:, 0], z0)
+    else:
+        assert block.z0 is None and block.values is block.x
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_block_sums_of_long_rows_split_across_chunks(monkeypatch, variant):
+    # Rows of 3 chunks of 8 steps and a partial one: the generator state, the
+    # scan state and the decay offsets must carry across chunk boundaries.
+    monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 8)
+    p = OuParams(theta=1.3, delta=0.07, n=3 * 8 + 5)
+    seed, lo, hi = 5, 17, 21
+    sums = simulate_block(p, variant, seed, lo, hi)
+    z0, xi, x = _reference_rows(p, variant, seed, lo, hi)
+    z = x if variant is Variant.FROM_ZERO else x + np.outer(z0, np.exp(-p.theta * p.times()))
+    head, tail = x[:, :-1], x[:, 1:]
+    expected = {
+        "x_head_sq": np.sum(head**2, axis=1),
+        "x_tail_sq": np.sum(tail**2, axis=1),
+        "z_head_sq": np.sum(z[:, :-1] ** 2, axis=1),
+        "z_tail_sq": np.sum(z[:, 1:] ** 2, axis=1),
+        "amle_num": -np.sum(head * (tail - head), axis=1),
+        "x_xi": np.sum(head * xi, axis=1),
+    }
+    for name, want in expected.items():
+        np.testing.assert_allclose(getattr(sums, name), want, rtol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "seed, lo, hi",
+    [(_U64, 0, 1), (-1, 0, 1), (3, -1, 1), (3, _U64 - 1, _U64 + 1)],
+    ids=["seed-2^64", "seed-negative", "stream-negative", "stream-2^64"],
+)
+def test_block_rejects_out_of_range_keys(seed, lo, hi):
+    p = OuParams(theta=1.0, delta=0.1, n=4)
+    for variant in Variant:
+        for paths in (False, True):
+            with pytest.raises(ValueError, match="uint64"):
+                simulate_block(p, variant, seed, lo, hi, paths=paths)

@@ -11,7 +11,7 @@ Library layout:
 * `metrics`: exact Wasserstein-1 and Kolmogorov distances to N(0, 1), sample
   cumulants with jackknife standard errors, bootstrap distance reports.
 * `harness`: schedules, per-cell Monte Carlo summaries with oracle gating,
-  coupling and consistency checks, log-log rate fits.
+  the coupling check, log-log rate fits.
 * `cli`: the `ou-bench` command (simulate | estimate | oracle | verify | rates).
 """
 
@@ -40,7 +40,6 @@ from .estimators import (
     normalized_error,
 )
 from .harness import (
-    ConsistencyReport,
     CouplingRow,
     CouplingReport,
     McSummary,
@@ -52,7 +51,6 @@ from .harness import (
     ScheduleResult,
     bound_terms,
     clear_caches,
-    consistency_check,
     coupling_check,
     fit_rate,
     preset_names,
@@ -147,7 +145,6 @@ __all__ = [
     "sample_cumulants",
     "w1_to_std_normal",
     # harness
-    "ConsistencyReport",
     "CouplingReport",
     "CouplingRow",
     "McSummary",
@@ -159,7 +156,6 @@ __all__ = [
     "ScheduleResult",
     "bound_terms",
     "clear_caches",
-    "consistency_check",
     "coupling_check",
     "fit_rate",
     "preset_names",

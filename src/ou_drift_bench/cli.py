@@ -39,7 +39,6 @@ from .estimators import Estimator, IndexConvention
 from .harness import (
     FIT_MIN_REPLICATIONS,
     GATE_SE,
-    Schedule,
     bound_terms,
     coupling_check,
     preset_names,
@@ -66,7 +65,6 @@ __all__ = [
 
 CSV_SCHEMA_LINE = "# ou-drift-bench csv v1"
 
-_EMIT_CHOICES = frozenset({"cells_csv", "rates_csv", "report_md", "plotdata_csv"})
 _SEED_MAX = 2**64
 
 
@@ -81,7 +79,6 @@ class RunConfig:
     master_seed: int = 20260822
     index_convention: IndexConvention = IndexConvention.BODY
     output_dir: Path = Path("ou-bench-out")
-    emit: frozenset = frozenset(_EMIT_CHOICES)
     n: int = 1000
     delta: float = 0.05
     variant: Variant = Variant.FROM_ZERO
@@ -93,6 +90,9 @@ class RunConfig:
             raise ConfigError(f"theta_true must be finite and > 0, got {self.theta_true!r}")
         if not self.estimators:
             raise ConfigError("estimators must name at least one of amce, amle")
+        if len(set(self.estimators)) != len(self.estimators):
+            names = [e.value for e in self.estimators]
+            raise ConfigError(f"estimators: each may be named once, got {names}")
         if self.schedule not in preset_names():
             raise ConfigError(
                 f"schedule must be one of {', '.join(preset_names())}, got {self.schedule!r}"
@@ -105,12 +105,6 @@ class RunConfig:
             raise ConfigError(f"n must be >= 1, got {self.n!r}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ConfigError(f"delta must be finite and > 0, got {self.delta!r}")
-        unknown = set(self.emit) - _EMIT_CHOICES
-        if unknown:
-            raise ConfigError(
-                f"emit contains unknown entries {sorted(unknown)}; "
-                f"allowed: {sorted(_EMIT_CHOICES)}"
-            )
         if self.n_bootstrap < 2:
             raise ConfigError(f"n_bootstrap must be >= 2, got {self.n_bootstrap!r}")
 
@@ -176,7 +170,6 @@ _FIELD_PARSERS = {
     "master_seed": _parse_int,
     "index_convention": _parse_convention,
     "output_dir": Path,
-    "emit": lambda v: frozenset(str(e) for e in v),
     "n": _parse_int,
     "delta": _parse_real,
     "variant": _parse_variant,
@@ -208,16 +201,19 @@ def _load_config_file(path: Path) -> dict:
 def build_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
     """Merge defaults, config-file values, and flag overrides into a RunConfig.
 
-    Later sources win.  Unknown keys and unparsable values raise ConfigError
-    naming the offending field.
+    Later sources win.  An override of None is a flag that was not given; a
+    None in the file is an empty value.  Unknown keys, empty file values and
+    unparsable values raise ConfigError naming the offending field.
     """
     merged: dict = {}
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
-            if value is None:
+            if value is None and source is overrides:
                 continue
             if key not in _FIELD_PARSERS:
                 raise ConfigError(f"unknown config key {key!r}")
+            if value is None:
+                raise ConfigError(f"{key}: empty value in the config file")
             try:
                 merged[key] = _FIELD_PARSERS[key](value)
             except ConfigError:
@@ -280,7 +276,8 @@ def cmd_simulate(config: RunConfig) -> list[Path]:
 def cmd_estimate(config: RunConfig) -> list[Path]:
     """Run the configured estimators on fresh from-zero paths; one CSV row each.
 
-    Degenerate paths are skipped; their count is visible via cmd_verify.
+    Degenerate paths are skipped and get no row; the paths are not verify's,
+    which draws in the stationary layout (Z_0 first).
     """
     from .estimators import amce, amle
 
@@ -353,10 +350,9 @@ def _verify_lines(config: RunConfig) -> tuple[list[str], bool]:
             convention=config.index_convention,
             n_bootstrap=config.n_bootstrap,
         )
-        mean_nerr = summary.distance.moments[0]
         lines.append(
             f"[{estimator.value}] degenerate={summary.degenerate_count} "
-            f"w1={_fmt(summary.distance.w1)} mean_nerr={_fmt(mean_nerr)}"
+            f"w1={_fmt(summary.distance.w1)} mean_nerr={_fmt(summary.cumulants.mean)}"
         )
         for check in summary.oracle_checks:
             if check.gated:
@@ -402,10 +398,9 @@ def cmd_verify(config: RunConfig) -> int:
         )
     lines, all_pass = _verify_lines(config)
     print("\n".join(lines))
-    if "report_md" in config.emit:
-        body = "# verify report\n\n```\n" + "\n".join(lines) + "\n```\n"
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        (config.output_dir / "verify.md").write_text(body, encoding="utf-8")
+    body = "# verify report\n\n```\n" + "\n".join(lines) + "\n```\n"
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    (config.output_dir / "verify.md").write_text(body, encoding="utf-8")
     if not all_pass:
         failing = [line for line in lines if "FAIL" in line]
         print("\n".join(failing), file=sys.stderr)
@@ -554,41 +549,33 @@ def cmd_rates(config: RunConfig) -> list[Path]:
             )
         report.append("")
 
-    outputs: list[Path] = []
-    if "cells_csv" in config.emit:
-        outputs.append(
-            _write_csv(
-                config.output_dir / "cells.csv",
-                [
-                    "estimator", "n", "delta", "T", "replications", "degenerate",
-                    "mean_error", "rmse", "mae", "w1", "w1_se", "kolmogorov",
-                    "kolmogorov_se", "mean_nerr", "var_nerr", "k3_nerr", "k4_nerr",
-                ],
-                cell_rows,
-            )
-        )
-    if "rates_csv" in config.emit:
-        outputs.append(
-            _write_csv(
-                config.output_dir / "rates.csv",
-                [
-                    "schedule", "estimator", "response", "predictor",
-                    "slope", "intercept", "r2", "n_cells",
-                ],
-                rate_rows,
-            )
-        )
-    if "plotdata_csv" in config.emit:
-        outputs.append(
-            _write_csv(
-                config.output_dir / "plotdata.csv",
-                [
-                    "estimator", "n", "delta", "T", "bound_term_1", "bound_term_2",
-                    "w1", "w1_se", "kolmogorov",
-                ],
-                plot_rows,
-            )
-        )
+    outputs = [
+        _write_csv(
+            config.output_dir / "cells.csv",
+            [
+                "estimator", "n", "delta", "T", "replications", "degenerate",
+                "mean_error", "rmse", "mae", "w1", "w1_se", "kolmogorov",
+                "kolmogorov_se", "mean_nerr", "var_nerr", "k3_nerr", "k4_nerr",
+            ],
+            cell_rows,
+        ),
+        _write_csv(
+            config.output_dir / "rates.csv",
+            [
+                "schedule", "estimator", "response", "predictor",
+                "slope", "intercept", "r2", "n_cells",
+            ],
+            rate_rows,
+        ),
+        _write_csv(
+            config.output_dir / "plotdata.csv",
+            [
+                "estimator", "n", "delta", "T", "bound_term_1", "bound_term_2",
+                "w1", "w1_se", "kolmogorov",
+            ],
+            plot_rows,
+        ),
+    ]
     if schedule.name == "coupling-sweep":
         coupling = coupling_check(
             schedule,
@@ -609,11 +596,9 @@ def cmd_rates(config: RunConfig) -> list[Path]:
             f"(within factor 10: {'yes' if coupling.within_factor_10 else 'no'})."
         )
         report.append("")
-    if "report_md" in config.emit:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        path = config.output_dir / "report.md"
-        path.write_text("\n".join(report) + "\n", encoding="utf-8")
-        outputs.append(path)
+    path = config.output_dir / "report.md"
+    path.write_text("\n".join(report) + "\n", encoding="utf-8")
+    outputs.append(path)
     return outputs
 
 

@@ -66,10 +66,7 @@ class EstimateRecord:
     estimator: Estimator
     estimate: float
     denominator: float
-    params: OuParams
-    seed: int | None
     normalized_error: float | None = None
-    convention: IndexConvention | None = None
 
 
 def f_n(path: SamplePath, convention: IndexConvention = IndexConvention.BODY) -> float:
@@ -127,10 +124,7 @@ def amce(
         estimator=Estimator.AMCE,
         estimate=est,
         denominator=den,
-        params=path.params,
-        seed=path.seed,
         normalized_error=err,
-        convention=convention,
     )
 
 
@@ -156,8 +150,6 @@ def amle(path: SamplePath, theta_true: float | None = None) -> EstimateRecord:
         estimator=Estimator.AMLE,
         estimate=est,
         denominator=den,
-        params=params,
-        seed=path.seed,
         normalized_error=err,
     )
 

@@ -4,8 +4,8 @@ A Schedule is a sequence of (n, delta) cells encoding an asymptotic regime;
 `run_cell` simulates one cell and returns an McSummary holding the estimator's
 error distribution, its distance to N(0, 1), and a list of oracle
 cross-checks; `run_schedule` adds log-log rate fits of W1 against the rate
-bound for the chosen estimator.  `coupling_check` and `consistency_check`
-exercise the pathwise coupling and the mean-absolute-error decay.
+bound for the chosen estimator.  `coupling_check` measures the pathwise
+coupling of F_n(X) and F_n(Z).
 
 Determinism contract: every result is a pure function of (arguments,
 master_seed).  Path i of a cell draws from the counter-based stream
@@ -64,8 +64,6 @@ __all__ = [
     "DEGENERACY_ABORT_FRACTION",
     "FIT_MIN_REPLICATIONS",
     "GATE_SE",
-    "ConsistencyReport",
-    "ConsistencyRow",
     "CouplingReport",
     "CouplingRow",
     "McSummary",
@@ -77,7 +75,6 @@ __all__ = [
     "ScheduleResult",
     "bound_terms",
     "clear_caches",
-    "consistency_check",
     "coupling_check",
     "fit_rate",
     "preset_schedule",
@@ -111,24 +108,6 @@ class ScheduleCell:
     @property
     def horizon(self) -> float:
         return self.n * self.delta
-
-    @property
-    def delta_sq(self) -> float:
-        return self.delta**2
-
-    @property
-    def inv_sqrt_n_delta(self) -> float:
-        return 1.0 / math.sqrt(self.n * self.delta)
-
-    @property
-    def sqrt_n_delta_cubed(self) -> float:
-        return math.sqrt(self.n * self.delta**3)
-
-    def n_delta_eta(self, eta: float) -> float:
-        """Control quantity n * delta^eta for the strong-consistency regime."""
-        if not 1.0 < eta < 2.0:
-            raise ValueError(f"eta must lie in (1, 2), got {eta}")
-        return self.n * self.delta**eta
 
     def params(self, theta: float) -> OuParams:
         return OuParams(theta=theta, delta=self.delta, n=self.n)
@@ -207,9 +186,10 @@ def preset_schedule(name: str) -> Schedule:
 
 def bound_terms(cell: ScheduleCell, estimator: Estimator) -> tuple[float, float]:
     """The two terms of the estimator's rate bound at this cell (constant 1)."""
+    inv_sqrt_t = 1.0 / math.sqrt(cell.horizon)
     if estimator is Estimator.AMCE:
-        return cell.delta_sq, cell.inv_sqrt_n_delta
-    return cell.inv_sqrt_n_delta, cell.sqrt_n_delta_cubed
+        return cell.delta**2, inv_sqrt_t
+    return inv_sqrt_t, math.sqrt(cell.n * cell.delta**3)
 
 
 @dataclass(frozen=True)
@@ -353,13 +333,8 @@ def _compute_cell_stats(params: OuParams, reps: int, master_seed: int) -> _CellS
     block = block_rows(params.n)
     los = range(0, reps, block)
     his = [min(lo + block, reps) for lo in los]
-    workers = _worker_count()
-    if workers == 1 or len(los) == 1:
-        for lo, hi in zip(los, his):
-            fill(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, los, his))
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        list(pool.map(fill, los, his))
     for field in fields(stats):
         getattr(stats, field.name).flags.writeable = False
     return stats
@@ -713,32 +688,20 @@ class CouplingReport:
 
 
 def coupling_check(
-    cells,
+    schedule: Schedule,
     replications: int,
     master_seed: int,
     *,
     theta: float = 1.0,
     convention: IndexConvention = IndexConvention.BODY,
-    force_z0_zero: bool = False,
 ) -> CouplingReport:
-    """Empirical L2/L4 norms of F_n(X) - F_n(Z) on coupled paths.
+    """Empirical L2/L4 norms of F_n(X) - F_n(Z) on coupled paths, per cell.
 
-    Accepts an OuParams, a Schedule, or an iterable of (n, delta) pairs.  The
-    scaled column l2 * (n delta) is the quantity whose spread across cells the
-    factor-10 check constrains.  With force_z0_zero the stationary path starts
-    at 0 and equals the from-zero path, so every norm is exactly 0: the
-    statistic is recomputed from identical values, which is the identity the
-    flag exists to demonstrate.
+    The scaled column l2 * (n delta) is the quantity whose spread across cells
+    the factor-10 check constrains.
     """
-    if isinstance(cells, OuParams):
-        theta = cells.theta
-        cell_list = [ScheduleCell(n=cells.n, delta=cells.delta)]
-    elif isinstance(cells, Schedule):
-        cell_list = list(cells.cells)
-    else:
-        cell_list = [ScheduleCell(n=int(n), delta=float(d)) for n, d in cells]
     rows = []
-    for cell in cell_list:
+    for cell in schedule.cells:
         params = cell.params(theta)
         stats = _cell_stats_cached(
             params.theta, params.delta, params.n, replications, master_seed
@@ -747,8 +710,6 @@ def coupling_check(
             fx, fz = stats.f_body, stats.fz_body
         else:
             fx, fz = stats.f_abs, stats.fz_abs
-        if force_z0_zero:
-            fz = fx
         diff = math.sqrt(params.horizon) * (fx - fz)
         l2 = float(np.sqrt(np.mean(diff**2)))
         l4 = float(np.mean(diff**4) ** 0.25)
@@ -770,68 +731,4 @@ def coupling_check(
         rows=tuple(rows),
         spread=spread,
         within_factor_10=spread <= 10.0,
-    )
-
-
-@dataclass(frozen=True)
-class ConsistencyRow:
-    n: int
-    delta: float
-    mae: float
-    mae_se: float
-    mean_estimate: float
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    estimator: Estimator
-    regime: str  # "clt" or "negative-control"
-    rows: tuple[ConsistencyRow, ...]
-    strictly_decreasing: bool
-    significant_decrease: bool  # first vs last at 3 combined SEs
-
-
-def consistency_check(
-    schedule: Schedule,
-    estimator: Estimator,
-    replications: int,
-    master_seed: int,
-    *,
-    theta: float = 1.0,
-    convention: IndexConvention = IndexConvention.BODY,
-) -> ConsistencyReport:
-    """Mean absolute error per cell with a significance flag for the decay.
-
-    For a CLT-valid schedule a significant decrease supports consistency; for
-    a negative control (fixed horizon) the report records whatever happened
-    and asserts nothing.
-    """
-    rows = []
-    for cell in schedule.cells:
-        params = cell.params(theta)
-        stats = _cell_stats_cached(
-            params.theta, params.delta, params.n, replications, master_seed
-        )
-        estimates, _ = stats.estimates(estimator, convention, params.horizon)
-        abs_err = np.abs(estimates - theta)
-        rows.append(
-            ConsistencyRow(
-                n=cell.n,
-                delta=cell.delta,
-                mae=float(np.mean(abs_err)),
-                mae_se=float(np.std(abs_err, ddof=1)) / math.sqrt(abs_err.size),
-                mean_estimate=float(np.mean(estimates)),
-            )
-        )
-    maes = [r.mae for r in rows]
-    decreasing = all(b < a for a, b in zip(maes, maes[1:]))
-    first, last = rows[0], rows[-1]
-    gap = first.mae - last.mae
-    significant = gap > 3.0 * math.hypot(first.mae_se, last.mae_se)
-    return ConsistencyReport(
-        estimator=estimator,
-        regime="clt" if schedule.clt_valid else "negative-control",
-        rows=tuple(rows),
-        strictly_decreasing=decreasing,
-        significant_decrease=significant,
     )

@@ -103,7 +103,6 @@ class SampleCumulants:
     Standard errors are leave-one-out jackknife estimates.
     """
 
-    n_sample: int
     mean: float
     var: float
     k3: float
@@ -156,7 +155,6 @@ def sample_cumulants(sample) -> SampleCumulants:
     k4_i = m4_i - 3.0 * m2_i**2
 
     return SampleCumulants(
-        n_sample=n,
         mean=mean,
         var=var,
         k3=k3,
@@ -170,12 +168,7 @@ def sample_cumulants(sample) -> SampleCumulants:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Both distances to N(0, 1) with bootstrap standard errors.
-
-    moments holds (mean, variance, skewness, excess kurtosis) of the sample,
-    with variance the biased central second moment and the shape pair set to
-    0 for a constant sample.
-    """
+    """Both distances to N(0, 1) with bootstrap standard errors."""
 
     sample_size: int
     w1: float
@@ -183,18 +176,6 @@ class DistanceReport:
     w1_se: float
     kolmogorov_se: float
     n_bootstrap: int
-    moments: tuple[float, float, float, float]
-
-
-def _sample_moments(x: np.ndarray) -> tuple[float, float, float, float]:
-    mean = float(np.mean(x))
-    y = x - mean
-    m2 = float(np.mean(y**2))
-    if m2 == 0.0:
-        return (mean, 0.0, 0.0, 0.0)
-    m3 = float(np.mean(y**3))
-    m4 = float(np.mean(y**4))
-    return (mean, m2, m3 / m2**1.5, m4 / (m2 * m2) - 3.0)
 
 
 def distance_report(sample, n_bootstrap: int = 200, seed: int = 0) -> DistanceReport:
@@ -223,5 +204,4 @@ def distance_report(sample, n_bootstrap: int = 200, seed: int = 0) -> DistanceRe
         w1_se=float(np.std(w1_rep, ddof=1)),
         kolmogorov_se=float(np.std(k_rep, ddof=1)),
         n_bootstrap=n_bootstrap,
-        moments=_sample_moments(x),
     )

@@ -72,7 +72,6 @@ class MomentReport:
     exact_value: float
     asymptotic_value: float
     bound_value: float
-    params: OuParams
 
 
 def exact_var_fn_z(params: OuParams) -> float:
@@ -309,5 +308,4 @@ def moment_report(quantity: MomentQuantity, params: OuParams) -> MomentReport:
         exact_value=float(exact),
         asymptotic_value=float(asym),
         bound_value=float(bound),
-        params=params,
     )

@@ -103,8 +103,6 @@ class SamplePath:
     values: np.ndarray
     innovations: np.ndarray | None = field(default=None, repr=False)
     z0: float | None = None
-    seed: int | None = None
-    stream: int | None = None
 
     def __post_init__(self) -> None:
         if self.values.shape != (self.params.n + 1,):
@@ -274,26 +272,20 @@ def simulate_path(params: OuParams, variant: Variant, seed: int, stream: int = 0
     """Simulate one path: a one-row simulate_block.  Innovations are retained."""
     block = simulate_block(params, variant, seed, stream, stream + 1, paths=True)
     z0 = None if block.z0 is None else float(block.z0[0])
-    return SamplePath(params, variant, block.values[0], block.innovations[0], z0, seed, stream)
+    return SamplePath(params, variant, block.values[0], block.innovations[0], z0)
 
 
 def simulate_coupled(
-    params: OuParams,
-    seed: int,
-    stream: int = 0,
-    z0: float | None = None,
+    params: OuParams, seed: int, stream: int = 0
 ) -> tuple[SamplePath, SamplePath]:
     """Simulate an (X, Z) pair driven by one innovation stream.
 
     X starts at 0 and Z = X + e^{-theta t} Z_0 with Z_0 ~ N(0, 1/(2 theta)),
     the path the same AR(1) recursion gives from Z_0 with identical
     innovations.  The stream layout is the stationary variant's (Z_0 first,
-    then innovations).  Pass ``z0`` to force the initial value; the Z_0 draw
-    is still consumed so the innovations do not shift.
+    then innovations).
     """
     block = simulate_block(params, Variant.STATIONARY, seed, stream, stream + 1, paths=True)
-    x, xi = block.x[0], block.innovations[0]
-    z0_val = float(block.z0[0]) if z0 is None else float(z0)
-    z = _add_start(x, z0_val, params)
-    x_path = SamplePath(params, Variant.FROM_ZERO, x, xi, None, seed, stream)
-    return x_path, SamplePath(params, Variant.STATIONARY, z, xi, z0_val, seed, stream)
+    xi, z0 = block.innovations[0], float(block.z0[0])
+    x_path = SamplePath(params, Variant.FROM_ZERO, block.x[0], xi)
+    return x_path, SamplePath(params, Variant.STATIONARY, block.values[0], xi, z0)

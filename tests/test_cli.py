@@ -162,9 +162,11 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text("thetaa: 2.0\n")
-    assert _run(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "config error" in capsys.readouterr().err
+    # emit, the old output selection, is gone: every command writes all its files
+    for text, key in (("thetaa: 2.0\n", "thetaa"), ("emit: [cells_csv]\n", "emit")):
+        cfg.write_text(text)
+        assert _run(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_invalid_theta_exits_2(tmp_path, capsys):
@@ -289,11 +291,17 @@ def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threa
         ('coupled: "false"\n', "coupled"),
         ("theta_true: true\n", "theta_true"),
         ("delta: true\n", "delta"),
+        ("replications:\n", "replications"),
+        ("n:\n", "n"),
+        ("estimators: [amce, amce]\n", "estimators"),
     ],
-    ids=["float-truncated", "bool-as-int", "string-as-bool", "bool-as-theta", "bool-as-delta"],
+    ids=["float-truncated", "bool-as-int", "string-as-bool", "bool-as-theta", "bool-as-delta",
+         "empty-replications", "empty-n", "repeated-estimator"],
 )
 def test_config_file_values_are_not_coerced(tmp_path, capsys, text, field):
-    # each was once coerced: 2.9 to 2, true to n = 1 or to 1.0, "false" to True
+    # each was once accepted: 2.9 as 2, true as n = 1 or as 1.0, "false" as
+    # True, an empty value as the default, and a repeated estimator, which
+    # then ran twice
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     assert _run(["simulate", "--variant", "stationary", "--config", str(cfg),

@@ -222,18 +222,6 @@ def test_distance_report_deterministic_and_consistent():
     assert a.w1_se > 0.0 and a.kolmogorov_se > 0.0
 
 
-def test_distance_report_moments_tuple():
-    x = np.array([1.0, -1.0, 1.0, -1.0])
-    rep = distance_report(x, n_bootstrap=10)
-    mean, var, skew, exkurt = rep.moments
-    assert mean == 0.0
-    assert var == pytest.approx(1.0, rel=1e-15)
-    assert skew == pytest.approx(0.0, abs=1e-15)
-    assert exkurt == pytest.approx(-2.0, rel=1e-15)
-    constant = distance_report([3.0, 3.0], n_bootstrap=5)
-    assert constant.moments == (3.0, 0.0, 0.0, 0.0)
-
-
 def test_distance_report_rejects_tiny_bootstrap():
     with pytest.raises(ValueError):
         distance_report([0.0, 1.0], n_bootstrap=1)

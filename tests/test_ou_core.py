@@ -132,12 +132,6 @@ def test_coupling_identity_pathwise():
     assert np.array_equal(x_path.innovations, z_path.innovations)
 
 
-def test_coupling_with_forced_zero_start_collapses():
-    p = OuParams(theta=1.0, delta=0.05, n=16)
-    x_path, z_path = simulate_coupled(p, seed=5, stream=0, z0=0.0)
-    assert np.array_equal(x_path.values, z_path.values)
-
-
 def test_sample_path_invariants():
     p = OuParams(theta=1.0, delta=0.1, n=2)
     good = np.array([0.0, 1.0, -0.5])

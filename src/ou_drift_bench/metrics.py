@@ -12,6 +12,17 @@ The distances compare an empirical sample against the standard normal law:
 kappa3, kappa4) with leave-one-out jackknife standard errors, vectorized via
 power sums on the pre-centered sample.  `distance_report` pairs both distances
 with deterministic bootstrap standard errors.
+
+The bootstrap never sorts or transforms a resample.  It sorts the sample once
+and tabulates Phi and G at the order statistics; a resample is then a vector
+of counts over those sorted positions, and its empirical CDF between two
+occupied positions is the cumulative count over N.  Both distances of a
+resample are read off the tables at its occupied positions: only the few gaps
+where that level crosses Phi need ndtri and G.  The per-gap terms and the
+Kolmogorov candidates are those `w1_to_std_normal` and
+`kolmogorov_to_std_normal` compute on the sorted resample, so the Kolmogorov
+standard error is the same to the bit, and the W1 one differs only by the
+summation order (a few ulps).
 """
 
 from __future__ import annotations
@@ -41,6 +52,9 @@ CUMULANT_MIN_SAMPLE = 4
 # Stream id for bootstrap resampling, far above any per-path stream index so a
 # (seed, stream) pair never collides with a simulation stream.
 _BOOTSTRAP_STREAM = (0xB007 << 32) | 0x57EA
+# Resample indices drawn per generator call, so the index block holds about
+# 2^18 values (2 MiB) whatever the sample size and n_bootstrap are.
+_BOOTSTRAP_BLOCK_VALUES = 1 << 18
 
 
 def _as_clean_1d(sample, what: str) -> np.ndarray:
@@ -178,29 +192,87 @@ class DistanceReport:
     n_bootstrap: int
 
 
+def _resample_blocks(size: int, n_bootstrap: int, seed: int):
+    """Resample indices in blocks of rows; together they are the one-shot draw.
+
+    One generator serves every block, and Philox carries its state (the
+    spare 32-bit half included) across calls, so the concatenated blocks
+    equal integers(0, size, size=(n_bootstrap, size)) in a single call.
+    """
+    rng = path_rng(seed, _BOOTSTRAP_STREAM)
+    rows = max(1, _BOOTSTRAP_BLOCK_VALUES // size)
+    for lo in range(0, n_bootstrap, rows):
+        yield rng.integers(0, size, size=(min(rows, n_bootstrap - lo), size))
+
+
+def _bootstrap_replicates(x: np.ndarray, n_bootstrap: int, seed: int):
+    """W1 and Kolmogorov distance of every resample, from counts on one sort."""
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    g = _big_phi_antideriv(xs)
+    phi = ndtr(xs)
+    # steps[k] = k/N; kolmogorov_to_std_normal rounds its lower candidates as
+    # (k+1)/N - 1/N, not k/N
+    steps = np.arange(n + 1, dtype=np.float64) / n
+    steps_below = steps[1:] - 1.0 / n
+    w1_rep = np.empty(n_bootstrap)
+    k_rep = np.empty(n_bootstrap)
+    b = 0
+    for block in _resample_blocks(n, n_bootstrap, seed):
+        for ranks in rank[block]:
+            count = np.bincount(ranks, minlength=n)
+            # the sorted positions the resample occupies, and its CDF there
+            occ = np.flatnonzero(count > 0)
+            occ_count = count[occ]
+            cum = np.cumsum(occ_count)
+            xv, gv, pv = xs[occ], g[occ], phi[occ]
+            level = steps[cum]
+            upper = np.max(level - pv)
+            lower = np.max(pv - steps_below[cum - occ_count])
+            k_rep[b] = max(upper, lower)
+
+            levels = level[:-1]
+            # |F_emp - Phi| keeps one sign on a gap unless the level crosses Phi
+            piece = np.abs(levels * np.diff(xv) - np.diff(gv))
+            j = np.flatnonzero((pv[:-1] < levels) & (levels < pv[1:]))
+            if j.size:
+                lv, lo, hi = levels[j], xv[j], xv[j + 1]
+                cross = np.clip(ndtri(lv), lo, hi)
+                g_cross = _big_phi_antideriv(cross)
+                below = lv * (cross - lo) - (g_cross - gv[j])
+                above = (gv[j + 1] - g_cross) - lv * (hi - cross)
+                piece[j] = np.maximum(below, 0.0) + np.maximum(above, 0.0)
+            w1_rep[b] = float(gv[0]) + float(gv[-1] - xv[-1]) + float(np.sum(piece))
+            b += 1
+    return w1_rep, k_rep
+
+
 def distance_report(sample, n_bootstrap: int = 200, seed: int = 0) -> DistanceReport:
     """Distances to N(0, 1) with nonparametric bootstrap standard errors.
 
     Resampling uses a counter-based generator keyed on (seed, fixed stream),
-    so reports are reproducible and independent of simulation draws.
+    so reports are reproducible and independent of simulation draws.  The
+    resample indices are drawn in blocks of about 2^18 values, so memory does
+    not grow with n_bootstrap.  Each resample is turned into counts over the
+    once-sorted sample and its distances are read off per-sample tables (see
+    the module docstring); the standard errors equal those of
+    `w1_to_std_normal` and `kolmogorov_to_std_normal` applied to every
+    resample, Kolmogorov to the bit and W1 up to summation order.
     """
-    x = _as_clean_1d(sample, "distance_report")
-    w1 = w1_to_std_normal(x)
-    kolm = kolmogorov_to_std_normal(x)
+    if isinstance(n_bootstrap, bool) or not isinstance(n_bootstrap, (int, np.integer)):
+        raise TypeError(f"n_bootstrap must be an int, got {n_bootstrap!r}")
     if n_bootstrap < 2:
-        raise ValueError("n_bootstrap must be at least 2")
-    rng = path_rng(seed, _BOOTSTRAP_STREAM)
-    idx = rng.integers(0, x.size, size=(n_bootstrap, x.size))
-    w1_rep = np.empty(n_bootstrap)
-    k_rep = np.empty(n_bootstrap)
-    for b in range(n_bootstrap):
-        resampled = x[idx[b]]
-        w1_rep[b] = w1_to_std_normal(resampled)
-        k_rep[b] = kolmogorov_to_std_normal(resampled)
+        raise ValueError(f"n_bootstrap must be at least 2, got {n_bootstrap!r}")
+    n_bootstrap = int(n_bootstrap)
+    x = _as_clean_1d(sample, "distance_report")
+    w1_rep, k_rep = _bootstrap_replicates(x, n_bootstrap, seed)
     return DistanceReport(
         sample_size=x.size,
-        w1=w1,
-        kolmogorov=kolm,
+        w1=w1_to_std_normal(x),
+        kolmogorov=kolmogorov_to_std_normal(x),
         w1_se=float(np.std(w1_rep, ddof=1)),
         kolmogorov_se=float(np.std(k_rep, ddof=1)),
         n_bootstrap=n_bootstrap,

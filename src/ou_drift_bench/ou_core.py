@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,8 @@ _SEED_MAX = 2**64
 # Time steps per scan chunk, and values per rows x chunk array of a block.
 _SCAN_CHUNK = 16384
 _BLOCK_VALUES = 2**18
+# Each thread's block buffers, kept from one simulate_block call to the next.
+_scratch = threading.local()
 
 
 class Variant(enum.Enum):
@@ -199,6 +202,26 @@ class BlockPaths:
     z0: np.ndarray | None
 
 
+def _new_buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
+    """xi, eta, x, z and diff buffers of one block; x and z carry the scan's start column."""
+    return (
+        np.empty((rows, width)),
+        np.empty((rows, width)),
+        np.empty((rows, width + 1)),
+        np.empty((rows, width + 1)),
+        np.empty((rows, width)),
+    )
+
+
+def _thread_buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
+    """This thread's block buffers, reallocated only when the block shape changes."""
+    if getattr(_scratch, "shape", None) != (rows, width):
+        _scratch.buffers = None  # drop the old set before allocating the new one
+        _scratch.buffers = _new_buffers(rows, width)
+        _scratch.shape = (rows, width)
+    return _scratch.buffers
+
+
 def simulate_block(
     params: OuParams, variant: Variant, seed: int, lo: int, hi: int, *, paths: bool = False
 ) -> BlockSums | BlockPaths:
@@ -212,7 +235,8 @@ def simulate_block(
 
     By default time is walked in chunks of _SCAN_CHUNK steps, carrying the
     scan's last column and each row's generator state, and only the per-row
-    sums are kept, so memory is bounded by the block size whatever n is.
+    sums are kept, so memory is bounded by the block size whatever n is;
+    the buffers are the calling thread's, kept for its next block.
     With ``paths`` the rows are scanned whole and returned.  No row's values
     depend on the chunking or on the block it is in.
     """
@@ -226,12 +250,15 @@ def simulate_block(
     rng = np.random.Generator(bitgen)
     z0 = np.empty(rows) if variant is Variant.STATIONARY else None
     saved: list = [None] * rows
-    # Buffers are reused from chunk to chunk; a fresh 2 MiB array per step
-    # costs more in page faults than the arithmetic on it.
-    xi_buf, eta = np.empty((rows, width)), np.empty((rows, width))
-    x = np.zeros((rows, width + 1))
-    z = None if z0 is None else np.empty((rows, width + 1))
-    diff, sums = (None, None) if paths else (np.empty((rows, width)), np.zeros((6, rows)))
+    # Buffers are reused from chunk to chunk, and (unless the rows are
+    # returned) from block to block; a fresh 2 MiB array per step costs more
+    # in page faults than the arithmetic on it, whenever the allocator hands
+    # freed blocks back to the system.
+    buffers = _new_buffers if paths else _thread_buffers
+    xi_buf, eta, x, z, diff = buffers(rows, width)
+    x[:, 0] = 0.0
+    z = None if z0 is None else z
+    sums = None if paths else np.zeros((6, rows))
     for start in range(0, n, width):
         m = min(width, n - start)
         xi = xi_buf[:, :m]

@@ -7,9 +7,12 @@ test except the normal CDF itself.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
@@ -23,6 +26,8 @@ from ou_drift_bench import (
     sample_cumulants,
     w1_to_std_normal,
 )
+from ou_drift_bench.metrics import _BOOTSTRAP_STREAM, _resample_blocks
+from ou_drift_bench.ou_core import path_rng
 
 
 def _w1_by_quadrature(sample):
@@ -96,6 +101,36 @@ def test_distances_permutation_invariant():
     assert kolmogorov_to_std_normal(perm) == kolmogorov_to_std_normal(x)
 
 
+_SAMPLE = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=300)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(sample=_SAMPLE, c=st.floats(-50.0, 50.0))
+def test_w1_translation_lipschitz_property(sample, c):
+    x = np.asarray(sample)
+    # W1 is a sum of terms of order max|x|, each rounded
+    slack = 1e-12 * (1.0 + float(np.max(np.abs(x))) + abs(c))
+    assert abs(w1_to_std_normal(x + c) - w1_to_std_normal(x)) <= abs(c) + slack
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), sample=_SAMPLE)
+def test_distances_permutation_invariant_property(data, sample):
+    perm = data.draw(st.permutations(sample))
+    assert w1_to_std_normal(perm) == w1_to_std_normal(sample)
+    assert kolmogorov_to_std_normal(perm) == kolmogorov_to_std_normal(sample)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(c=st.floats(-40.0, 40.0))
+def test_point_mass_closed_forms(c):
+    phi_c = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+    big_phi = float(ndtr(c))
+    w1 = 2.0 * phi_c + c * (2.0 * big_phi - 1.0)
+    assert w1_to_std_normal([c]) == pytest.approx(w1, rel=1e-12, abs=1e-12)
+    assert kolmogorov_to_std_normal([c]) == max(big_phi, 1.0 - big_phi)
+
+
 def test_kolmogorov_point_mass_at_zero():
     assert kolmogorov_to_std_normal([0.0]) == 0.5
 
@@ -114,6 +149,12 @@ def test_kolmogorov_matches_scipy_kstest():
         ref = kstest(x, "norm").statistic
         assert got == pytest.approx(ref, abs=1e-12)
         assert 0.0 <= got <= 1.0
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(sample=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
+def test_kolmogorov_in_unit_interval(sample):
+    assert 0.0 <= kolmogorov_to_std_normal(sample) <= 1.0
 
 
 def test_kolmogorov_dkw_scale():
@@ -225,3 +266,89 @@ def test_distance_report_deterministic_and_consistent():
 def test_distance_report_rejects_tiny_bootstrap():
     with pytest.raises(ValueError):
         distance_report([0.0, 1.0], n_bootstrap=1)
+    # the count is checked before the sample is even looked at
+    with pytest.raises(ValueError):
+        distance_report([np.nan], n_bootstrap=1)
+    for bad in (2.0, 200.5, True, "200", None):
+        with pytest.raises(TypeError):
+            distance_report([np.nan], n_bootstrap=bad)
+    assert distance_report([0.0, 1.0], n_bootstrap=np.int64(3)).n_bootstrap == 3
+
+
+def _one_shot_idx(size, n_bootstrap, seed):
+    return path_rng(seed, _BOOTSTRAP_STREAM).integers(0, size, size=(n_bootstrap, size))
+
+
+def _bootstrap_reference(x, n_bootstrap, seed):
+    """Standard errors from the per-sample functions on each resample."""
+    idx = _one_shot_idx(x.size, n_bootstrap, seed)
+    w1 = np.std([w1_to_std_normal(x[i]) for i in idx], ddof=1)
+    kolm = np.std([kolmogorov_to_std_normal(x[i]) for i in idx], ddof=1)
+    return float(w1), float(kolm)
+
+
+def _reference_samples():
+    rng = np.random.default_rng(20261018)
+    return {
+        "normal-1e4": rng.normal(size=10_000),
+        "student-t3": rng.standard_t(df=3, size=5_000),
+        "ties": np.round(rng.normal(size=3_000), 1),
+        "n1": np.array([0.3]),
+        "n2": np.array([-0.2, 0.7]),
+        "constant": np.full(50, 1.25),
+        "beyond-40": np.concatenate(
+            [rng.uniform(41.0, 60.0, size=60), -rng.uniform(41.0, 60.0, size=60)]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_reference_samples()))
+def test_bootstrap_matches_per_resample_reference(name):
+    x = _reference_samples()[name]
+    report = distance_report(x, n_bootstrap=200, seed=11)
+    w1_se, kolmogorov_se = _bootstrap_reference(x, 200, 11)
+    assert report.kolmogorov_se == kolmogorov_se
+    assert abs(report.w1_se - w1_se) <= 1e-12 * abs(w1_se)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    sample=st.lists(
+        st.one_of(
+            st.floats(-45.0, 45.0),
+            st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_bootstrap_matches_reference_property(sample, seed):
+    x = np.asarray(sample)
+    report = distance_report(x, n_bootstrap=20, seed=seed)
+    w1_se, kolmogorov_se = _bootstrap_reference(x, 20, seed)
+    assert report.kolmogorov_se == kolmogorov_se
+    # each replicate carries rounding of order eps * max|x|
+    tol = 1e-12 * w1_se + 1e-14 * (1.0 + float(np.max(np.abs(x))))
+    assert abs(report.w1_se - w1_se) <= tol
+
+
+@pytest.mark.parametrize(
+    "size, n_bootstrap", [(7, 80_000), (1001, 600), (1024, 600)]
+)
+def test_chunked_resample_draws_equal_one_shot_draw(size, n_bootstrap):
+    blocks = list(_resample_blocks(size, n_bootstrap, seed=5))
+    assert len(blocks) > 1
+    assert np.array_equal(np.concatenate(blocks), _one_shot_idx(size, n_bootstrap, 5))
+
+
+def test_bootstrap_memory_bounded_in_n_bootstrap():
+    # all of idx at once would be 2500 x 2000 x 8 bytes = 40 MB
+    x = np.random.default_rng(3).normal(size=2_000)
+    tracemalloc.start()
+    try:
+        distance_report(x, n_bootstrap=2_500, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

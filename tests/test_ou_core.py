@@ -1,6 +1,8 @@
 """Exact discretization, path simulation, and the stationary coupling."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -215,6 +217,24 @@ def test_block_sums_of_long_rows_split_across_chunks(monkeypatch, variant):
     }
     for name, want in expected.items():
         np.testing.assert_allclose(getattr(sums, name), want, rtol=1e-12, err_msg=name)
+
+
+def test_block_buffers_reused_across_calls_leak_nothing():
+    # A thread keeps its block buffers from call to call; each call must give
+    # the bits a fresh thread gives, whatever the previous call left behind.
+    p = OuParams(theta=0.7, delta=0.1, n=40)
+    calls = [
+        (p, Variant.STATIONARY, 3, 0, 5),
+        (OuParams(theta=1.3, delta=0.2, n=40), Variant.FROM_ZERO, 3, 5, 10),
+        (OuParams(theta=0.7, delta=0.1, n=33), Variant.STATIONARY, 9, 0, 7),
+        (p, Variant.STATIONARY, 3, 0, 5),
+    ]
+    in_turn = [simulate_block(*call) for call in calls]
+    for call, got in zip(calls, in_turn):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            want = pool.submit(simulate_block, *call).result()
+        for f in fields(want):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
 @pytest.mark.parametrize(

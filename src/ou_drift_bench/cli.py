@@ -35,10 +35,11 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError, OuBenchError
-from .estimators import Estimator, IndexConvention
+from .estimators import Estimator, IndexConvention, normalized_error
 from .harness import (
     FIT_MIN_REPLICATIONS,
     GATE_SE,
+    _compute_cell_stats,
     bound_terms,
     coupling_check,
     preset_names,
@@ -115,8 +116,11 @@ def _parse_estimators(value) -> tuple[Estimator, ...]:
         if token == "both":
             return (Estimator.AMCE, Estimator.AMLE)
         value = [token]
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        # a mapping would iterate over its keys
+        raise TypeError(f"expected a string or a list of strings, got {type(value).__name__}")
     try:
-        return tuple(Estimator(str(v).strip().lower()) for v in value)
+        return tuple(Estimator(v.strip().lower()) for v in value)
     except ValueError as exc:
         raise ConfigError(f"estimators: unknown estimator in {value!r}") from exc
 
@@ -276,32 +280,30 @@ def cmd_simulate(config: RunConfig) -> list[Path]:
 def cmd_estimate(config: RunConfig) -> list[Path]:
     """Run the configured estimators on fresh from-zero paths; one CSV row each.
 
-    Degenerate paths are skipped and get no row; the paths are not verify's,
-    which draws in the stationary layout (Z_0 first).
+    Path i is stream (master_seed, i) in the innovations-only layout; its
+    sums come from the harness's worker pool (`OU_BENCH_THREADS` applies) and
+    its estimates from the harness's one estimator selection.  Rows are
+    path-major, estimators in config order; degenerate paths are skipped and
+    get no row.  The paths are not verify's, which draws in the stationary
+    layout (Z_0 first).
     """
-    from .estimators import amce, amle
-
     params = OuParams(theta=config.theta_true, delta=config.delta, n=config.n)
-    rows = []
-    for index in range(config.replications):
-        path = simulate_path(params, Variant.FROM_ZERO, config.master_seed, stream=index)
-        for estimator in config.estimators:
-            try:
-                if estimator is Estimator.AMCE:
-                    record = amce(path, config.theta_true, config.index_convention)
-                else:
-                    record = amle(path, config.theta_true)
-            except OuBenchError:
-                continue
-            rows.append(
-                [
-                    estimator.value,
-                    index,
-                    record.estimate,
-                    record.denominator,
-                    record.normalized_error,
-                ]
-            )
+    stats = _compute_cell_stats(
+        params, Variant.FROM_ZERO, config.replications, config.master_seed
+    )
+    columns = []
+    for estimator in config.estimators:
+        est, den, good = stats.estimates(estimator, config.index_convention, params.horizon)
+        nerr = normalized_error(est, params, config.theta_true)
+        # tolist() gives Python floats, which _fmt writes with repr
+        values = iter(zip(est.tolist(), den.tolist(), nerr.tolist()))
+        columns.append((estimator.value, good.tolist(), values))
+    rows = [
+        [name, index, *next(values)]
+        for index in range(config.replications)
+        for name, good, values in columns
+        if good[index]
+    ]
     out = _write_csv(
         config.output_dir / "estimates.csv",
         ["estimator", "path", "estimate", "denominator", "normalized_error"],

@@ -96,8 +96,11 @@ def big_f_n(
     return math.sqrt(path.params.horizon) * (f_n(path, convention) - center)
 
 
-def normalized_error(estimate: float, params: OuParams, theta_true: float) -> float:
-    """CLT scaling sqrt(T / (2 theta_true)) * (estimate - theta_true)."""
+def normalized_error(
+    estimate: float | np.ndarray, params: OuParams, theta_true: float
+) -> float | np.ndarray:
+    """CLT scaling sqrt(T / (2 theta_true)) * (estimate - theta_true), of one
+    estimate or elementwise of an array of them."""
     return math.sqrt(params.horizon / (2.0 * theta_true)) * (estimate - theta_true)
 
 

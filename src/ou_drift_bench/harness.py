@@ -5,7 +5,10 @@ A Schedule is a sequence of (n, delta) cells encoding an asymptotic regime;
 error distribution, its distance to N(0, 1), and a list of oracle
 cross-checks; `run_schedule` adds log-log rate fits of W1 against the rate
 bound for the chosen estimator.  `coupling_check` measures the pathwise
-coupling of F_n(X) and F_n(Z).
+coupling of F_n(X) and F_n(Z).  Per-path statistics come from
+`_compute_cell_stats`, and every estimate from `_CellStats.estimates`, the
+one estimator selection and degeneracy guard; `ou-bench estimate` uses both
+too, on paths in the from-zero layout instead of the stationary one.
 
 Determinism contract: every result is a pure function of (arguments,
 master_seed).  Path i of a cell draws from the counter-based stream
@@ -25,15 +28,17 @@ replication count are.  Block size changes no path's values.
 
 Oracle gating: rows marked gated compare Monte Carlo moments against exact
 closed forms (and the pathwise decomposition identity) and must pass at 4
-standard errors; `cmd_verify` turns them into an exit code.  Every oracle is
-O(n), so a cell with at least CUMULANT_MIN_SAMPLE replications gates the
-variance, third and fourth cumulants of F_n(Z) and the exact Lambda_n
-cumulants at any n; below that only the second moment of Lambda_n and the
-decomposition identity are checked.  Rows for the
-first-order values `k3_lambda_is_zero` and `k4_lambda` are reported but not
-gated: at desk scale the terms those values drop are dominant, the empirical
-cumulants match the exact oracles instead, and gating on them would fail every
-run.  The report keeps both so the gap is visible, not hidden.
+standard errors; `cmd_verify` turns them into an exit code.  A cell takes
+its oracle values before any sample statistic, and one that is not finite
+ends it in NonFiniteValue.  Every oracle is O(n), so a cell with at least
+CUMULANT_MIN_SAMPLE replications gates the variance, third and fourth
+cumulants of F_n(Z) and the exact Lambda_n cumulants at any n; below that
+only the second moment of Lambda_n and the decomposition identity are
+checked.  Rows for the first-order values `k3_lambda_is_zero` and
+`k4_lambda` are reported but not gated: at desk scale the terms those values
+drop are dominant, the empirical cumulants match the exact oracles instead,
+and gating on them would fail every run.  The report keeps both so the gap
+is visible, not hidden.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import numpy as np
 
 from . import oracles
 from .errors import ConfigError, ExcessiveDegeneracy, InsufficientCells, NonPositiveValue
-from .estimators import EPS_DEN, Estimator, IndexConvention
+from .estimators import EPS_DEN, Estimator, IndexConvention, normalized_error
 from .metrics import (
     CUMULANT_MIN_SAMPLE,
     DistanceReport,
@@ -286,16 +291,18 @@ class _CellStats:
 
     def estimates(
         self, estimator: Estimator, convention: IndexConvention, horizon: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Estimates on the paths whose `amce` / `amle` denominator (f_n or
-        S_n / T) is above EPS_DEN, and the mask of those paths."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Estimates and their `amce` / `amle` denominators (f_n, or S_n / T)
+        on the paths whose denominator is above EPS_DEN, and the mask of
+        those paths."""
         if estimator is Estimator.AMCE:
             den = self.f_body if convention is IndexConvention.BODY else self.f_abs
             good = den > EPS_DEN
-            return 1.0 / (2.0 * den[good]), good
+            return 1.0 / (2.0 * den[good]), den[good], good
         if estimator is Estimator.AMLE:
-            good = self.s_n / horizon > EPS_DEN
-            return self.amle_num[good] / self.s_n[good], good
+            den = self.s_n / horizon
+            good = den > EPS_DEN
+            return self.amle_num[good] / self.s_n[good], den[good], good
         raise TypeError(f"estimator must be an Estimator, got {estimator!r}")
 
 
@@ -314,14 +321,17 @@ def _worker_count() -> int:
     return workers
 
 
-def _compute_cell_stats(params: OuParams, reps: int, master_seed: int) -> _CellStats:
+def _compute_cell_stats(
+    params: OuParams, variant: Variant, reps: int, master_seed: int
+) -> _CellStats:
     """Statistics of paths 0..reps-1, path i on stream (master_seed, i) in the
-    stationary layout, so X and Z are the exact coupling."""
+    variant's draw layout.  In the stationary layout X and Z are the exact
+    coupling; in the from-zero layout Z is X."""
     stats = _CellStats(*(np.empty(reps) for _ in fields(_CellStats)))
     _, s2 = transition_coefficients(params.theta, params.delta)
 
     def fill(lo: int, hi: int) -> None:
-        sums = simulate_block(params, Variant.STATIONARY, master_seed, lo, hi)
+        sums = simulate_block(params, variant, master_seed, lo, hi)
         stats.f_body[lo:hi] = sums.x_head_sq / params.n
         stats.f_abs[lo:hi] = sums.x_tail_sq / params.n
         stats.fz_body[lo:hi] = sums.z_head_sq / params.n
@@ -344,7 +354,8 @@ def _compute_cell_stats(params: OuParams, reps: int, master_seed: int) -> _CellS
 def _cell_stats_cached(
     theta: float, delta: float, n: int, reps: int, master_seed: int
 ) -> _CellStats:
-    return _compute_cell_stats(OuParams(theta=theta, delta=delta, n=n), reps, master_seed)
+    params = OuParams(theta=theta, delta=delta, n=n)
+    return _compute_cell_stats(params, Variant.STATIONARY, reps, master_seed)
 
 
 def clear_caches() -> None:
@@ -365,114 +376,72 @@ def _se_check(name, exact, empirical, se, *, gated, note="", tol_se=GATE_SE):
     )
 
 
+# Every oracle a cell is checked against; each check is named after its oracle.
+_CELL_ORACLES = (
+    "exact_var_fn_z", "k3_fn_z", "k4_fn_z_bound", "exact_var_lambda",
+    "exact_k3_lambda", "exact_k4_lambda", "k3_lambda_is_zero", "k4_lambda",
+)
+# First-order values, reported next to the exact ones but not gated.
+_FIRST_ORDER = ("k3_lambda_is_zero", "k4_lambda")
+_NOTES = {
+    "k4_fn_z_bound": "bound attained exactly for this kernel; checked as parity",
+    "k3_lambda_is_zero": "first-order value; dropped cross terms are O(1/sqrt(T)) and "
+    "dominate at this scale, see exact_k3_lambda",
+    "k4_lambda": "first-order diagonal value; see exact_k4_lambda",
+}
+
+
+def _exact_oracles(params: OuParams) -> dict[str, float]:
+    """The cell's oracle values by check name.  `run_cell` takes them before
+    any sample statistic, so a cell where one is not finite ends in
+    NonFiniteValue rather than in overflowing sample statistics."""
+    return {name: getattr(oracles, name)(params) for name in _CELL_ORACLES}
+
+
 def _oracle_checks(
     params: OuParams,
     convention: IndexConvention,
     stats: _CellStats,
+    exact: dict[str, float],
     nerr_cumulants: SampleCumulants | None,
 ) -> tuple[OracleCheck, ...]:
     theta = params.theta
     horizon = params.horizon
     sqrt_t = math.sqrt(horizon)
-    checks: list[OracleCheck] = []
-    # Jackknife cumulants need 4 observations; below that only the raw second
-    # moment and the pathwise decomposition are checked.
-    enough = stats.lam.size >= CUMULANT_MIN_SAMPLE
-
     fz = stats.fz_body if convention is IndexConvention.BODY else stats.fz_abs
-    big_f = sqrt_t * (fz - 1.0 / (2.0 * theta))
-    if enough:
-        sc_f = sample_cumulants(big_f)
-        checks.append(
-            _se_check(
-                "exact_var_fn_z",
-                oracles.exact_var_fn_z(params),
-                sc_f.var,
-                sc_f.se_var,
-                gated=True,
-            )
-        )
-        checks.append(
-            _se_check(
-                "k3_fn_z",
-                oracles.k3_fn_z(params),
-                sc_f.k3,
-                sc_f.se_k3,
-                gated=True,
-            )
-        )
-        checks.append(
-            _se_check(
-                "k4_fn_z_bound",
-                oracles.k4_fn_z_bound(params),
-                sc_f.k4,
-                sc_f.se_k4,
-                gated=True,
-                note="bound attained exactly for this kernel; checked as parity",
-            )
-        )
-
     lam_scaled = stats.lam / sqrt_t
     # exact_var_lambda is the raw second moment; E[Lambda_n] = 0 exactly.
     sq = lam_scaled**2
-    emp_sq = float(np.mean(sq))
     se_sq = float(np.std(sq, ddof=1)) / math.sqrt(sq.size)
-    checks.append(
-        _se_check(
-            "exact_var_lambda",
-            oracles.exact_var_lambda(params),
-            emp_sq,
-            se_sq,
-            gated=True,
-        )
-    )
-    if enough:
+    rows = [("exact_var_lambda", float(np.mean(sq)), se_sq)]
+    # Jackknife cumulants need 4 observations; below that only the raw second
+    # moment and the pathwise decomposition are checked.
+    if stats.lam.size >= CUMULANT_MIN_SAMPLE:
+        sc_f = sample_cumulants(sqrt_t * (fz - 1.0 / (2.0 * theta)))
         sc_l = sample_cumulants(lam_scaled)
-        checks.append(
-            _se_check(
-                "exact_k3_lambda",
-                oracles.exact_k3_lambda(params),
-                sc_l.k3,
-                sc_l.se_k3,
-                gated=True,
-            )
+        rows = [
+            ("exact_var_fn_z", sc_f.var, sc_f.se_var),
+            ("k3_fn_z", sc_f.k3, sc_f.se_k3),
+            ("k4_fn_z_bound", sc_f.k4, sc_f.se_k4),
+            *rows,
+            ("exact_k3_lambda", sc_l.k3, sc_l.se_k3),
+            ("exact_k4_lambda", sc_l.k4, sc_l.se_k4),
+            ("k3_lambda_is_zero", sc_l.k3, sc_l.se_k3),
+            ("k4_lambda", sc_l.k4, sc_l.se_k4),
+        ]
+    checks = [
+        _se_check(
+            name, exact[name], empirical, se,
+            gated=name not in _FIRST_ORDER, note=_NOTES.get(name, ""),
         )
-        checks.append(
-            _se_check(
-                "exact_k4_lambda",
-                oracles.exact_k4_lambda(params),
-                sc_l.k4,
-                sc_l.se_k4,
-                gated=True,
-            )
-        )
-        checks.append(
-            _se_check(
-                "k3_lambda_is_zero",
-                oracles.k3_lambda_is_zero(params),
-                sc_l.k3,
-                sc_l.se_k3,
-                gated=False,
-                note="first-order value; dropped cross terms are O(1/sqrt(T)) and "
-                "dominate at this scale, see exact_k3_lambda",
-            )
-        )
-        checks.append(
-            _se_check(
-                "k4_lambda",
-                oracles.k4_lambda(params),
-                sc_l.k4,
-                sc_l.se_k4,
-                gated=False,
-                note="first-order diagonal value; see exact_k4_lambda",
-            )
-        )
+        for name, empirical, se in rows
+    ]
 
     # Pathwise decomposition: -theta_hat = (e^{-theta delta} - 1)/delta
     # + Lambda_n / S_n, checked on every non-degenerate path.
     a, _ = transition_coefficients(theta, params.delta)
     drift_term = (a - 1.0) / params.delta
-    est, good = stats.estimates(Estimator.AMLE, convention, horizon)
+    est, _, good = stats.estimates(Estimator.AMLE, convention, horizon)
     resid = np.abs(-est - (drift_term + stats.lam[good] / stats.s_n[good]))
     rel = resid / (1.0 + np.abs(est))
     worst = float(np.max(rel)) if rel.size else 0.0
@@ -492,26 +461,14 @@ def _oracle_checks(
     # third cumulant decays like the rate bound, not faster, so it sits many
     # standard errors from 0 at desk scale.
     if nerr_cumulants is not None:
-        checks.append(
-            _se_check(
-                "screen_k3_normalized_errors",
-                0.0,
-                nerr_cumulants.k3,
-                nerr_cumulants.se_k3,
-                gated=False,
-                note="finite-size cumulant; decays with the rate bound",
+        c = nerr_cumulants
+        for order, k, se in ((3, c.k3, c.se_k3), (4, c.k4, c.se_k4)):
+            checks.append(
+                _se_check(
+                    f"screen_k{order}_normalized_errors", 0.0, k, se, gated=False,
+                    note="finite-size cumulant; decays with the rate bound",
+                )
             )
-        )
-        checks.append(
-            _se_check(
-                "screen_k4_normalized_errors",
-                0.0,
-                nerr_cumulants.k4,
-                nerr_cumulants.se_k4,
-                gated=False,
-                note="finite-size cumulant; decays with the rate bound",
-            )
-        )
     return tuple(checks)
 
 
@@ -536,7 +493,10 @@ def run_cell(
     stats = _cell_stats_cached(
         params.theta, params.delta, params.n, replications, master_seed
     )
-    estimates, good = stats.estimates(estimator, convention, params.horizon)
+    # After the simulation: taken before it, the oracles' temporary arrays
+    # raised verify's peak RSS at n = 262144 from 133 to 153 MiB.
+    exact = _exact_oracles(params)
+    estimates, _, good = stats.estimates(estimator, convention, params.horizon)
     degenerate = replications - int(np.count_nonzero(good))
     if degenerate > DEGENERACY_ABORT_FRACTION * replications:
         raise ExcessiveDegeneracy(
@@ -546,10 +506,10 @@ def run_cell(
         )
 
     errors = estimates - theta
-    nerr = math.sqrt(params.horizon / (2.0 * theta)) * errors
+    nerr = normalized_error(estimates, params, theta)
     cumulants = sample_cumulants(nerr) if nerr.size >= CUMULANT_MIN_SAMPLE else None
     distance = distance_report(nerr, n_bootstrap=n_bootstrap, seed=master_seed)
-    checks = _oracle_checks(params, convention, stats, cumulants)
+    checks = _oracle_checks(params, convention, stats, exact, cumulants)
     return McSummary(
         cell=(params.n, params.delta),
         estimator=estimator,

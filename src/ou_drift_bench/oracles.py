@@ -29,11 +29,13 @@ exact oracles and not with these.  Tests document the gap quantitatively.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteValue
 from .ou_core import OuParams, transition_coefficients
 
 __all__ = [
@@ -74,6 +76,36 @@ class MomentReport:
     bound_value: float
 
 
+def _finite(name: str, params: OuParams, compute, parts=("",)) -> list[float]:
+    """compute()'s values as floats, or NonFiniteValue naming the quantity and the cell.
+
+    numpy's overflow and division warnings are silenced here: such a value
+    shows up as inf or nan, a Python float overflow or division by zero as an
+    exception, and both end in the same error.
+    """
+    where = f"at cell (theta={params.theta!r}, delta={params.delta!r}, n={params.n})"
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values = [float(v) for v in compute()]
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteValue(f"{name} is not finite {where}: {exc.args[-1]}") from exc
+    for part, value in zip(parts, values):
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"{name} {part}".rstrip() + f" is {value!r} {where}")
+    return values
+
+
+def _finite_oracle(oracle):
+    """Make an oracle return a finite value or raise NonFiniteValue."""
+
+    @functools.wraps(oracle)
+    def checked(params: OuParams) -> float:
+        return _finite(oracle.__name__, params, lambda: [oracle(params)])[0]
+
+    return checked
+
+
+@_finite_oracle
 def exact_var_fn_z(params: OuParams) -> float:
     """Exact variance of F_n(Z).
 
@@ -94,6 +126,7 @@ def exact_var_fn_z(params: OuParams) -> float:
     return 2.0 * (delta / n) * trace2
 
 
+@_finite_oracle
 def k3_fn_z(params: OuParams) -> float:
     """Exact third cumulant of F_n(Z).
 
@@ -113,6 +146,7 @@ def k3_fn_z(params: OuParams) -> float:
     return 8.0 * (delta / n) ** 1.5 * trace3
 
 
+@_finite_oracle
 def k4_fn_z_bound(params: OuParams) -> float:
     """Contraction-norm bound on |kappa4(F_n(Z))|, which it attains exactly.
 
@@ -166,6 +200,7 @@ def _var_x_grid(params: OuParams) -> np.ndarray:
     return -np.expm1(-2.0 * theta * delta * i) / (2.0 * theta)
 
 
+@_finite_oracle
 def exact_var_lambda(params: OuParams) -> float:
     """Exact variance of Lambda_n / sqrt(T).
 
@@ -181,6 +216,7 @@ def exact_var_lambda(params: OuParams) -> float:
     return u / ((2.0 * theta) ** 2 * delta) * mean_term
 
 
+@_finite_oracle
 def exact_k3_lambda(params: OuParams) -> float:
     """Exact third cumulant of Lambda_n / sqrt(T).
 
@@ -206,6 +242,7 @@ def exact_k3_lambda(params: OuParams) -> float:
     return kappa3 / params.horizon**1.5
 
 
+@_finite_oracle
 def exact_k4_lambda(params: OuParams) -> float:
     """Exact fourth cumulant of Lambda_n / sqrt(T).
 
@@ -260,6 +297,7 @@ def k3_lambda_is_zero(params: OuParams) -> float:
     return 0.0
 
 
+@_finite_oracle
 def k4_lambda(params: OuParams) -> float:
     """First-order diagonal value for the fourth cumulant of Lambda_n / sqrt(T).
 
@@ -277,35 +315,29 @@ def k4_lambda(params: OuParams) -> float:
     return u**2 / ((2.0 * theta) ** 4 * delta**2) * float(np.sum(terms)) / n**2
 
 
-def moment_report(quantity: MomentQuantity, params: OuParams) -> MomentReport:
-    """Assemble one oracle quantity with its asymptotic limit and control scale."""
+def _report_values(quantity: MomentQuantity, params: OuParams) -> tuple[float, ...]:
     theta, delta, n = params.theta, params.delta, params.n
     if quantity is MomentQuantity.VAR_FN_Z:
-        exact = exact_var_fn_z(params)
-        asym = 1.0 / (2.0 * theta**3)
-        bound = delta**2 + 1.0 / (n * delta)
-    elif quantity is MomentQuantity.K3_FN_Z:
-        exact = k3_fn_z(params)
-        asym = 0.0
-        bound = math.sqrt(delta) / n**1.5
-    elif quantity is MomentQuantity.K4_FN_Z_ABS_BOUND:
-        exact = k4_fn_z_bound(params)
-        asym = 0.0
-        bound = 1.0 / (n * delta)
-    elif quantity is MomentQuantity.VAR_LAMBDA:
-        exact = exact_var_lambda(params)
-        asym = 1.0 / (2.0 * theta)
-        bound = delta + 1.0 / (n * delta)
-    elif quantity is MomentQuantity.K4_LAMBDA:
-        exact = k4_lambda(params)
-        asym = 0.0
+        return exact_var_fn_z(params), 1.0 / (2.0 * theta**3), delta**2 + 1.0 / (n * delta)
+    if quantity is MomentQuantity.K3_FN_Z:
+        return k3_fn_z(params), 0.0, math.sqrt(delta) / n**1.5
+    if quantity is MomentQuantity.K4_FN_Z_ABS_BOUND:
+        return k4_fn_z_bound(params), 0.0, 1.0 / (n * delta)
+    if quantity is MomentQuantity.VAR_LAMBDA:
+        return exact_var_lambda(params), 1.0 / (2.0 * theta), delta + 1.0 / (n * delta)
+    if quantity is MomentQuantity.K4_LAMBDA:
         u = -math.expm1(-2.0 * theta * delta)
-        bound = u**2 / ((2.0 * theta) ** 4 * delta**2) / n
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown quantity {quantity!r}")
-    return MomentReport(
-        quantity=quantity,
-        exact_value=float(exact),
-        asymptotic_value=float(asym),
-        bound_value=float(bound),
+        return k4_lambda(params), 0.0, u**2 / ((2.0 * theta) ** 4 * delta**2) / n
+    raise ValueError(f"unknown quantity {quantity!r}")  # pragma: no cover - enum is closed
+
+
+def moment_report(quantity: MomentQuantity, params: OuParams) -> MomentReport:
+    """Assemble one oracle quantity with its asymptotic limit and control scale.
+
+    Raises NonFiniteValue if any of the three is not finite at this cell.
+    """
+    exact, asym, bound = _finite(
+        quantity.value, params, lambda: _report_values(quantity, params),
+        parts=("exact", "asymptotic", "bound"),
     )
+    return MomentReport(quantity, exact, asym, bound)

@@ -352,6 +352,8 @@ def test_09_csv_byte_determinism_workers_and_reruns(tmp_path, monkeypatch):
     cases = [
         ["simulate", "--n", "64", "--seed", "11"],
         ["estimate", "--n", "300", "--delta", "0.05", "--reps", "12", "--seed", "11"],
+        # 40 rows of n = 20000 span three blocks and two scan chunks each
+        ["estimate", "--n", "20000", "--delta", "0.05", "--reps", "40", "--seed", "11"],
         ["oracle", "--theta", "2.0", "--n", "128", "--delta", "0.1"],
         ["rates", "--preset", "coupling-sweep", "--reps", "300", "--seed", "11"],
     ]

@@ -90,7 +90,7 @@ def test_estimate_outputs_records(tmp_path):
 
 
 @pytest.mark.parametrize("convention", ["body", "abstract"])
-@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("n", [1, 2, 300, 20000])
 def test_estimate_rows_match_per_path_api(tmp_path, n, convention):
     # estimate must skip exactly the paths the per-path estimators reject (at
     # n = 1 from zero: AMLE always, AMCE under the body convention) and agree
@@ -145,6 +145,30 @@ def test_oracle_rows_filled_at_large_n(tmp_path, capsys):
         by_name = {r["quantity"]: r for r in rows}
         assert all(r["exact"] != "" for r in rows)
         assert float(by_name["k3_fn_z"]["exact"]) == k3_fn_z(OuParams(theta=1.0, delta=0.05, n=n))
+
+
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        (["oracle", "--n", "64", "--theta", "1e-100"], "k4_fn_z_bound"),
+        (["oracle", "--theta", "1e200"], "var_fn_z"),
+        (["oracle", "--delta", "1e300"], "var_fn_z"),
+        (["oracle", "--delta", "1e-200"], "k4_fn_z_bound"),
+        (["verify", "--n", "64", "--reps", "8", "--theta", "1e-100"], "k4_fn_z_bound"),
+        (["rates", "--preset", "coupling-sweep", "--reps", "8", "--theta", "1e-100"],
+         "k4_fn_z_bound"),
+    ],
+    ids=["oracle-tiny-theta", "oracle-huge-theta", "oracle-huge-delta", "oracle-tiny-delta",
+         "verify-tiny-theta", "rates-tiny-theta"],
+)
+def test_non_finite_oracle_is_an_error(tmp_path, capsys, argv, quantity):
+    # each once ended in an OverflowError or ZeroDivisionError traceback
+    out = tmp_path / "o"
+    assert _run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{quantity} is " in err and "at cell (theta=" in err
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -294,14 +318,15 @@ def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threa
         ("replications:\n", "replications"),
         ("n:\n", "n"),
         ("estimators: [amce, amce]\n", "estimators"),
+        ("estimators: {amle: 0, amce: no}\n", "estimators"),
     ],
     ids=["float-truncated", "bool-as-int", "string-as-bool", "bool-as-theta", "bool-as-delta",
-         "empty-replications", "empty-n", "repeated-estimator"],
+         "empty-replications", "empty-n", "repeated-estimator", "mapping-as-estimators"],
 )
 def test_config_file_values_are_not_coerced(tmp_path, capsys, text, field):
     # each was once accepted: 2.9 as 2, true as n = 1 or as 1.0, "false" as
-    # True, an empty value as the default, and a repeated estimator, which
-    # then ran twice
+    # True, an empty value as the default, a repeated estimator, which then
+    # ran twice, and a mapping, whose keys ran as estimators
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     assert _run(["simulate", "--variant", "stationary", "--config", str(cfg),

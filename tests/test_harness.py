@@ -16,6 +16,7 @@ from ou_drift_bench import (
     RateResponse,
     Schedule,
     ScheduleCell,
+    Variant,
     amle,
     bound_terms,
     clear_caches,
@@ -167,7 +168,7 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
     p = OuParams(theta=1.0, delta=0.05, n=3 * 64 + 17)
     monkeypatch.setenv("OU_BENCH_THREADS", "1")
-    stats = harness._compute_cell_stats(p, 130, SEED)
+    stats = harness._compute_cell_stats(p, Variant.STATIONARY, 130, SEED)
     ref = _per_path_stats(p, 130, SEED)
     for name in _STATS_FIELDS:
         np.testing.assert_allclose(
@@ -176,9 +177,9 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
 
     # Enough rows for two blocks, so two workers really split the cell.
     reps = ou_core.block_rows(p.n) + 100
-    serial = harness._compute_cell_stats(p, reps, SEED)
+    serial = harness._compute_cell_stats(p, Variant.STATIONARY, reps, SEED)
     monkeypatch.setenv("OU_BENCH_THREADS", "2")
-    threaded = harness._compute_cell_stats(p, reps, SEED)
+    threaded = harness._compute_cell_stats(p, Variant.STATIONARY, reps, SEED)
     for name in _STATS_FIELDS:
         assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
 
@@ -192,7 +193,7 @@ def test_long_cell_memory_bounded(monkeypatch, n, reps):
     p = OuParams(theta=1.0, delta=0.05, n=n)
     tracemalloc.start()
     try:
-        harness._compute_cell_stats(p, reps, SEED)
+        harness._compute_cell_stats(p, Variant.STATIONARY, reps, SEED)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

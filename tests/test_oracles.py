@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ou_drift_bench import (
+    NonFiniteValue,
     OuParams,
     exact_k3_lambda,
     exact_k4_lambda,
@@ -217,3 +220,23 @@ def test_moment_report_fields():
     rep4 = moment_report(MomentQuantity.K4_LAMBDA, p)
     assert rep4.exact_value == pytest.approx(k4_lambda(p), rel=1e-15)
     assert rep4.exact_value <= rep4.bound_value
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    log_theta=st.floats(-300.0, 300.0),
+    log_delta=st.floats(-300.0, 300.0),
+    n=st.integers(1, 8) | st.sampled_from([64, 65]),
+    quantity=st.sampled_from(MomentQuantity),
+)
+def test_moment_report_is_finite_or_refused(log_theta, log_delta, n, quantity):
+    # Extreme cells once ended in OverflowError or ZeroDivisionError, or
+    # reported inf and nan without a word.
+    params = OuParams(theta=10.0**log_theta, delta=10.0**log_delta, n=n)
+    try:
+        report = moment_report(quantity, params)
+    except NonFiniteValue as exc:
+        assert f"at cell (theta={params.theta!r}, delta={params.delta!r}, n={n})" in str(exc)
+        return
+    values = (report.exact_value, report.asymptotic_value, report.bound_value)
+    assert all(math.isfinite(v) for v in values), values

@@ -364,7 +364,11 @@ def clear_caches() -> None:
 
 
 def _se_check(name, exact, empirical, se, *, gated, note="", tol_se=GATE_SE):
-    passed = abs(empirical - exact) <= tol_se * se
+    # Against an infinite SE any value would pass, so a value or SE that is
+    # not finite fails.
+    passed = (
+        math.isfinite(empirical) and math.isfinite(se) and abs(empirical - exact) <= tol_se * se
+    )
     return OracleCheck(
         name=name,
         exact=float(exact),

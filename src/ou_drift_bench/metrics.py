@@ -128,9 +128,12 @@ class SampleCumulants:
 
 
 def _jackknife_se(replicates: np.ndarray) -> float:
+    """Jackknife standard error; inf once the squared deviations overflow,
+    which no gate then accepts."""
     n = replicates.size
     center = replicates.mean()
-    return math.sqrt((n - 1) / n * float(np.sum((replicates - center) ** 2)))
+    with np.errstate(over="ignore"):
+        return math.sqrt((n - 1) / n * float(np.sum((replicates - center) ** 2)))
 
 
 def sample_cumulants(sample) -> SampleCumulants:

@@ -169,16 +169,19 @@ def k4_fn_z_bound(params: OuParams) -> float:
     = (1 - e^{-x})^2 D(m-3), D the double prefix sum of (k+1) e^{-x k}
     (C = 0 for m < 3).  Every term is nonnegative; expanding the square into
     closed-form geometric sums instead loses about 8 digits at
-    theta*delta = 1e-6.
+    theta*delta = 1e-6.  Below x of about 1e-154, g^2 overflows while p^2
+    underflows, so g = h 2^E is split: the p-terms and 1 - e^{-x} carry the
+    power of two, which scales them exactly, and only h is squared.
     """
     theta, delta, n = params.theta, params.delta, params.n
     c = 1.0 / (2.0 * theta)
     x = 2.0 * theta * delta
     k = np.arange(n, dtype=np.float64)
     decay = np.exp(-x * k)
-    p = -np.expm1(-x * k)
     u = -math.expm1(-x)
-    g = math.exp(-x) / u
+    h, exponent = math.frexp(math.exp(-x) / u)
+    p = np.ldexp(-np.expm1(-x * k), exponent)
+    u = math.ldexp(u, exponent)
     # prefix sums indexed by m = 0..n
     p1 = np.concatenate(([0.0], np.cumsum(p)))
     p2 = np.concatenate(([0.0], np.cumsum(p * p)))
@@ -187,7 +190,7 @@ def k4_fn_z_bound(params: OuParams) -> float:
     m = n - np.arange(n)  # diagonal d = k has m = n - d entries
     lead = k + 1.0
     diagonals = decay * (
-        m * lead**2 + 4.0 * lead * g * p1[m] + g * g * (2.0 * p2[m] + 2.0 * cross[m])
+        m * lead**2 + 4.0 * lead * h * p1[m] + h * h * (2.0 * p2[m] + 2.0 * cross[m])
     )
     trace4 = c**4 * (float(diagonals[0]) + 2.0 * float(np.sum(diagonals[1:])))
     return 48.0 * (delta / n) ** 2 * trace4
@@ -255,7 +258,9 @@ def exact_k4_lambda(params: OuParams) -> float:
 
     scaled here by T^{-2}.  The lag sums collapse to O(n) via prefix sums.
     All terms are nonnegative; the first line alone equals 6 * `k4_lambda`
-    (to rounding), and the cross terms dominate it at desk scale.
+    (to rounding), and the cross terms dominate it at desk scale.  q^{k-i-1}
+    is formed directly, as q / q is 0/0 once q underflows, and T^{-2} enters
+    as (s2 / T)^2, as T^2 underflows at tiny delta.
     """
     theta, delta, n = params.theta, params.delta, params.n
     _, s2 = transition_coefficients(theta, delta)
@@ -266,22 +271,19 @@ def exact_k4_lambda(params: OuParams) -> float:
         prefix_v = np.cumsum(var_x)
         prefix_v2 = np.cumsum(var_x**2)
         lag = np.arange(1, n, dtype=np.float64)
-        q_pow = q**lag
+        q_prev = q ** (lag - 1.0)
         # sum_{i<k} g(k-i) h(i) = sum_lag g(lag) * prefix_h[n - lag - 1]
         head_v = prefix_v[n - 2 :: -1]
         head_v2 = prefix_v2[n - 2 :: -1]
-        cross_v2 = float(np.sum(q_pow * head_v2))
-        cross_v = float(np.sum(q_pow / q * head_v))
-        cross_v_weighted = float(np.sum((lag - 1.0) * q_pow / q * head_v))
+        cross_v2 = float(np.sum(q * q_prev * head_v2))
+        cross_v = float(np.sum(q_prev * head_v))
+        cross_v_weighted = float(np.sum((lag - 1.0) * q_prev * head_v))
     else:
         cross_v2 = cross_v = cross_v_weighted = 0.0
-    kappa4 = (
-        6.0 * s2**2 * diag
-        + 12.0 * s2**2 * cross_v2
-        + 12.0 * s2**3 * cross_v
-        + 48.0 * s2**3 * cross_v_weighted
+    r = s2 / params.horizon
+    return r * r * (
+        6.0 * diag + 12.0 * cross_v2 + 12.0 * s2 * cross_v + 48.0 * s2 * cross_v_weighted
     )
-    return kappa4 / params.horizon**2
 
 
 def k3_lambda_is_zero(params: OuParams) -> float:
@@ -309,10 +311,15 @@ def k4_lambda(params: OuParams) -> float:
     reports both.
     """
     theta, delta, n = params.theta, params.delta, params.n
-    u = -math.expm1(-2.0 * theta * delta)
     i = np.arange(n, dtype=np.float64)
-    terms = (-np.expm1(-2.0 * theta * delta * i)) ** 2
-    return u**2 / ((2.0 * theta) ** 4 * delta**2) * float(np.sum(terms)) / n**2
+    terms = (_lambda_scale(theta, delta) * -np.expm1(-2.0 * theta * delta * i)) ** 2
+    return float(np.sum(terms)) / n**2
+
+
+def _lambda_scale(theta: float, delta: float) -> float:
+    """(1 - q) / ((2 theta)^2 delta), divided in steps: at tiny theta*delta
+    (1 - q)^2 and delta^2 underflow while the ratio is of order 1/theta."""
+    return -math.expm1(-2.0 * theta * delta) / delta / (2.0 * theta) / (2.0 * theta)
 
 
 def _report_values(quantity: MomentQuantity, params: OuParams) -> tuple[float, ...]:
@@ -326,8 +333,7 @@ def _report_values(quantity: MomentQuantity, params: OuParams) -> tuple[float, .
     if quantity is MomentQuantity.VAR_LAMBDA:
         return exact_var_lambda(params), 1.0 / (2.0 * theta), delta + 1.0 / (n * delta)
     if quantity is MomentQuantity.K4_LAMBDA:
-        u = -math.expm1(-2.0 * theta * delta)
-        return k4_lambda(params), 0.0, u**2 / ((2.0 * theta) ** 4 * delta**2) / n
+        return k4_lambda(params), 0.0, _lambda_scale(theta, delta) ** 2 / n
     raise ValueError(f"unknown quantity {quantity!r}")  # pragma: no cover - enum is closed
 
 

@@ -12,7 +12,10 @@ X_{t_i} = Z_{t_i} - e^{-theta t_i} Z_0 holds pathwise, exactly.
 
 `simulate_block` is the one simulation kernel, with the draw layout, the
 AR(1) scan and the per-path sums; the per-path functions and the harness
-both call it.
+both call it.  The scan uses numpy only: within a segment of time,
+x_l = a^l (a x_start + sum_{j <= l} (scale / a^j) xi_j) is a weighted
+cumulative sum (`_scan`).  The tail and Z sums are closed forms in the
+head sums, sum e^{-theta t} X and the end column.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "Variant",
@@ -163,10 +165,10 @@ def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
 
 
-def _add_start(x: np.ndarray, z0, params: OuParams, start: int = 0, out=None) -> np.ndarray:
-    """Z = X + e^{-theta t} Z_0 on the columns t_start, t_start+1, ... of x."""
-    steps = np.arange(start, start + x.shape[-1])
-    z = np.multiply.outer(z0, np.exp(-params.theta * params.delta * steps), out=out)
+def _add_start(x: np.ndarray, z0: np.ndarray, params: OuParams) -> np.ndarray:
+    """Z = X + e^{-theta t} Z_0 on the whole rows x."""
+    steps = np.arange(x.shape[-1])
+    z = np.multiply.outer(z0, np.exp(-params.theta * params.delta * steps))
     z += x
     return z
 
@@ -174,6 +176,41 @@ def _add_start(x: np.ndarray, z0, params: OuParams, start: int = 0, out=None) ->
 def block_rows(n: int) -> int:
     """Rows per block, so that a rows x chunk array holds about _BLOCK_VALUES values."""
     return max(1, _BLOCK_VALUES // min(n, _SCAN_CHUNK))
+
+
+def _scan_tables(params: OuParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """a, and the tables a^l and scale / a^l of one scan segment, l = 0..span-1.
+
+    The span is a power of two, at most _SCAN_CHUNK (itself a power of two,
+    so segments never straddle a chunk), with theta*delta*span <= 300: then
+    scale / a^l <= scale e^300 and no weight overflows.  It is taken from
+    theta*delta rather than from log(a), which is -inf once a underflows to 0.
+    """
+    theta_delta = params.theta * params.delta
+    span = _SCAN_CHUNK
+    while span > 1 and theta_delta * span > 300.0:
+        span //= 2
+    a, s2 = transition_coefficients(params.theta, params.delta)
+    a_pow = a ** np.arange(span, dtype=np.float64)
+    return a, a_pow, math.sqrt(s2) / a_pow
+
+
+def _scan(xi: np.ndarray, w: np.ndarray, x: np.ndarray, a: float, a_pow, weights) -> None:
+    """AR(1) scan x[:, l + 1] = a x[:, l] + scale xi[:, l] from the state in x[:, 0].
+
+    Time is cut into segments of len(a_pow) steps from column 0.  Within one,
+    x_l = a^l (a x_start + sum_{j <= l} (scale / a^j) xi_j): weights into w,
+    a x_start added to w's first column, a cumulative sum in place and the
+    powers of a back into x.  w has xi's shape.
+    """
+    span, m = a_pow.size, xi.shape[-1]
+    for lo in range(0, m, span):
+        hi = min(lo + span, m)
+        seg = w[:, lo:hi]
+        np.multiply(xi[:, lo:hi], weights[: hi - lo], out=seg)
+        seg[:, 0] += a * x[:, lo]
+        np.cumsum(seg, axis=-1, out=seg)
+        np.multiply(seg, a_pow[: hi - lo], out=x[:, lo + 1 : hi + 1])
 
 
 @dataclass(frozen=True)
@@ -203,11 +240,10 @@ class BlockPaths:
 
 
 def _new_buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
-    """xi, eta, x, z and diff buffers of one block; x and z carry the scan's start column."""
+    """xi, scan, x and diff buffers of one block; x carries the scan's start column."""
     return (
         np.empty((rows, width)),
         np.empty((rows, width)),
-        np.empty((rows, width + 1)),
         np.empty((rows, width + 1)),
         np.empty((rows, width)),
     )
@@ -231,19 +267,23 @@ def simulate_block(
     Z_0 first, then the n innovations; a from-zero row draws the innovations
     only.  One Philox serves the block; re-keyed to [seed, stream] with a zero
     counter and an empty buffer it gives exactly path_rng(seed, stream).  X is
-    scanned from zero and a stationary path is Z = X + e^{-theta t} Z_0.
+    scanned from zero by segmented cumulative sums (`_scan`), and a
+    stationary path is Z = X + e^{-theta t} Z_0.
 
     By default time is walked in chunks of _SCAN_CHUNK steps, carrying the
     scan's last column and each row's generator state, and only the per-row
     sums are kept, so memory is bounded by the block size whatever n is;
-    the buffers are the calling thread's, kept for its next block.
-    With ``paths`` the rows are scanned whole and returned.  No row's values
-    depend on the chunking or on the block it is in.
+    the buffers are the calling thread's, kept for its next block.  The sums
+    of X and X xi are taken per chunk; the tail sums and the Z sums follow in
+    closed form from them, from sum e^{-theta t} X and from the end column,
+    so no Z is formed.  With ``paths`` the rows are scanned whole and
+    returned.  Scan segments start at multiples of their span in absolute
+    time, so no row's values depend on the chunking or on the block it is in.
     """
     n, rows = params.n, hi - lo
     width = n if paths else min(n, _SCAN_CHUNK)
-    a, s2 = transition_coefficients(params.theta, params.delta)
-    scale = math.sqrt(s2)
+    a, a_pow, weights = _scan_tables(params)
+    theta_delta = params.theta * params.delta
     sd0 = math.sqrt(1.0 / (2.0 * params.theta))
     bitgen = np.random.Philox(key=_philox_key(seed, lo))
     fresh = bitgen.state if rows > 1 else None
@@ -255,10 +295,10 @@ def simulate_block(
     # in page faults than the arithmetic on it, whenever the allocator hands
     # freed blocks back to the system.
     buffers = _new_buffers if paths else _thread_buffers
-    xi_buf, eta, x, z, diff = buffers(rows, width)
+    xi_buf, w_buf, x, diff = buffers(rows, width)
     x[:, 0] = 0.0
-    z = None if z0 is None else z
-    sums = None if paths else np.zeros((6, rows))
+    # sum x_head^2, amle_num, sum x_head xi and sum e^{-theta t} x_head
+    sums = np.zeros((4, rows))
     for start in range(0, n, width):
         m = min(width, n - start)
         xi = xi_buf[:, :m]
@@ -274,25 +314,34 @@ def simulate_block(
             rng.standard_normal(out=row)
             if start + m < n:
                 saved[k] = bitgen.state
-        # AR(1) scan x_i = a x_{i-1} + scale xi_i from the state in column 0.
         xc = x[:, : m + 1]
-        np.multiply(xi, scale, out=eta[:, :m])
-        xc[:, 1:], _ = lfilter([1.0], [1.0, -a], eta[:, :m], axis=-1, zi=a * xc[:, :1])
-        zc = None if z is None else _add_start(xc, z0, params, start, out=z[:, : m + 1])
+        _scan(xi, w_buf[:, :m], xc, a, a_pow, weights)
         if paths:
-            return BlockPaths(x=x, values=x if zc is None else zc, innovations=xi, z0=z0)
-        x_head, x_tail = xc[:, :m], xc[:, 1:]
+            values = x if z0 is None else _add_start(x, z0, params)
+            return BlockPaths(x=x, values=values, innovations=xi, z0=z0)
+        x_head = xc[:, :m]
         sums[0] += np.einsum("ij,ij->i", x_head, x_head)
-        sums[1] += np.einsum("ij,ij->i", x_tail, x_tail)
-        if zc is not None:
-            sums[2] += np.einsum("ij,ij->i", zc[:, :m], zc[:, :m])
-            sums[3] += np.einsum("ij,ij->i", zc[:, 1:], zc[:, 1:])
-        sums[4] -= np.einsum("ij,ij->i", x_head, np.subtract(x_tail, x_head, out=diff[:, :m]))
-        sums[5] += np.einsum("ij,ij->i", x_head, xi)
+        sums[1] -= np.einsum("ij,ij->i", x_head, np.subtract(xc[:, 1:], x_head, out=diff[:, :m]))
+        sums[2] += np.einsum("ij,ij->i", x_head, xi)
+        if z0 is not None:
+            decay = np.exp(-theta_delta * np.arange(start, start + m))
+            sums[3] += np.einsum("ij,j->i", x_head, decay)
         x[:, 0] = xc[:, m]
+    x_head_sq, amle_num, x_xi, decay_x = sums
+    x_n = x[:, 0]
+    x_tail_sq = x_head_sq + x_n * x_n
     if z0 is None:
-        sums[2:4] = sums[0:2]
-    return BlockSums(*sums)
+        return BlockSums(x_head_sq, x_tail_sq, x_head_sq, x_tail_sq, amle_num, x_xi)
+    # sum_{i<n} e^{-2 theta t_i}, a geometric sum; n when theta*delta underflows to 0
+    decay_sq = (
+        math.expm1(-2.0 * theta_delta * n) / math.expm1(-2.0 * theta_delta)
+        if theta_delta > 0.0
+        else float(n)
+    )
+    z_head_sq = x_head_sq + 2.0 * z0 * decay_x + z0 * z0 * decay_sq
+    z_n = x_n + math.exp(-theta_delta * n) * z0
+    z_tail_sq = z_head_sq - z0 * z0 + z_n * z_n
+    return BlockSums(x_head_sq, x_tail_sq, z_head_sq, z_tail_sq, amle_num, x_xi)
 
 
 def simulate_path(params: OuParams, variant: Variant, seed: int, stream: int = 0) -> SamplePath:

@@ -1,5 +1,6 @@
 """Command line interface: outputs, config precedence, byte determinism."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -153,12 +154,11 @@ def test_oracle_rows_filled_at_large_n(tmp_path, capsys):
         (["oracle", "--n", "64", "--theta", "1e-100"], "k4_fn_z_bound"),
         (["oracle", "--theta", "1e200"], "var_fn_z"),
         (["oracle", "--delta", "1e300"], "var_fn_z"),
-        (["oracle", "--delta", "1e-200"], "k4_fn_z_bound"),
         (["verify", "--n", "64", "--reps", "8", "--theta", "1e-100"], "k4_fn_z_bound"),
         (["rates", "--preset", "coupling-sweep", "--reps", "8", "--theta", "1e-100"],
          "k4_fn_z_bound"),
     ],
-    ids=["oracle-tiny-theta", "oracle-huge-theta", "oracle-huge-delta", "oracle-tiny-delta",
+    ids=["oracle-tiny-theta", "oracle-huge-theta", "oracle-huge-delta",
          "verify-tiny-theta", "rates-tiny-theta"],
 )
 def test_non_finite_oracle_is_an_error(tmp_path, capsys, argv, quantity):
@@ -169,6 +169,26 @@ def test_non_finite_oracle_is_an_error(tmp_path, capsys, argv, quantity):
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"{quantity} is " in err and "at cell (theta=" in err
     assert not out.exists()
+
+
+def test_oracle_rows_finite_at_tiny_delta(tmp_path):
+    # k4_fn_z_bound was once nan here (g^2 overflowing against p^2
+    # underflowing) and k4_lambda divided an underflowed 0 by another
+    out = tmp_path / "o"
+    assert _run(["oracle", "--delta", "1e-200", "--out", str(out)]) == 0
+    _, rows = _rows(out / "oracle.csv")
+    values = [float(r[c]) for r in rows for c in ("exact", "asymptotic", "bound")]
+    assert len(values) == 15 and all(math.isfinite(v) for v in values)
+
+
+def test_gated_check_with_infinite_se_fails(tmp_path, capsys):
+    # The jackknife SE of k4_fn_z_bound overflows at this cell; against
+    # se=inf the gate once read PASS.
+    argv = ["verify", "--n", "64", "--reps", "1000", "--theta", "1e-40"]
+    assert _run(argv + ["--out", str(tmp_path / "v")]) == 1
+    out = capsys.readouterr().out
+    assert "se=inf verdict=FAIL [gated]" in out
+    assert "se=inf verdict=PASS" not in out and "VERIFY PASS" not in out
 
 
 def test_config_file_and_flag_precedence(tmp_path):

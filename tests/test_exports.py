@@ -1,7 +1,12 @@
-"""Every exported name resolves, in the package and in each module."""
+"""Every exported name resolves, in the package and in each module; the
+command line imports only what it uses."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +25,17 @@ def test_all_names_resolve(module_name):
     assert len(names) == len(set(names)), f"{module.__name__}.__all__ repeats a name"
     missing = [name for name in names if not hasattr(module, name)]
     assert missing == [], f"{module.__name__}.__all__ names missing attributes"
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal alone once took about 1 s and 50 MiB of every command's
+    # start-up; a stray import would bring that back silently.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ou_drift_bench.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    code = "import sys, ou_drift_bench.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

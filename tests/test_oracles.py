@@ -7,6 +7,7 @@ through an eigendecomposition built directly from the definitions.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -65,6 +66,59 @@ def _lambda_spectrum(theta, delta, n):
         coeff[i - 1, j - 1] = s2 * a ** ((i - 1) - j)
     sym = 0.5 * (coeff + coeff.T)
     return np.linalg.eigvalsh(sym)
+
+
+def _decimal_k4(weights, scale):
+    """48 tr(W^4) * scale in decimal, for an n x n nested list W."""
+    n = len(weights)
+    square = [
+        [sum(weights[i][k] * weights[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    return 48 * sum(v * v for row in square for v in row) * scale
+
+
+def _decimal_k4_fn_z(theta, delta, n):
+    # F_n(Z) against M_ij = e^{-theta delta |i-j|} / (2 theta)
+    with localcontext() as ctx:
+        ctx.prec = 400  # enough digits that 1 - e^{-2e-200} keeps 50
+        th, de = Decimal(theta), Decimal(delta)
+        m = [[(-th * de * abs(i - j)).exp() / (2 * th) for j in range(n)] for i in range(n)]
+        return float(_decimal_k4(m, (de / n) ** 2))
+
+
+def _decimal_k4_lambda(theta, delta, n):
+    # Lambda_n / sqrt(T) against the symmetrized weights of _lambda_spectrum
+    with localcontext() as ctx:
+        ctx.prec = 400  # enough digits that 1 - e^{-2e-200} keeps 50
+        th, de = Decimal(theta), Decimal(delta)
+        a = (-th * de).exp()
+        s2 = (1 - (-2 * th * de).exp()) / (2 * th)
+        w = [
+            [s2 * a ** (abs(i - j) - 1) / 2 if i != j else Decimal(0) for j in range(n)]
+            for i in range(n)
+        ]
+        return float(_decimal_k4(w, 1 / (n * de) ** 2))
+
+
+@pytest.mark.parametrize(
+    "oracle, reference, cell",
+    [
+        # g^2 overflowed against p^2 underflowing: nan
+        (k4_fn_z_bound, _decimal_k4_fn_z, (1.0, 1e-200, 4)),
+        (k4_fn_z_bound, _decimal_k4_fn_z, (1e-60, 1e-140, 4)),
+        # q underflows to 0 and q^lag / q was 0/0
+        (exact_k4_lambda, _decimal_k4_lambda, (1.0, 400.0, 3)),
+        # T^2 underflowed: a division by zero, or 0 where the value is 1e-200
+        (exact_k4_lambda, _decimal_k4_lambda, (1.0, 1e-200, 4)),
+        (exact_k4_lambda, _decimal_k4_lambda, (1.0, 1e-100, 4)),
+    ],
+    ids=["fn-z-tiny-delta", "fn-z-tiny-theta-delta", "lambda-huge-delta",
+         "lambda-tiny-delta", "lambda-small-delta"],
+)
+def test_fourth_cumulants_against_decimal_reference_at_extreme_cells(oracle, reference, cell):
+    want = reference(*cell)
+    assert math.isclose(oracle(OuParams(*cell)), want, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("theta,delta,n", GRID)

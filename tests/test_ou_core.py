@@ -219,6 +219,79 @@ def test_block_sums_of_long_rows_split_across_chunks(monkeypatch, variant):
         np.testing.assert_allclose(getattr(sums, name), want, rtol=1e-12, err_msg=name)
 
 
+def _scan_by_chunks(p, xi, chunk):
+    """X of the rows xi, scanned by ou_core._scan a chunk at a time with the state carried."""
+    a, a_pow, weights = ou_core._scan_tables(p)
+    x, w = np.zeros((xi.shape[0], p.n + 1)), np.empty((xi.shape[0], chunk))
+    for start in range(0, p.n, chunk):
+        m = min(chunk, p.n - start)
+        ou_core._scan(xi[:, start : start + m], w[:, :m], x[:, start : start + m + 1],
+                      a, a_pow, weights)
+    return x
+
+
+@pytest.mark.parametrize(
+    "theta, delta",
+    [
+        (1.0, 1e-300), (1.0, 1e-18), (1.0, 1e-9), (1.0, 1e-6), (1.0, 1 / 128),
+        (1.0, 0.05), (1.0, 0.5), (1.0, 4.0), (1.0, 100.0), (1.0, 800.0), (1e-200, 1e-200),
+    ],
+    ids=lambda v: repr(v),
+)
+def test_scan_matches_long_double_recursion(monkeypatch, theta, delta):
+    # theta*delta from 1e-300 to 800: a = 1 from 1e-18 down, a = 0 at 800,
+    # and theta*delta = 0.0 at theta = delta = 1e-200.  Rows of 5 chunks of
+    # 1024 steps, of 1 to 512 segments each, scanned with the state carried.
+    monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 1024)
+    p = OuParams(theta=theta, delta=delta, n=4 * 1024 + 500)
+    _, a_pow, weights = ou_core._scan_tables(p)
+    span = a_pow.size
+    assert span & (span - 1) == 0 and span <= 1024
+    assert theta * delta * span <= 300.0 or span == 1
+    assert np.all(np.isfinite(weights))
+    xi = np.random.default_rng(7).standard_normal((3, p.n))
+    x = _scan_by_chunks(p, xi, 1024)
+    # the same recursion, coefficients rounded as the kernel's, in long double
+    a, s2 = transition_coefficients(theta, delta)
+    a_ld, scale_ld = np.longdouble(a), np.sqrt(np.longdouble(s2))
+    ref = np.zeros((3, p.n + 1), dtype=np.longdouble)
+    for i in range(p.n):
+        ref[:, i + 1] = a_ld * ref[:, i] + scale_ld * xi[:, i]
+    path_scale = float(np.max(np.abs(ref)))
+    # lfilter's own error was 6e-17 to 1.3e-14 of the path scale over this range
+    assert float(np.max(np.abs(x - ref))) <= 64 * np.finfo(np.float64).eps * path_scale
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize(
+    "theta, delta", [(1.3, 0.07), (5.0, 1.0)], ids=["1-segment", "2-segments"]
+)
+def test_whole_rows_scan_as_chunks_bit_for_bit(monkeypatch, variant, theta, delta):
+    # paths=True scans each row whole; the sums path scans it chunk by chunk.
+    # Scan segments start at multiples of their span in absolute time, so
+    # both give the same X bits, whether a chunk is one segment or two.
+    monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
+    p = OuParams(theta=theta, delta=delta, n=3 * 64 + 17)
+    seed, lo, hi = 5, 17, 21
+    block = simulate_block(p, variant, seed, lo, hi, paths=True)
+    x = _scan_by_chunks(p, block.innovations, 64)
+    assert np.array_equal(x, block.x)
+
+    sums = simulate_block(p, variant, seed, lo, hi)
+    z = block.values
+    head, tail = x[:, :-1], x[:, 1:]
+    expected = {
+        "x_head_sq": np.sum(head**2, axis=1),
+        "x_tail_sq": np.sum(tail**2, axis=1),
+        "z_head_sq": np.sum(z[:, :-1] ** 2, axis=1),
+        "z_tail_sq": np.sum(z[:, 1:] ** 2, axis=1),
+        "amle_num": -np.sum(head * (tail - head), axis=1),
+        "x_xi": np.sum(head * block.innovations, axis=1),
+    }
+    for name, want in expected.items():
+        np.testing.assert_allclose(getattr(sums, name), want, rtol=1e-12, err_msg=name)
+
+
 def test_block_buffers_reused_across_calls_leak_nothing():
     # A thread keeps its block buffers from call to call; each call must give
     # the bits a fresh thread gives, whatever the previous call left behind.

@@ -50,7 +50,6 @@ from .harness import (
     ScheduleCell,
     ScheduleResult,
     bound_terms,
-    clear_caches,
     coupling_check,
     fit_rate,
     preset_names,
@@ -155,7 +154,6 @@ __all__ = [
     "ScheduleCell",
     "ScheduleResult",
     "bound_terms",
-    "clear_caches",
     "coupling_check",
     "fit_rate",
     "preset_names",

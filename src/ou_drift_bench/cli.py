@@ -39,7 +39,8 @@ from .estimators import Estimator, IndexConvention, normalized_error
 from .harness import (
     FIT_MIN_REPLICATIONS,
     GATE_SE,
-    _compute_cell_stats,
+    _cell_sums,
+    _estimates,
     bound_terms,
     coupling_check,
     preset_names,
@@ -288,12 +289,10 @@ def cmd_estimate(config: RunConfig) -> list[Path]:
     layout (Z_0 first).
     """
     params = OuParams(theta=config.theta_true, delta=config.delta, n=config.n)
-    stats = _compute_cell_stats(
-        params, Variant.FROM_ZERO, config.replications, config.master_seed
-    )
+    sums = _cell_sums(params, Variant.FROM_ZERO, config.replications, config.master_seed)
     columns = []
     for estimator in config.estimators:
-        est, den, good = stats.estimates(estimator, config.index_convention, params.horizon)
+        est, den, good = _estimates(sums, params, estimator, config.index_convention)
         nerr = normalized_error(est, params, config.theta_true)
         # tolist() gives Python floats, which _fmt writes with repr
         values = iter(zip(est.tolist(), den.tolist(), nerr.tolist()))
@@ -343,17 +342,17 @@ def _verify_lines(config: RunConfig) -> tuple[list[str], bool]:
         f"convention={config.index_convention.value} seed={config.master_seed}",
     ]
     all_pass = True
-    for estimator in config.estimators:
-        summary = run_cell(
-            params,
-            estimator,
-            config.replications,
-            config.master_seed,
-            convention=config.index_convention,
-            n_bootstrap=config.n_bootstrap,
-        )
+    summaries = run_cell(
+        params,
+        config.estimators,
+        config.replications,
+        config.master_seed,
+        convention=config.index_convention,
+        n_bootstrap=config.n_bootstrap,
+    )
+    for summary in summaries:
         lines.append(
-            f"[{estimator.value}] degenerate={summary.degenerate_count} "
+            f"[{summary.estimator.value}] degenerate={summary.degenerate_count} "
             f"w1={_fmt(summary.distance.w1)} mean_nerr={_fmt(summary.cumulants.mean)}"
         )
         for check in summary.oracle_checks:
@@ -422,7 +421,8 @@ _CLAIMS = {
 
 
 def cmd_rates(config: RunConfig) -> list[Path]:
-    """Run the configured preset per estimator; emit cells/rates/plotdata/report."""
+    """Run the configured preset once for every estimator; emit
+    cells/rates/plotdata/report, and coupling.csv on coupling-sweep."""
     schedule = preset_schedule(config.schedule)
     # cells.csv reports the normalized-error cumulants, and a CLT-valid
     # preset also fits rates.
@@ -449,18 +449,17 @@ def cmd_rates(config: RunConfig) -> list[Path]:
             "distances are recorded for reference and no rate is fitted or asserted."
         )
         report.append("")
-    results = []
-    for estimator in config.estimators:
-        result = run_schedule(
-            schedule,
-            estimator,
-            config.replications,
-            config.master_seed,
-            theta=config.theta_true,
-            convention=config.index_convention,
-            n_bootstrap=config.n_bootstrap,
-        )
-        results.append(result)
+    results, coupling = run_schedule(
+        schedule,
+        config.estimators,
+        config.replications,
+        config.master_seed,
+        theta=config.theta_true,
+        convention=config.index_convention,
+        n_bootstrap=config.n_bootstrap,
+    )
+    for result in results:
+        estimator = result.estimator
         for cell, summary in zip(schedule.cells, result.summaries):
             term1, term2 = bound_terms(cell, estimator)
             cum = summary.cumulants
@@ -579,13 +578,6 @@ def cmd_rates(config: RunConfig) -> list[Path]:
         ),
     ]
     if schedule.name == "coupling-sweep":
-        coupling = coupling_check(
-            schedule,
-            config.replications,
-            config.master_seed,
-            theta=config.theta_true,
-            convention=config.index_convention,
-        )
         outputs.append(
             _write_csv(
                 config.output_dir / "coupling.csv",

@@ -1,14 +1,15 @@
 """Monte Carlo harness: schedules, per-cell summaries, oracle gating, rate fits.
 
 A Schedule is a sequence of (n, delta) cells encoding an asymptotic regime;
-`run_cell` simulates one cell and returns an McSummary holding the estimator's
-error distribution, its distance to N(0, 1), and a list of oracle
-cross-checks; `run_schedule` adds log-log rate fits of W1 against the rate
-bound for the chosen estimator.  `coupling_check` measures the pathwise
-coupling of F_n(X) and F_n(Z).  Per-path statistics come from
-`_compute_cell_stats`, and every estimate from `_CellStats.estimates`, the
-one estimator selection and degeneracy guard; `ou-bench estimate` uses both
-too, on paths in the from-zero layout instead of the stationary one.
+`run_cell` simulates one cell once and returns one McSummary per estimator,
+each holding the estimator's error distribution, its distance to N(0, 1),
+and a list of oracle cross-checks; `run_schedule` walks a schedule's cells
+once, adds log-log rate fits of W1 against each estimator's rate bound, and
+measures the pathwise coupling of F_n(X) and F_n(Z) on the same paths
+(`coupling_check` is that walk with no estimators).  Per-path sums come from
+`_cell_sums`, and every estimate from `_estimates`, the one estimator
+selection and degeneracy guard; `ou-bench estimate` uses both too, on paths
+in the from-zero layout instead of the stationary one.
 
 Determinism contract: every result is a pure function of (arguments,
 master_seed).  Path i of a cell draws from the counter-based stream
@@ -48,7 +49,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,7 +62,14 @@ from .metrics import (
     distance_report,
     sample_cumulants,
 )
-from .ou_core import OuParams, Variant, block_rows, simulate_block, transition_coefficients
+from .ou_core import (
+    BlockSums,
+    OuParams,
+    Variant,
+    block_rows,
+    simulate_block,
+    transition_coefficients,
+)
 
 __all__ = [
     "DECOMP_TOL",
@@ -79,7 +86,6 @@ __all__ = [
     "ScheduleCell",
     "ScheduleResult",
     "bound_terms",
-    "clear_caches",
     "coupling_check",
     "fit_rate",
     "preset_schedule",
@@ -273,39 +279,6 @@ class ScheduleResult:
     dominant_fit: RateFit | None
 
 
-@dataclass(frozen=True)
-class _CellStats:
-    """Per-path scalar statistics of one simulated cell, all shape (reps,).
-
-    Arrays are cached and shared between calls, so they are marked read-only
-    once filled.
-    """
-
-    f_body: np.ndarray
-    f_abs: np.ndarray
-    fz_body: np.ndarray
-    fz_abs: np.ndarray
-    amle_num: np.ndarray
-    s_n: np.ndarray
-    lam: np.ndarray
-
-    def estimates(
-        self, estimator: Estimator, convention: IndexConvention, horizon: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Estimates and their `amce` / `amle` denominators (f_n, or S_n / T)
-        on the paths whose denominator is above EPS_DEN, and the mask of
-        those paths."""
-        if estimator is Estimator.AMCE:
-            den = self.f_body if convention is IndexConvention.BODY else self.f_abs
-            good = den > EPS_DEN
-            return 1.0 / (2.0 * den[good]), den[good], good
-        if estimator is Estimator.AMLE:
-            den = self.s_n / horizon
-            good = den > EPS_DEN
-            return self.amle_num[good] / self.s_n[good], den[good], good
-        raise TypeError(f"estimator must be an Estimator, got {estimator!r}")
-
-
 def _worker_count() -> int:
     """Worker pool size: OU_BENCH_THREADS if set, else min(cores, 8)."""
     raw = os.environ.get("OU_BENCH_THREADS")
@@ -321,46 +294,44 @@ def _worker_count() -> int:
     return workers
 
 
-def _compute_cell_stats(
-    params: OuParams, variant: Variant, reps: int, master_seed: int
-) -> _CellStats:
-    """Statistics of paths 0..reps-1, path i on stream (master_seed, i) in the
+def _cell_sums(params: OuParams, variant: Variant, reps: int, master_seed: int) -> BlockSums:
+    """Sums of paths 0..reps-1, path i on stream (master_seed, i) in the
     variant's draw layout.  In the stationary layout X and Z are the exact
     coupling; in the from-zero layout Z is X."""
-    stats = _CellStats(*(np.empty(reps) for _ in fields(_CellStats)))
-    _, s2 = transition_coefficients(params.theta, params.delta)
+    if reps < 2:
+        raise ValueError(f"replications must be >= 2, got {reps}")
+    sums = BlockSums(*(np.empty(reps) for _ in fields(BlockSums)))
 
     def fill(lo: int, hi: int) -> None:
-        sums = simulate_block(params, variant, master_seed, lo, hi)
-        stats.f_body[lo:hi] = sums.x_head_sq / params.n
-        stats.f_abs[lo:hi] = sums.x_tail_sq / params.n
-        stats.fz_body[lo:hi] = sums.z_head_sq / params.n
-        stats.fz_abs[lo:hi] = sums.z_tail_sq / params.n
-        stats.amle_num[lo:hi] = sums.amle_num
-        stats.s_n[lo:hi] = params.delta * sums.x_head_sq
-        stats.lam[lo:hi] = math.sqrt(s2) * sums.x_xi
+        block = simulate_block(params, variant, master_seed, lo, hi)
+        for field in fields(BlockSums):
+            getattr(sums, field.name)[lo:hi] = getattr(block, field.name)
 
     block = block_rows(params.n)
     los = range(0, reps, block)
     his = [min(lo + block, reps) for lo in los]
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         list(pool.map(fill, los, his))
-    for field in fields(stats):
-        getattr(stats, field.name).flags.writeable = False
-    return stats
+    return sums
 
 
-@lru_cache(maxsize=8)
-def _cell_stats_cached(
-    theta: float, delta: float, n: int, reps: int, master_seed: int
-) -> _CellStats:
-    params = OuParams(theta=theta, delta=delta, n=n)
-    return _compute_cell_stats(params, Variant.STATIONARY, reps, master_seed)
-
-
-def clear_caches() -> None:
-    """Drop cached cell statistics (tests use this around determinism checks)."""
-    _cell_stats_cached.cache_clear()
+def _estimates(
+    sums: BlockSums, params: OuParams, estimator: Estimator, convention: IndexConvention
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Estimates and their `amce` / `amle` denominators (f_n, or S_n / T) on
+    the paths whose denominator is above EPS_DEN, and the mask of those
+    paths."""
+    if estimator is Estimator.AMCE:
+        head = convention is IndexConvention.BODY
+        den = (sums.x_head_sq if head else sums.x_tail_sq) / params.n
+        good = den > EPS_DEN
+        return 1.0 / (2.0 * den[good]), den[good], good
+    if estimator is Estimator.AMLE:
+        s_n = params.delta * sums.x_head_sq
+        den = s_n / params.horizon
+        good = den > EPS_DEN
+        return sums.amle_num[good] / s_n[good], den[good], good
+    raise TypeError(f"estimator must be an Estimator, got {estimator!r}")
 
 
 def _se_check(name, exact, empirical, se, *, gated, note="", tol_se=GATE_SE):
@@ -396,31 +367,32 @@ _NOTES = {
 
 
 def _exact_oracles(params: OuParams) -> dict[str, float]:
-    """The cell's oracle values by check name.  `run_cell` takes them before
+    """The cell's oracle values by check name.  `_summaries` takes them before
     any sample statistic, so a cell where one is not finite ends in
     NonFiniteValue rather than in overflowing sample statistics."""
     return {name: getattr(oracles, name)(params) for name in _CELL_ORACLES}
 
 
-def _oracle_checks(
-    params: OuParams,
-    convention: IndexConvention,
-    stats: _CellStats,
-    exact: dict[str, float],
-    nerr_cumulants: SampleCumulants | None,
-) -> tuple[OracleCheck, ...]:
+def _cell_checks(
+    params: OuParams, convention: IndexConvention, sums: BlockSums, exact: dict[str, float]
+) -> list[OracleCheck]:
+    """The oracle rows and the decomposition identity: one cell's gates, the
+    same for every estimator."""
     theta = params.theta
     horizon = params.horizon
     sqrt_t = math.sqrt(horizon)
-    fz = stats.fz_body if convention is IndexConvention.BODY else stats.fz_abs
-    lam_scaled = stats.lam / sqrt_t
+    head = convention is IndexConvention.BODY
+    fz = (sums.z_head_sq if head else sums.z_tail_sq) / params.n
+    a, s2 = transition_coefficients(theta, params.delta)
+    lam = math.sqrt(s2) * sums.x_xi
+    lam_scaled = lam / sqrt_t
     # exact_var_lambda is the raw second moment; E[Lambda_n] = 0 exactly.
     sq = lam_scaled**2
     se_sq = float(np.std(sq, ddof=1)) / math.sqrt(sq.size)
     rows = [("exact_var_lambda", float(np.mean(sq)), se_sq)]
     # Jackknife cumulants need 4 observations; below that only the raw second
     # moment and the pathwise decomposition are checked.
-    if stats.lam.size >= CUMULANT_MIN_SAMPLE:
+    if lam.size >= CUMULANT_MIN_SAMPLE:
         sc_f = sample_cumulants(sqrt_t * (fz - 1.0 / (2.0 * theta)))
         sc_l = sample_cumulants(lam_scaled)
         rows = [
@@ -443,10 +415,10 @@ def _oracle_checks(
 
     # Pathwise decomposition: -theta_hat = (e^{-theta delta} - 1)/delta
     # + Lambda_n / S_n, checked on every non-degenerate path.
-    a, _ = transition_coefficients(theta, params.delta)
     drift_term = (a - 1.0) / params.delta
-    est, _, good = stats.estimates(Estimator.AMLE, convention, horizon)
-    resid = np.abs(-est - (drift_term + stats.lam[good] / stats.s_n[good]))
+    est, _, good = _estimates(sums, params, Estimator.AMLE, convention)
+    s_n = params.delta * sums.x_head_sq
+    resid = np.abs(-est - (drift_term + lam[good] / s_n[good]))
     rel = resid / (1.0 + np.abs(est))
     worst = float(np.max(rel)) if rel.size else 0.0
     checks.append(
@@ -460,74 +432,90 @@ def _oracle_checks(
             note=f"max relative residual over paths, tolerance {DECOMP_TOL:g}",
         )
     )
+    return checks
 
-    # Finite-size cumulant screen on the normalized errors, informational: the
-    # third cumulant decays like the rate bound, not faster, so it sits many
-    # standard errors from 0 at desk scale.
-    if nerr_cumulants is not None:
-        c = nerr_cumulants
-        for order, k, se in ((3, c.k3, c.se_k3), (4, c.k4, c.se_k4)):
-            checks.append(
-                _se_check(
-                    f"screen_k{order}_normalized_errors", 0.0, k, se, gated=False,
-                    note="finite-size cumulant; decays with the rate bound",
-                )
+
+def _summaries(
+    params: OuParams,
+    sums: BlockSums,
+    estimators: tuple[Estimator, ...],
+    master_seed: int,
+    convention: IndexConvention,
+    n_bootstrap: int,
+) -> tuple[McSummary, ...]:
+    """One McSummary per estimator from one cell's sums (see `run_cell`)."""
+    if not estimators:
+        return ()
+    reps = sums.x_xi.size
+    # After the simulation: taken before it, the oracles' temporary arrays
+    # raised verify's peak RSS at n = 262144 from 133 to 153 MiB.
+    exact = _exact_oracles(params)
+    selections = [_estimates(sums, params, e, convention) for e in estimators]
+    degenerate = [reps - int(np.count_nonzero(good)) for _, _, good in selections]
+    for count in degenerate:
+        if count > DEGENERACY_ABORT_FRACTION * reps:
+            raise ExcessiveDegeneracy(
+                f"{count} of {reps} paths degenerate at cell "
+                f"(n={params.n}, delta={params.delta}); exceeds "
+                f"{DEGENERACY_ABORT_FRACTION:.1%}"
             )
-    return tuple(checks)
+    shared = _cell_checks(params, convention, sums, exact)
+    summaries = []
+    for estimator, (estimates, _, _), count in zip(estimators, selections, degenerate):
+        errors = estimates - params.theta
+        nerr = normalized_error(estimates, params, params.theta)
+        cumulants = sample_cumulants(nerr) if nerr.size >= CUMULANT_MIN_SAMPLE else None
+        distance = distance_report(nerr, n_bootstrap=n_bootstrap, seed=master_seed)
+        checks = list(shared)
+        # Finite-size cumulant screen on the normalized errors, informational:
+        # the third cumulant decays like the rate bound, not faster, so it
+        # sits many standard errors from 0 at desk scale.
+        if cumulants is not None:
+            c = cumulants
+            for order, k, se in ((3, c.k3, c.se_k3), (4, c.k4, c.se_k4)):
+                checks.append(
+                    _se_check(
+                        f"screen_k{order}_normalized_errors", 0.0, k, se, gated=False,
+                        note="finite-size cumulant; decays with the rate bound",
+                    )
+                )
+        summaries.append(
+            McSummary(
+                cell=(params.n, params.delta),
+                estimator=estimator,
+                replications=reps,
+                theta=params.theta,
+                convention=convention,
+                distance=distance,
+                cumulants=cumulants,
+                mean_error=float(np.mean(errors)),
+                rmse=float(np.sqrt(np.mean(errors**2))),
+                mae=float(np.mean(np.abs(errors))),
+                degenerate_count=count,
+                oracle_checks=tuple(checks),
+            )
+        )
+    return tuple(summaries)
 
 
 def run_cell(
     params: OuParams,
-    estimator: Estimator,
+    estimators: tuple[Estimator, ...],
     replications: int,
     master_seed: int,
     *,
     convention: IndexConvention = IndexConvention.BODY,
     n_bootstrap: int = 200,
-) -> McSummary:
-    """Simulate one cell and summarize one estimator's error distribution.
+) -> tuple[McSummary, ...]:
+    """Simulate one cell once and summarize each estimator's error
+    distribution on its paths, in the order given.
 
     Deterministic given master_seed regardless of worker count.  Degenerate
     paths (denominator at or below the guard) are excluded and counted; more
     than DEGENERACY_ABORT_FRACTION of them aborts the cell.
     """
-    if replications < 2:
-        raise ValueError(f"replications must be >= 2, got {replications}")
-    theta = params.theta
-    stats = _cell_stats_cached(
-        params.theta, params.delta, params.n, replications, master_seed
-    )
-    # After the simulation: taken before it, the oracles' temporary arrays
-    # raised verify's peak RSS at n = 262144 from 133 to 153 MiB.
-    exact = _exact_oracles(params)
-    estimates, _, good = stats.estimates(estimator, convention, params.horizon)
-    degenerate = replications - int(np.count_nonzero(good))
-    if degenerate > DEGENERACY_ABORT_FRACTION * replications:
-        raise ExcessiveDegeneracy(
-            f"{degenerate} of {replications} paths degenerate at cell "
-            f"(n={params.n}, delta={params.delta}); exceeds "
-            f"{DEGENERACY_ABORT_FRACTION:.1%}"
-        )
-
-    errors = estimates - theta
-    nerr = normalized_error(estimates, params, theta)
-    cumulants = sample_cumulants(nerr) if nerr.size >= CUMULANT_MIN_SAMPLE else None
-    distance = distance_report(nerr, n_bootstrap=n_bootstrap, seed=master_seed)
-    checks = _oracle_checks(params, convention, stats, exact, cumulants)
-    return McSummary(
-        cell=(params.n, params.delta),
-        estimator=estimator,
-        replications=replications,
-        theta=theta,
-        convention=convention,
-        distance=distance,
-        cumulants=cumulants,
-        mean_error=float(np.mean(errors)),
-        rmse=float(np.sqrt(np.mean(errors**2))),
-        mae=float(np.mean(np.abs(errors))),
-        degenerate_count=degenerate,
-        oracle_checks=checks,
-    )
+    sums = _cell_sums(params, Variant.STATIONARY, replications, master_seed)
+    return _summaries(params, sums, estimators, master_seed, convention, n_bootstrap)
 
 
 def fit_rate(
@@ -571,40 +559,41 @@ def fit_rate(
     )
 
 
-def run_schedule(
-    schedule: Schedule,
-    estimator: Estimator,
-    replications: int,
-    master_seed: int,
-    *,
-    theta: float = 1.0,
-    convention: IndexConvention = IndexConvention.BODY,
-    n_bootstrap: int = 200,
-) -> ScheduleResult:
-    """Run every cell of a schedule and fit W1 against the rate bound.
+@dataclass(frozen=True)
+class CouplingRow:
+    n: int
+    delta: float
+    l2: float
+    l4: float
+    l2_scaled: float  # l2 * (n * delta)
 
-    Rate fits are CLT statements, so they are produced only for CLT-valid
-    schedules (with >= 3 cells and >= FIT_MIN_REPLICATIONS replications); other
-    schedules get summaries with no fit.
-    """
-    summaries = tuple(
-        run_cell(
-            cell.params(theta),
-            estimator,
-            replications,
-            master_seed,
-            convention=convention,
-            n_bootstrap=n_bootstrap,
-        )
-        for cell in schedule.cells
+
+@dataclass(frozen=True)
+class CouplingReport:
+    rows: tuple[CouplingRow, ...]
+    spread: float  # max / min of l2_scaled across rows
+    within_factor_10: bool
+
+
+def _coupling_row(params: OuParams, sums: BlockSums, convention: IndexConvention) -> CouplingRow:
+    """Empirical L2/L4 norms of F_n(X) - F_n(Z) on one cell's coupled paths."""
+    head = convention is IndexConvention.BODY
+    fx = (sums.x_head_sq if head else sums.x_tail_sq) / params.n
+    fz = (sums.z_head_sq if head else sums.z_tail_sq) / params.n
+    diff = math.sqrt(params.horizon) * (fx - fz)
+    l2 = float(np.sqrt(np.mean(diff**2)))
+    l4 = float(np.mean(diff**4) ** 0.25)
+    return CouplingRow(
+        n=params.n, delta=params.delta, l2=l2, l4=l4, l2_scaled=l2 * params.horizon
     )
+
+
+def _schedule_result(
+    schedule: Schedule, estimator: Estimator, summaries: tuple[McSummary, ...]
+) -> ScheduleResult:
+    """One estimator's summaries with its rate fits on a CLT-valid schedule."""
     bound_fit = dominant_fit = None
     if schedule.clt_valid:
-        if replications < FIT_MIN_REPLICATIONS:
-            raise ValueError(
-                f"rate fits need replications >= {FIT_MIN_REPLICATIONS}, "
-                f"got {replications}"
-            )
         response = (
             RateResponse.W1_AMCE if estimator is Estimator.AMCE else RateResponse.W1_AMLE
         )
@@ -635,20 +624,48 @@ def run_schedule(
     )
 
 
-@dataclass(frozen=True)
-class CouplingRow:
-    n: int
-    delta: float
-    l2: float
-    l4: float
-    l2_scaled: float  # l2 * (n * delta)
+def run_schedule(
+    schedule: Schedule,
+    estimators: tuple[Estimator, ...],
+    replications: int,
+    master_seed: int,
+    *,
+    theta: float = 1.0,
+    convention: IndexConvention = IndexConvention.BODY,
+    n_bootstrap: int = 200,
+) -> tuple[tuple[ScheduleResult, ...], CouplingReport]:
+    """Run every cell of a schedule once: one ScheduleResult per estimator,
+    in the order given, and the coupling report of the same paths.
 
-
-@dataclass(frozen=True)
-class CouplingReport:
-    rows: tuple[CouplingRow, ...]
-    spread: float  # max / min of l2_scaled across rows
-    within_factor_10: bool
+    Rate fits are CLT statements, so they are produced only for CLT-valid
+    schedules (with >= 3 cells and >= FIT_MIN_REPLICATIONS replications); other
+    schedules get summaries with no fit.  The coupling report's scaled column
+    l2 * (n delta) is the quantity whose spread across cells the factor-10
+    check constrains.
+    """
+    if schedule.clt_valid and estimators and replications < FIT_MIN_REPLICATIONS:
+        raise ValueError(
+            f"rate fits need replications >= {FIT_MIN_REPLICATIONS}, got {replications}"
+        )
+    per_cell, rows = [], []
+    for cell in schedule.cells:
+        params = cell.params(theta)
+        sums = _cell_sums(params, Variant.STATIONARY, replications, master_seed)
+        per_cell.append(
+            _summaries(params, sums, estimators, master_seed, convention, n_bootstrap)
+        )
+        rows.append(_coupling_row(params, sums, convention))
+    results = tuple(
+        _schedule_result(schedule, estimator, summaries)
+        for estimator, summaries in zip(estimators, zip(*per_cell))
+    )
+    scaled = [r.l2_scaled for r in rows]
+    if any(s == 0.0 for s in scaled):
+        spread = 1.0 if all(s == 0.0 for s in scaled) else math.inf
+    else:
+        spread = max(scaled) / min(scaled)
+    coupling = CouplingReport(rows=tuple(rows), spread=spread, within_factor_10=spread <= 10.0)
+    return results, coupling
 
 
 def coupling_check(
@@ -659,40 +676,9 @@ def coupling_check(
     theta: float = 1.0,
     convention: IndexConvention = IndexConvention.BODY,
 ) -> CouplingReport:
-    """Empirical L2/L4 norms of F_n(X) - F_n(Z) on coupled paths, per cell.
-
-    The scaled column l2 * (n delta) is the quantity whose spread across cells
-    the factor-10 check constrains.
-    """
-    rows = []
-    for cell in schedule.cells:
-        params = cell.params(theta)
-        stats = _cell_stats_cached(
-            params.theta, params.delta, params.n, replications, master_seed
-        )
-        if convention is IndexConvention.BODY:
-            fx, fz = stats.f_body, stats.fz_body
-        else:
-            fx, fz = stats.f_abs, stats.fz_abs
-        diff = math.sqrt(params.horizon) * (fx - fz)
-        l2 = float(np.sqrt(np.mean(diff**2)))
-        l4 = float(np.mean(diff**4) ** 0.25)
-        rows.append(
-            CouplingRow(
-                n=cell.n,
-                delta=cell.delta,
-                l2=l2,
-                l4=l4,
-                l2_scaled=l2 * cell.horizon,
-            )
-        )
-    scaled = [r.l2_scaled for r in rows]
-    if any(s == 0.0 for s in scaled):
-        spread = 1.0 if all(s == 0.0 for s in scaled) else math.inf
-    else:
-        spread = max(scaled) / min(scaled)
-    return CouplingReport(
-        rows=tuple(rows),
-        spread=spread,
-        within_factor_10=spread <= 10.0,
+    """Empirical L2/L4 norms of F_n(X) - F_n(Z) on coupled paths, per cell:
+    `run_schedule` with no estimators."""
+    _, report = run_schedule(
+        schedule, (), replications, master_seed, theta=theta, convention=convention
     )
+    return report

@@ -231,7 +231,8 @@ def exact_k3_lambda(params: OuParams) -> float:
 
     scaled here by T^{-3/2}.  Strictly positive for n >= 3, identically zero
     for n <= 2, and of order 1/sqrt(T) after scaling.  Both 1 - q^k factors
-    are taken with expm1, so small theta*delta loses no digits.
+    are taken with expm1, so small theta*delta loses no digits, and T^{-3/2}
+    enters as (s2 / T) (s2 / sqrt(T)), as s2^2 underflows at tiny delta.
     """
     theta, delta, n = params.theta, params.delta, params.n
     if n <= 2:
@@ -241,8 +242,8 @@ def exact_k3_lambda(params: OuParams) -> float:
     i = np.arange(2, n, dtype=np.float64)
     var_x = -np.expm1(-2.0 * theta * delta * (i - 1.0)) / (2.0 * theta)
     tail = a * -np.expm1(-2.0 * theta * delta * (n - i)) / u
-    kappa3 = 6.0 * s2**2 * float(np.sum(var_x * tail))
-    return kappa3 / params.horizon**1.5
+    horizon = params.horizon
+    return 6.0 * (s2 / horizon) * (s2 / math.sqrt(horizon)) * float(np.sum(var_x * tail))
 
 
 @_finite_oracle

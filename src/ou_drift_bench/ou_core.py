@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -131,12 +132,15 @@ def transition_coefficients(theta: float, delta: float) -> tuple[float, float]:
 
     a = e^{-theta delta} and s2 = (1 - e^{-2 theta delta}) / (2 theta), the
     conditional mean factor and conditional variance of X_{t+delta} given X_t.
-    s2 uses expm1 so small theta*delta does not lose precision.
+    s2 uses expm1 so small theta*delta does not lose precision.  Once
+    x = 2 theta delta is below the smallest normal double it is rounded (or
+    0.0), while -expm1(-x) / x is 1 to double precision, so s2 is delta.
     """
     if theta <= 0.0 or delta <= 0.0:
         raise ValueError("theta and delta must be > 0")
     a = math.exp(-theta * delta)
-    s2 = -math.expm1(-2.0 * theta * delta) / (2.0 * theta)
+    x = 2.0 * theta * delta
+    s2 = delta if x < sys.float_info.min else -math.expm1(-x) / (2.0 * theta)
     return a, s2
 
 

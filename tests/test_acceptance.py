@@ -29,7 +29,6 @@ from ou_drift_bench import (
     Variant,
     amle,
     big_f_n,
-    clear_caches,
     coupling_check,
     exact_k3_lambda,
     exact_k4_lambda,
@@ -261,11 +260,8 @@ def clt_results():
     """Both estimators on the square-root schedule, 10^4 replications."""
     schedule = preset_schedule("amce-gamma-half")
     start = time.perf_counter()
-    results = {
-        est: run_schedule(schedule, est, 10_000, SEED)
-        for est in (Estimator.AMCE, Estimator.AMLE)
-    }
-    return results, time.perf_counter() - start
+    results, _ = run_schedule(schedule, (Estimator.AMCE, Estimator.AMLE), 10_000, SEED)
+    return {r.estimator: r for r in results}, time.perf_counter() - start
 
 
 def test_06_w1_clt_decrease_with_pilot_baseline(clt_results):
@@ -362,7 +358,6 @@ def test_09_csv_byte_determinism_workers_and_reruns(tmp_path, monkeypatch):
         for tag, workers in (("one", "1"), ("max", max_workers), ("rerun", "1")):
             out = tmp_path / f"case{idx}-{tag}"
             monkeypatch.setenv("OU_BENCH_THREADS", workers)
-            clear_caches()
             assert main(argv + ["--out", str(out)]) == 0, argv
             outs.append(out)
         names = sorted(p.name for p in outs[0].glob("*.csv"))

@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,18 +15,13 @@ from ou_drift_bench import (
     Variant,
     amce,
     amle,
-    clear_caches,
     exact_var_fn_z,
+    harness,
     k3_fn_z,
     simulate_path,
 )
 from ou_drift_bench.cli import CSV_SCHEMA_LINE, build_config, main, read_bench_csv
 from ou_drift_bench.errors import ConfigError
-
-
-def _run(argv):
-    clear_caches()
-    return main(argv)
 
 
 def _rows(path: Path):
@@ -35,7 +31,7 @@ def _rows(path: Path):
 
 def test_simulate_row_count_and_schema(tmp_path):
     out = tmp_path / "sim"
-    assert _run(["simulate", "--n", "4", "--delta", "0.25", "--seed", "5",
+    assert main(["simulate", "--n", "4", "--delta", "0.25", "--seed", "5",
                  "--out", str(out)]) == 0
     target = out / "paths.csv"
     text = target.read_text()
@@ -49,13 +45,13 @@ def test_simulate_row_count_and_schema(tmp_path):
 
 def test_simulate_variant_columns(tmp_path):
     out = tmp_path / "stat"
-    assert _run(["simulate", "--n", "3", "--variant", "stationary",
+    assert main(["simulate", "--n", "3", "--variant", "stationary",
                  "--out", str(out)]) == 0
     header, _ = _rows(out / "paths.csv")
     assert header == ["t", "z"]
 
     out2 = tmp_path / "coupled"
-    assert _run(["simulate", "--n", "3", "--variant", "stationary", "--coupled",
+    assert main(["simulate", "--n", "3", "--variant", "stationary", "--coupled",
                  "--out", str(out2)]) == 0
     header2, rows2 = _rows(out2 / "paths.csv")
     assert header2 == ["t", "z", "x"]
@@ -66,7 +62,7 @@ def test_simulate_variant_columns(tmp_path):
 def test_simulate_coupled_needs_stationary_variant(tmp_path, capsys):
     # the flag was once dropped without a word and t,x written
     out = tmp_path / "coupled-from-zero"
-    assert _run(["simulate", "--n", "3", "--coupled", "--out", str(out)]) == 2
+    assert main(["simulate", "--n", "3", "--coupled", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "coupled" in err
     assert not out.exists()
@@ -75,13 +71,13 @@ def test_simulate_coupled_needs_stationary_variant(tmp_path, capsys):
 def test_simulate_byte_identical_rerun(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert _run(["simulate", "--n", "16", "--seed", "9", "--out", str(out)]) == 0
+        assert main(["simulate", "--n", "16", "--seed", "9", "--out", str(out)]) == 0
     assert (a / "paths.csv").read_bytes() == (b / "paths.csv").read_bytes()
 
 
 def test_estimate_outputs_records(tmp_path):
     out = tmp_path / "est"
-    assert _run(["estimate", "--n", "200", "--delta", "0.05", "--reps", "8",
+    assert main(["estimate", "--n", "200", "--delta", "0.05", "--reps", "8",
                  "--seed", "3", "--out", str(out)]) == 0
     header, rows = _rows(out / "estimates.csv")
     assert header == ["estimator", "path", "estimate", "denominator", "normalized_error"]
@@ -98,7 +94,7 @@ def test_estimate_rows_match_per_path_api(tmp_path, n, convention):
     # with them on the rest, path i on stream i.
     out = tmp_path / "est"
     reps, theta, delta = 40, 1.5, 0.05
-    assert _run(["estimate", "--n", str(n), "--delta", str(delta), "--theta", str(theta),
+    assert main(["estimate", "--n", str(n), "--delta", str(delta), "--theta", str(theta),
                  "--reps", str(reps), "--index-convention", convention, "--seed", "4",
                  "--out", str(out)]) == 0
     _, rows = _rows(out / "estimates.csv")
@@ -125,7 +121,7 @@ def test_estimate_rows_match_per_path_api(tmp_path, n, convention):
 
 def test_oracle_values_round_trip(tmp_path):
     out = tmp_path / "orc"
-    assert _run(["oracle", "--theta", "3.0", "--n", "64", "--delta", "0.1",
+    assert main(["oracle", "--theta", "3.0", "--n", "64", "--delta", "0.1",
                  "--out", str(out)]) == 0
     header, rows = _rows(out / "oracle.csv")
     assert header == ["quantity", "exact", "asymptotic", "bound"]
@@ -140,7 +136,7 @@ def test_oracle_rows_filled_at_large_n(tmp_path, capsys):
     # the default n = 1000
     for n in (513, 1000):
         out = tmp_path / f"orc-{n}"
-        assert _run(["oracle", "--n", str(n), "--delta", "0.05", "--out", str(out)]) == 0
+        assert main(["oracle", "--n", str(n), "--delta", "0.05", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         _, rows = _rows(out / "oracle.csv")
         by_name = {r["quantity"]: r for r in rows}
@@ -164,7 +160,7 @@ def test_oracle_rows_filled_at_large_n(tmp_path, capsys):
 def test_non_finite_oracle_is_an_error(tmp_path, capsys, argv, quantity):
     # each once ended in an OverflowError or ZeroDivisionError traceback
     out = tmp_path / "o"
-    assert _run(argv + ["--out", str(out)]) == 1
+    assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"{quantity} is " in err and "at cell (theta=" in err
@@ -175,20 +171,57 @@ def test_oracle_rows_finite_at_tiny_delta(tmp_path):
     # k4_fn_z_bound was once nan here (g^2 overflowing against p^2
     # underflowing) and k4_lambda divided an underflowed 0 by another
     out = tmp_path / "o"
-    assert _run(["oracle", "--delta", "1e-200", "--out", str(out)]) == 0
+    assert main(["oracle", "--delta", "1e-200", "--out", str(out)]) == 0
     _, rows = _rows(out / "oracle.csv")
     values = [float(r[c]) for r in rows for c in ("exact", "asymptotic", "bound")]
     assert len(values) == 15 and all(math.isfinite(v) for v in values)
+
+
+def test_simulate_where_two_theta_delta_underflows(tmp_path):
+    # s2 once read 0 here, so the path was exact zeros; with a = 1 the path
+    # is sqrt(delta) times the running sum of the innovations
+    out = tmp_path / "s"
+    argv = ["simulate", "--theta", "1e-200", "--delta", "1e-200", "--n", "5", "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    _, rows = _rows(out / "paths.csv")
+    x = [float(r["x"]) for r in rows]
+    path = simulate_path(OuParams(theta=1e-200, delta=1e-200, n=5), Variant.FROM_ZERO, 5)
+    want = 1e-100 * np.cumsum(path.innovations)
+    assert x[0] == 0.0 and all(v != 0.0 for v in x[1:])
+    np.testing.assert_allclose(x[1:], want, rtol=1e-12)
 
 
 def test_gated_check_with_infinite_se_fails(tmp_path, capsys):
     # The jackknife SE of k4_fn_z_bound overflows at this cell; against
     # se=inf the gate once read PASS.
     argv = ["verify", "--n", "64", "--reps", "1000", "--theta", "1e-40"]
-    assert _run(argv + ["--out", str(tmp_path / "v")]) == 1
+    assert main(argv + ["--out", str(tmp_path / "v")]) == 1
     out = capsys.readouterr().out
     assert "se=inf verdict=FAIL [gated]" in out
     assert "se=inf verdict=PASS" not in out and "VERIFY PASS" not in out
+
+
+def test_each_cell_simulated_once_per_command(tmp_path, monkeypatch):
+    # Both estimators, the shared gates and the coupling rows take one
+    # simulation of a cell; a second pass over the cells would double it.
+    calls = []
+    cell_sums = harness._cell_sums
+
+    def counted(params, *args):
+        calls.append((params.n, params.delta))
+        return cell_sums(params, *args)
+
+    monkeypatch.setattr(harness, "_cell_sums", counted)
+    sweep = [(256, 0.05), (1024, 0.05), (4096, 0.05)]
+    argv = ["rates", "--preset", "coupling-sweep", "--estimator", "both", "--reps", "200"]
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 0
+    assert calls == sweep
+    calls.clear()
+    # At 200 paths some cumulant gates fail by chance; the verdict is not
+    # what this test checks, only that the report was written.
+    main(["verify", "--n", "64", "--reps", "200", "--out", str(tmp_path / "v")])
+    assert (tmp_path / "v" / "verify.md").is_file()
+    assert calls == [(64, 0.05), *sweep]
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -196,7 +229,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg.write_text("theta_true: 2.0\nn: 64\ndelta: 0.2\n")
     out = tmp_path / "cfg"
     # flag overrides the file value for theta, file wins for delta
-    assert _run(["oracle", "--config", str(cfg), "--theta", "3.0", "--n", "32",
+    assert main(["oracle", "--config", str(cfg), "--theta", "3.0", "--n", "32",
                  "--out", str(out)]) == 0
     _, rows = _rows(out / "oracle.csv")
     by_name = {r["quantity"]: r for r in rows}
@@ -209,12 +242,12 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     # emit, the old output selection, is gone: every command writes all its files
     for text, key in (("thetaa: 2.0\n", "thetaa"), ("emit: [cells_csv]\n", "emit")):
         cfg.write_text(text)
-        assert _run(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_invalid_theta_exits_2(tmp_path, capsys):
-    assert _run(["oracle", "--theta", "-1.0", "--out", str(tmp_path / "o")]) == 2
+    assert main(["oracle", "--theta", "-1.0", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "theta" in err
 
@@ -222,12 +255,12 @@ def test_invalid_theta_exits_2(tmp_path, capsys):
 def test_unknown_preset_rejected(tmp_path, capsys):
     # the flag is constrained by argparse choices
     with pytest.raises(SystemExit) as exc:
-        _run(["rates", "--preset", "no-such", "--out", str(tmp_path / "o")])
+        main(["rates", "--preset", "no-such", "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     # a bad schedule name in the config file goes through RunConfig validation
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("schedule: no-such\n")
-    assert _run(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "schedule" in capsys.readouterr().err
 
 
@@ -240,7 +273,7 @@ def test_read_bench_csv_rejects_foreign_schema(tmp_path):
 
 def test_verify_passes_at_moderate_cell(tmp_path, capsys):
     out = tmp_path / "ver"
-    code = _run(["verify", "--reps", "2000", "--n", "256", "--delta", "0.05",
+    code = main(["verify", "--reps", "2000", "--n", "256", "--delta", "0.05",
                  "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 0, captured.out + captured.err
@@ -252,7 +285,7 @@ def test_verify_passes_at_moderate_cell(tmp_path, capsys):
 
 def test_rates_coupling_sweep_outputs(tmp_path):
     out = tmp_path / "sweep"
-    assert _run(["rates", "--preset", "coupling-sweep", "--reps", "300",
+    assert main(["rates", "--preset", "coupling-sweep", "--reps", "300",
                  "--estimator", "amce", "--out", str(out)]) == 0
     header, rows = _rows(out / "cells.csv")
     assert len(rows) == 3
@@ -268,7 +301,7 @@ def test_rates_coupling_sweep_outputs(tmp_path):
 
 def test_rates_clt_preset_emits_fits_and_plotdata(tmp_path):
     out = tmp_path / "clt"
-    assert _run(["rates", "--preset", "amce-gamma-half", "--reps", "120",
+    assert main(["rates", "--preset", "amce-gamma-half", "--reps", "120",
                  "--estimator", "amce", "--out", str(out)]) == 0
     _, rrows = _rows(out / "rates.csv")
     assert len(rrows) == 2
@@ -287,7 +320,7 @@ def test_rates_clt_preset_emits_fits_and_plotdata(tmp_path):
 def test_rates_byte_identical_across_reruns_and_workers(tmp_path, monkeypatch):
     def run_into(out, threads):
         monkeypatch.setenv("OU_BENCH_THREADS", str(threads))
-        assert _run(["rates", "--preset", "coupling-sweep", "--reps", "300",
+        assert main(["rates", "--preset", "coupling-sweep", "--reps", "300",
                      "--estimator", "amle", "--out", str(out)]) == 0
 
     a, b = tmp_path / "w1", tmp_path / "wmax"
@@ -309,7 +342,7 @@ def test_rates_byte_identical_across_reruns_and_workers(tmp_path, monkeypatch):
 def test_too_few_replications_is_a_config_error(tmp_path, capsys, argv, floor):
     # Each once ended in a traceback (ValueError, AttributeError) or a
     # vacuous VERIFY PASS with every cumulant gate skipped.
-    assert _run(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     assert "config error" in captured.err
     assert "replications" in captured.err and floor in captured.err
@@ -321,7 +354,7 @@ def test_too_few_replications_is_a_config_error(tmp_path, capsys, argv, floor):
 def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threads):
     # once a ValueError traceback from the worker-pool sizing
     monkeypatch.setenv("OU_BENCH_THREADS", threads)
-    assert _run(["verify", "--n", "64", "--reps", "10", "--out", str(tmp_path / "o")]) == 2
+    assert main(["verify", "--n", "64", "--reps", "10", "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     assert "config error" in captured.err and "OU_BENCH_THREADS" in captured.err
     assert "VERIFY" not in captured.out
@@ -349,7 +382,7 @@ def test_config_file_values_are_not_coerced(tmp_path, capsys, text, field):
     # ran twice, and a mapping, whose keys ran as estimators
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
-    assert _run(["simulate", "--variant", "stationary", "--config", str(cfg),
+    assert main(["simulate", "--variant", "stationary", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"{field}:" in err

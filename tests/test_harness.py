@@ -1,8 +1,8 @@
 """Monte Carlo harness: cells, schedules, rate fits, coupling, determinism."""
 
-import itertools
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from ou_drift_bench import (
     Variant,
     amle,
     bound_terms,
-    clear_caches,
     coupling_check,
     exact_var_fn_z,
     f_n,
@@ -32,6 +31,7 @@ from ou_drift_bench import (
     run_cell,
     run_schedule,
     simulate_coupled,
+    transition_coefficients,
 )
 
 SEED = 20260822
@@ -133,32 +133,28 @@ def test_fit_rate_error_paths():
 def test_run_cell_bit_identical_across_workers(monkeypatch):
     p = OuParams(theta=1.0, delta=0.05, n=300)
     monkeypatch.setenv("OU_BENCH_THREADS", "1")
-    clear_caches()
-    serial = run_cell(p, Estimator.AMLE, 500, SEED, n_bootstrap=50)
+    serial = run_cell(p, (Estimator.AMLE,), 500, SEED, n_bootstrap=50)
     monkeypatch.setenv("OU_BENCH_THREADS", "4")
-    clear_caches()
-    threaded = run_cell(p, Estimator.AMLE, 500, SEED, n_bootstrap=50)
-    clear_caches()
+    threaded = run_cell(p, (Estimator.AMLE,), 500, SEED, n_bootstrap=50)
     assert serial == threaded
 
 
-_STATS_FIELDS = ("f_body", "f_abs", "fz_body", "fz_abs", "amle_num", "s_n", "lam")
+_STATS_FIELDS = tuple(f.name for f in fields(ou_core.BlockSums))
 
 
 def _per_path_stats(p, reps, seed):
-    """Every _CellStats field recomputed one path at a time through the API."""
+    """Every BlockSums field recomputed one path at a time through the API."""
     ref = {name: np.empty(reps) for name in _STATS_FIELDS}
+    _, s2 = transition_coefficients(p.theta, p.delta)
     for i in range(reps):
         x, z = simulate_coupled(p, seed, stream=i)
         rec = amle(x)
-        s_n = rec.denominator * p.horizon
-        ref["f_body"][i] = f_n(x, IndexConvention.BODY)
-        ref["f_abs"][i] = f_n(x, IndexConvention.ABSTRACT)
-        ref["fz_body"][i] = f_n(z, IndexConvention.BODY)
-        ref["fz_abs"][i] = f_n(z, IndexConvention.ABSTRACT)
-        ref["amle_num"][i] = rec.estimate * s_n
-        ref["s_n"][i] = s_n
-        ref["lam"][i] = lambda_n(x)
+        ref["x_head_sq"][i] = p.n * f_n(x, IndexConvention.BODY)
+        ref["x_tail_sq"][i] = p.n * f_n(x, IndexConvention.ABSTRACT)
+        ref["z_head_sq"][i] = p.n * f_n(z, IndexConvention.BODY)
+        ref["z_tail_sq"][i] = p.n * f_n(z, IndexConvention.ABSTRACT)
+        ref["amle_num"][i] = rec.estimate * rec.denominator * p.horizon
+        ref["x_xi"][i] = lambda_n(x) / math.sqrt(s2)
     return ref
 
 
@@ -168,7 +164,7 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
     p = OuParams(theta=1.0, delta=0.05, n=3 * 64 + 17)
     monkeypatch.setenv("OU_BENCH_THREADS", "1")
-    stats = harness._compute_cell_stats(p, Variant.STATIONARY, 130, SEED)
+    stats = harness._cell_sums(p, Variant.STATIONARY, 130, SEED)
     ref = _per_path_stats(p, 130, SEED)
     for name in _STATS_FIELDS:
         np.testing.assert_allclose(
@@ -177,9 +173,9 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
 
     # Enough rows for two blocks, so two workers really split the cell.
     reps = ou_core.block_rows(p.n) + 100
-    serial = harness._compute_cell_stats(p, Variant.STATIONARY, reps, SEED)
+    serial = harness._cell_sums(p, Variant.STATIONARY, reps, SEED)
     monkeypatch.setenv("OU_BENCH_THREADS", "2")
-    threaded = harness._compute_cell_stats(p, Variant.STATIONARY, reps, SEED)
+    threaded = harness._cell_sums(p, Variant.STATIONARY, reps, SEED)
     for name in _STATS_FIELDS:
         assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
 
@@ -193,41 +189,43 @@ def test_long_cell_memory_bounded(monkeypatch, n, reps):
     p = OuParams(theta=1.0, delta=0.05, n=n)
     tracemalloc.start()
     try:
-        harness._compute_cell_stats(p, Variant.STATIONARY, reps, SEED)
+        harness._cell_sums(p, Variant.STATIONARY, reps, SEED)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
-def test_cached_cell_stats_are_read_only():
-    clear_caches()
-    stats = harness._cell_stats_cached(1.0, 0.1, 64, 8, SEED)
-    for name in _STATS_FIELDS:
-        with pytest.raises(ValueError):
-            getattr(stats, name)[0] = 0.0
-    clear_caches()
-
-
 def test_run_cell_two_replications_deterministic():
     p = OuParams(theta=1.0, delta=0.1, n=64)
-    clear_caches()
-    one = run_cell(p, Estimator.AMCE, 2, 7, n_bootstrap=10)
-    clear_caches()
-    two = run_cell(p, Estimator.AMCE, 2, 7, n_bootstrap=10)
+    (one,) = run_cell(p, (Estimator.AMCE,), 2, 7, n_bootstrap=10)
+    (two,) = run_cell(p, (Estimator.AMCE,), 2, 7, n_bootstrap=10)
     assert one == two
     assert one.replications == 2
     assert one.cumulants is None
     with pytest.raises(ValueError):
-        run_cell(p, Estimator.AMCE, 1, 7)
+        run_cell(p, (Estimator.AMCE,), 1, 7)
+
+
+def test_run_cell_estimators_share_one_simulation():
+    # Summaries of both estimators from one call are those of one call each:
+    # the shared gate rows and the paths do not depend on the estimator set.
+    p = OuParams(theta=1.0, delta=0.1, n=128)
+    both = run_cell(p, (Estimator.AMLE, Estimator.AMCE), 300, SEED, n_bootstrap=20)
+    amle_only = run_cell(p, (Estimator.AMLE,), 300, SEED, n_bootstrap=20)
+    amce_only = run_cell(p, (Estimator.AMCE,), 300, SEED, n_bootstrap=20)
+    assert both == amle_only + amce_only
+    assert run_cell(p, (), 300, SEED) == ()
 
 
 def test_run_cell_gated_oracle_checks_pass():
     # n = 1024 is above the size where the F_n(Z) cumulant rows were once
     # left ungated
     cells = [OuParams(theta=1.0, delta=0.1, n=128), OuParams(theta=1.0, delta=0.05, n=1024)]
-    for p, estimator in itertools.product(cells, (Estimator.AMCE, Estimator.AMLE)):
-        summary = run_cell(p, estimator, 4000, SEED)
+    both = (Estimator.AMCE, Estimator.AMLE)
+    summaries = [summary for p in cells for summary in run_cell(p, both, 4000, SEED)]
+    assert [s.estimator for s in summaries] == [*both, *both]
+    for summary in summaries:
         assert summary.degenerate_count == 0
         assert summary.gated_pass, summary.failed_gates
         names = {c.name for c in summary.oracle_checks}
@@ -249,7 +247,7 @@ def test_run_cell_gated_oracle_checks_pass():
 
 def test_run_cell_summary_statistics_consistent():
     p = OuParams(theta=1.0, delta=0.05, n=256)
-    summary = run_cell(p, Estimator.AMCE, 2000, SEED)
+    (summary,) = run_cell(p, (Estimator.AMCE,), 2000, SEED)
     scale = math.sqrt(p.horizon / 2.0)
     # mean normalized error = scale * mean raw error
     assert summary.cumulants.mean == pytest.approx(scale * summary.mean_error, rel=1e-12)
@@ -257,12 +255,19 @@ def test_run_cell_summary_statistics_consistent():
     assert summary.distance.sample_size == 2000
 
 
-def test_run_cell_w1_regression_baseline():
+@pytest.fixture(scope="module")
+def amce_n4096():
+    """AMCE at (theta=1, n=4096, delta=n^{-1/2}) with 1e4 replications."""
+    p = OuParams(theta=1.0, delta=4096**-0.5, n=4096)
+    (summary,) = run_cell(p, (Estimator.AMCE,), 10_000, SEED, n_bootstrap=50)
+    return p, summary
+
+
+def test_run_cell_w1_regression_baseline(amce_n4096):
     # pilot value at this cell and seed, frozen 2026-08-22; the guard is the
     # regression band, current <= baseline * 1.1
     baseline = 0.21597
-    p = OuParams(theta=1.0, delta=4096**-0.5, n=4096)
-    summary = run_cell(p, Estimator.AMCE, 10_000, SEED, n_bootstrap=50)
+    _, summary = amce_n4096
     assert summary.distance.w1 <= baseline * 1.1
 
 
@@ -283,15 +288,14 @@ def _amce_finite_horizon_bias(p):
     )
 
 
-def test_mean_normalized_error_centering_example():
+def test_mean_normalized_error_centering_example(amce_n4096):
     # contracted example: mean of normalized errors within 3 standard errors
     # of its documented finite-horizon center at (theta=1, n=4096,
     # delta=n^{-1/2}, AMCE, 1e4 reps).  The CLT centers the fluctuation, not
     # the finite-T mean: the Jensen term of 1/(2 f_n) and the from-zero
     # transient leave a bias b(T) of order 1/sqrt(T) (+0.225 here, about 21
     # standard errors from 0), which must shrink along the schedule.
-    p = OuParams(theta=1.0, delta=4096**-0.5, n=4096)
-    summary = run_cell(p, Estimator.AMCE, 10_000, SEED, n_bootstrap=50)
+    p, summary = amce_n4096
     mean, se = summary.cumulants.mean, summary.cumulants.se_mean
     bias = _amce_finite_horizon_bias(p)
     assert abs(mean - bias) <= 3.0 * se, (
@@ -311,10 +315,12 @@ def test_run_schedule_replications_floor_binds_only_fits():
     clt = Schedule(name="mini-clt", cells=cells, clt_valid=True)
     with pytest.raises(ValueError):
         # distances would feed a rate fit, so the floor applies
-        run_schedule(clt, Estimator.AMCE, 50, SEED)
+        run_schedule(clt, (Estimator.AMCE,), 50, SEED)
+    with pytest.raises(ValueError):
+        run_schedule(preset_schedule("coupling-sweep"), (Estimator.AMCE,), 1, SEED)
     # non-CLT schedules produce no fit and accept small runs
-    small = run_schedule(
-        preset_schedule("coupling-sweep"), Estimator.AMCE, 50, SEED, n_bootstrap=20
+    (small,), _ = run_schedule(
+        preset_schedule("coupling-sweep"), (Estimator.AMCE,), 50, SEED, n_bootstrap=20
     )
     assert small.bound_fit is None and small.dominant_fit is None
 
@@ -322,7 +328,7 @@ def test_run_schedule_replications_floor_binds_only_fits():
 def test_run_schedule_clt_fits_and_non_clt_absence():
     cells = tuple(ScheduleCell(n=n, delta=n**-0.5) for n in (256, 512, 1024))
     clt = Schedule(name="mini-clt", cells=cells, clt_valid=True)
-    result = run_schedule(clt, Estimator.AMCE, 400, SEED, n_bootstrap=50)
+    (result,), _ = run_schedule(clt, (Estimator.AMCE,), 400, SEED, n_bootstrap=50)
     assert len(result.summaries) == 3
     for fit in (result.bound_fit, result.dominant_fit):
         assert fit is not None, "CLT-valid schedule must produce rate fits"
@@ -334,8 +340,19 @@ def test_run_schedule_clt_fits_and_non_clt_absence():
         name="mini-flat",
         cells=tuple(ScheduleCell(n=n, delta=0.05) for n in (256, 512)),
     )
-    flat_result = run_schedule(flat, Estimator.AMCE, 400, SEED, n_bootstrap=50)
+    (flat_result,), _ = run_schedule(flat, (Estimator.AMCE,), 400, SEED, n_bootstrap=50)
     assert flat_result.bound_fit is None and flat_result.dominant_fit is None
+
+
+def test_run_schedule_coupling_report_is_coupling_check():
+    sweep = preset_schedule("coupling-sweep")
+    results, coupling = run_schedule(
+        sweep, (Estimator.AMCE, Estimator.AMLE), 300, SEED, n_bootstrap=20
+    )
+    assert [r.estimator for r in results] == [Estimator.AMCE, Estimator.AMLE]
+    assert coupling == coupling_check(sweep, 300, SEED)
+    with pytest.raises(ValueError):
+        coupling_check(sweep, 1, SEED)
 
 
 def test_coupling_check_contracted_sweep():

@@ -6,6 +6,7 @@ kappa_r = 2^{r-1} (r-1)! tr(W^r) for the symmetric weight matrix W, evaluated
 through an eigendecomposition built directly from the definitions.
 """
 
+import functools
 import math
 from decimal import Decimal, localcontext
 
@@ -68,14 +69,17 @@ def _lambda_spectrum(theta, delta, n):
     return np.linalg.eigvalsh(sym)
 
 
-def _decimal_k4(weights, scale):
-    """48 tr(W^4) * scale in decimal, for an n x n nested list W."""
+def _decimal_cumulant(weights, order, scale):
+    """2^{r-1} (r-1)! tr(W^r) * scale in decimal, r = 3 or 4, for a symmetric
+    n x n nested list W."""
     n = len(weights)
     square = [
         [sum(weights[i][k] * weights[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    return 48 * sum(v * v for row in square for v in row) * scale
+    other = weights if order == 3 else square
+    trace = sum(square[i][j] * other[j][i] for i in range(n) for j in range(n))
+    return 2 ** (order - 1) * math.factorial(order - 1) * trace * scale
 
 
 def _decimal_k4_fn_z(theta, delta, n):
@@ -84,10 +88,10 @@ def _decimal_k4_fn_z(theta, delta, n):
         ctx.prec = 400  # enough digits that 1 - e^{-2e-200} keeps 50
         th, de = Decimal(theta), Decimal(delta)
         m = [[(-th * de * abs(i - j)).exp() / (2 * th) for j in range(n)] for i in range(n)]
-        return float(_decimal_k4(m, (de / n) ** 2))
+        return float(_decimal_cumulant(m, 4, (de / n) ** 2))
 
 
-def _decimal_k4_lambda(theta, delta, n):
+def _decimal_lambda(theta, delta, n, order=4):
     # Lambda_n / sqrt(T) against the symmetrized weights of _lambda_spectrum
     with localcontext() as ctx:
         ctx.prec = 400  # enough digits that 1 - e^{-2e-200} keeps 50
@@ -98,7 +102,7 @@ def _decimal_k4_lambda(theta, delta, n):
             [s2 * a ** (abs(i - j) - 1) / 2 if i != j else Decimal(0) for j in range(n)]
             for i in range(n)
         ]
-        return float(_decimal_k4(w, 1 / (n * de) ** 2))
+        return float(_decimal_cumulant(w, order, 1 / (n * de) ** (Decimal(order) / 2)))
 
 
 @pytest.mark.parametrize(
@@ -108,13 +112,15 @@ def _decimal_k4_lambda(theta, delta, n):
         (k4_fn_z_bound, _decimal_k4_fn_z, (1.0, 1e-200, 4)),
         (k4_fn_z_bound, _decimal_k4_fn_z, (1e-60, 1e-140, 4)),
         # q underflows to 0 and q^lag / q was 0/0
-        (exact_k4_lambda, _decimal_k4_lambda, (1.0, 400.0, 3)),
+        (exact_k4_lambda, _decimal_lambda, (1.0, 400.0, 3)),
         # T^2 underflowed: a division by zero, or 0 where the value is 1e-200
-        (exact_k4_lambda, _decimal_k4_lambda, (1.0, 1e-200, 4)),
-        (exact_k4_lambda, _decimal_k4_lambda, (1.0, 1e-100, 4)),
+        (exact_k4_lambda, _decimal_lambda, (1.0, 1e-200, 4)),
+        (exact_k4_lambda, _decimal_lambda, (1.0, 1e-100, 4)),
+        # s2^2 underflowed to 0 before the division by T^1.5
+        (exact_k3_lambda, functools.partial(_decimal_lambda, order=3), (1.0, 1e-200, 4)),
     ],
     ids=["fn-z-tiny-delta", "fn-z-tiny-theta-delta", "lambda-huge-delta",
-         "lambda-tiny-delta", "lambda-small-delta"],
+         "lambda-tiny-delta", "lambda-small-delta", "lambda-k3-tiny-delta"],
 )
 def test_fourth_cumulants_against_decimal_reference_at_extreme_cells(oracle, reference, cell):
     want = reference(*cell)

@@ -3,6 +3,7 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -33,6 +34,19 @@ def test_transition_coefficients_small_step_limit():
     a, s2 = transition_coefficients(1e-8, 1e-8)
     assert a == pytest.approx(1.0, abs=1e-12)
     assert s2 == pytest.approx(1e-8, rel=1e-10)
+
+
+@pytest.mark.parametrize("theta, delta", [(1e-200, 1e-200), (1e-160, 1e-160)])
+def test_transition_coefficients_where_two_theta_delta_underflows(theta, delta):
+    # 2 theta delta is 0.0 at the first cell and subnormal at the second;
+    # s2 was 0 there, and 1.1e-5 off in relative terms here
+    with localcontext() as ctx:
+        ctx.prec = 500  # 1 - e^{-2e-400} keeps 100 digits
+        th, de = Decimal(theta), Decimal(delta)
+        want = float((1 - (-2 * th * de).exp()) / (2 * th))
+    a, s2 = transition_coefficients(theta, delta)
+    assert a == 1.0
+    assert math.isclose(s2, want, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("theta,delta", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.5)])

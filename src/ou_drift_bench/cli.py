@@ -39,9 +39,9 @@ from .estimators import Estimator, IndexConvention, normalized_error
 from .harness import (
     FIT_MIN_REPLICATIONS,
     GATE_SE,
+    _RATE_BOUNDS,
     _cell_sums,
     _estimates,
-    bound_terms,
     coupling_check,
     preset_names,
     preset_schedule,
@@ -408,18 +408,6 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
-_CLAIMS = {
-    Estimator.AMCE: (
-        "normal approximation of the scaled moment-estimator error at rate "
-        "delta^2 + (n delta)^(-1/2)"
-    ),
-    Estimator.AMLE: (
-        "normal approximation of the scaled likelihood-estimator error at rate "
-        "(n delta)^(-1/2) + (n delta^3)^(1/2)"
-    ),
-}
-
-
 def cmd_rates(config: RunConfig) -> list[Path]:
     """Run the configured preset once for every estimator; emit
     cells/rates/plotdata/report, and coupling.csv on coupling-sweep."""
@@ -460,8 +448,9 @@ def cmd_rates(config: RunConfig) -> list[Path]:
     )
     for result in results:
         estimator = result.estimator
+        bound = _RATE_BOUNDS[estimator]
         for cell, summary in zip(schedule.cells, result.summaries):
-            term1, term2 = bound_terms(cell, estimator)
+            term1, term2 = bound.terms(cell)
             cum = summary.cumulants
             dist = summary.distance
             cell_rows.append(
@@ -515,7 +504,10 @@ def cmd_rates(config: RunConfig) -> list[Path]:
 
         report.append(f"## {estimator.value}")
         report.append("")
-        report.append(f"Claim under test: {_CLAIMS[estimator]}.")
+        report.append(
+            f"Claim under test: normal approximation of the scaled {bound.error} "
+            f"error at rate {bound.expression}."
+        )
         report.append("")
         report.append("| n | delta | T | W1 | W1 se | Kolmogorov |")
         report.append("|---|-------|---|----|-------|------------|")

@@ -47,6 +47,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -195,12 +196,36 @@ def preset_schedule(name: str) -> Schedule:
     return presets[name]
 
 
+class RateResponse(enum.Enum):
+    W1_AMCE = "w1_amce"
+    W1_AMLE = "w1_amle"
+
+
+@dataclass(frozen=True)
+class _RateBound:
+    """An estimator's rate bound: the error it bounds, expression, response, terms."""
+
+    error: str
+    expression: str
+    response: RateResponse
+    terms: Callable[[ScheduleCell], tuple[float, float]]
+
+
+_RATE_BOUNDS = {
+    Estimator.AMCE: _RateBound(
+        "moment-estimator", "delta^2 + (n delta)^(-1/2)", RateResponse.W1_AMCE,
+        lambda cell: (cell.delta**2, 1.0 / math.sqrt(cell.horizon)),
+    ),
+    Estimator.AMLE: _RateBound(
+        "likelihood-estimator", "(n delta)^(-1/2) + (n delta^3)^(1/2)", RateResponse.W1_AMLE,
+        lambda cell: (1.0 / math.sqrt(cell.horizon), math.sqrt(cell.n * cell.delta**3)),
+    ),
+}
+
+
 def bound_terms(cell: ScheduleCell, estimator: Estimator) -> tuple[float, float]:
     """The two terms of the estimator's rate bound at this cell (constant 1)."""
-    inv_sqrt_t = 1.0 / math.sqrt(cell.horizon)
-    if estimator is Estimator.AMCE:
-        return cell.delta**2, inv_sqrt_t
-    return inv_sqrt_t, math.sqrt(cell.n * cell.delta**3)
+    return _RATE_BOUNDS[estimator].terms(cell)
 
 
 @dataclass(frozen=True)
@@ -246,11 +271,6 @@ class McSummary:
     @property
     def failed_gates(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.oracle_checks if c.gated and not c.passed)
-
-
-class RateResponse(enum.Enum):
-    W1_AMCE = "w1_amce"
-    W1_AMLE = "w1_amle"
 
 
 @dataclass(frozen=True)
@@ -594,25 +614,19 @@ def _schedule_result(
     """One estimator's summaries with its rate fits on a CLT-valid schedule."""
     bound_fit = dominant_fit = None
     if schedule.clt_valid:
-        response = (
-            RateResponse.W1_AMCE if estimator is Estimator.AMCE else RateResponse.W1_AMLE
-        )
+        bound = _RATE_BOUNDS[estimator]
         w1 = [s.distance.w1 for s in summaries]
-        terms = [bound_terms(cell, estimator) for cell in schedule.cells]
-        if estimator is Estimator.AMCE:
-            predictor = "delta^2 + (n delta)^(-1/2)"
-        else:
-            predictor = "(n delta)^(-1/2) + (n delta^3)^(1/2)"
+        terms = [bound.terms(cell) for cell in schedule.cells]
         bound_fit = fit_rate(
             [(t1 + t2, d) for (t1, t2), d in zip(terms, w1)],
             schedule=schedule.name,
-            response=response,
-            predictor=predictor,
+            response=bound.response,
+            predictor=bound.expression,
         )
         dominant_fit = fit_rate(
             [(max(t1, t2), d) for (t1, t2), d in zip(terms, w1)],
             schedule=schedule.name,
-            response=response,
+            response=bound.response,
             predictor="dominant bound term",
         )
     return ScheduleResult(

@@ -4,19 +4,23 @@ Everything here is closed-form and deterministic; the Monte Carlo harness
 compares its empirical moments against these values.
 
 Two families of statistics are covered, both quadratic forms of a Gaussian
-vector, which is what makes exact cumulants available:
+vector, so kappa_p = 2^{p-1} (p-1)! tr(A^p) for a symmetric weight matrix A.
+Each oracle is one scale factor times a scale-free sum (x = 2 theta delta):
 
-* ``F_n(Z) = sqrt(T) (f_n(Z) - 1/(2 theta))`` for the stationary path Z.  With
-  M the n x n covariance matrix M_ij = rho((i-j) delta), the cumulants are
-  var = 2 (delta/n) tr(M^2), kappa3 = 8 (delta/n)^{3/2} tr(M^3) and
-  kappa4 = 48 (delta/n)^2 tr(M^4).  M_ij = c e^{-theta delta |i-j|} is a
-  Kac-Murdock-Szego Toeplitz matrix, so each trace reduces to an O(n) sum of
-  nonnegative terms (`exact_var_fn_z`, `k3_fn_z`, `k4_fn_z_bound`); no n x n
-  matrix is formed and no grid size is refused.
-* ``Lambda_n / sqrt(T)``, the scaled martingale part of the AMLE error.  Its
-  variance has a first-order closed form (`exact_var_lambda`), and the full
-  Wick expansion gives exact third and fourth cumulants (`exact_k3_lambda`,
-  `exact_k4_lambda`) in O(n).
+* ``F_n(Z) = sqrt(T) (f_n(Z) - 1/(2 theta))`` for the stationary path Z.  Its
+  covariance matrix is c K, c = 1/(2 theta), K_ij = e^{-theta delta |i-j|},
+  so kappa_p = 2^{p-1} (p-1)! g^p tr(K^p) / n^{p/2} with g = sqrt(delta) c
+  and tr(K^p) in [n, n^p].  K is a Kac-Murdock-Szego Toeplitz matrix, so each
+  trace reduces to an O(n) sum of nonnegative terms over lags
+  (`exact_var_fn_z`, `k3_fn_z`, `k4_fn_z_bound`); no n x n matrix is formed.
+* ``Lambda_n / sqrt(T)``, the scaled martingale part of the AMLE error.  The
+  full Wick expansion gives its exact variance, third and fourth cumulants
+  (`exact_var_lambda`, `exact_k3_lambda`, `exact_k4_lambda`) in O(n) as sums
+  over the grid Var X_{t_k} / T = (1 - e^{-x k}) / (x n) in [0, 1], times the
+  one-step variance s2 (the variance is s2 times the grid's sum).
+
+The scale factors are multiplied in last, so an oracle raises NonFiniteValue
+only where the cumulant itself overflows a double.
 
 Two additional operations, `k3_lambda_is_zero` and `k4_lambda`, return widely
 quoted first-order values for the Lambda cumulants that keep only the
@@ -31,6 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,77 +110,77 @@ def _finite_oracle(oracle):
     return checked
 
 
+def _rate(params: OuParams) -> float:
+    """x = 2 theta delta, capped at the largest double so that x * 0 is 0."""
+    return min(2.0 * params.theta * params.delta, sys.float_info.max)
+
+
+def _fn_z_cumulant(params: OuParams, order: int, trace: float) -> float:
+    """2^{p-1} (p-1)! g^p tr(K^p) / n^{p/2}.  The scale-free part is multiplied
+    by g once per order, so every partial product lies between it and the
+    result: none overflows or underflows unless the cumulant does."""
+    value = 2 ** (order - 1) * math.factorial(order - 1) * trace / params.n ** (order / 2)
+    g = 0.5 * math.sqrt(params.delta) / params.theta
+    for _ in range(order):
+        value *= g
+    return value
+
+
 @_finite_oracle
 def exact_var_fn_z(params: OuParams) -> float:
-    """Exact variance of F_n(Z).
+    """Exact variance of F_n(Z), 2 g^2 tr(K^2) / n.
 
-    var = 2 (delta/n) tr(M^2).  With c = 1/(2 theta) and x = 2 theta delta,
-    M_ij^2 = c^2 e^{-x |i-j|}, and n - s index pairs sit at each lag s >= 1
-    in either order, so
-
-        tr(M^2) = c^2 [n + sum_{s=1}^{n-1} 2 (n-s) e^{-x s}].
-
-    An O(n) sum of nonnegative terms, accurate in every regime including
-    theta*delta -> 0, where the closed-form geometric sums cancel.
+    K_ij^2 = e^{-x |i-j|}, and n - s index pairs sit at each lag s >= 1 in
+    either order, so tr(K^2) = n + sum_{s=1}^{n-1} 2 (n-s) e^{-x s}: no
+    cancellation in any regime, unlike the closed-form geometric sums.
     """
-    theta, delta, n = params.theta, params.delta, params.n
-    c = 1.0 / (2.0 * theta)
-    x = 2.0 * theta * delta
+    n, x = params.n, _rate(params)
     s = np.arange(1, n, dtype=np.float64)
-    trace2 = c**2 * (n + float(np.sum(2.0 * (n - s) * np.exp(-x * s))))
-    return 2.0 * (delta / n) * trace2
+    return _fn_z_cumulant(params, 2, n + float(np.sum(2.0 * (n - s) * np.exp(-x * s))))
 
 
 @_finite_oracle
 def k3_fn_z(params: OuParams) -> float:
-    """Exact third cumulant of F_n(Z).
+    """Exact third cumulant of F_n(Z), 8 g^3 tr(K^3) / n^{3/2}.
 
-    kappa3 = 8 (delta/n)^{3/2} tr(M^3).  Around any index triple the cyclic
-    gap sum |i-j| + |j-k| + |k-i| is twice the triple's span, and 6 s (n-s)
-    ordered triples have span s >= 1, so
-
-        tr(M^3) = c^3 [n + sum_{s=1}^{n-1} 6 s (n-s) e^{-x s}],
-
-    an O(n) sum of nonnegative terms (c = 1/(2 theta), x = 2 theta delta).
+    Around any index triple the cyclic gap sum |i-j| + |j-k| + |k-i| is
+    twice the triple's span, and 6 s (n-s) ordered triples have span s >= 1,
+    so tr(K^3) = n + sum_{s=1}^{n-1} 6 s (n-s) e^{-x s}.
     """
-    theta, delta, n = params.theta, params.delta, params.n
-    c = 1.0 / (2.0 * theta)
-    x = 2.0 * theta * delta
+    n, x = params.n, _rate(params)
     s = np.arange(1, n, dtype=np.float64)
-    trace3 = c**3 * (n + float(np.sum(6.0 * s * (n - s) * np.exp(-x * s))))
-    return 8.0 * (delta / n) ** 1.5 * trace3
+    return _fn_z_cumulant(params, 3, n + float(np.sum(6.0 * s * (n - s) * np.exp(-x * s))))
 
 
 @_finite_oracle
 def k4_fn_z_bound(params: OuParams) -> float:
     """Contraction-norm bound on |kappa4(F_n(Z))|, which it attains exactly.
 
-    48 (delta/n)^2 sum over four indices of the pairwise-linked rho products;
-    the quadruple sum is tr(M^4) = ||M^2||_F^2.  For a symmetric second-chaos
-    kernel the usual 16(||.||^2 + 2||~||^2) expression collapses to exactly
-    this value, so the bound holds with equality and Monte Carlo fourth
-    cumulants should match it, not merely stay below it.
+    48 g^4 tr(K^4) / n^2 with tr(K^4) = ||K^2||_F^2.  For a symmetric
+    second-chaos kernel the usual 16(||.||^2 + 2||~||^2) expression collapses
+    to exactly this value, so the bound holds with equality and Monte Carlo
+    fourth cumulants should match it, not merely stay below it.
 
-    Evaluated in O(n) from the entries of M^2 on each diagonal d, with
-    m = n - d, g = e^{-x}/(1 - e^{-x}) and p_k = 1 - e^{-x k}:
+    Evaluated in O(n) from the entries of K^2 on each diagonal d, with
+    m = n - d, h = e^{-x}/(1 - e^{-x}) and p_k = 1 - e^{-x k}:
 
-        (M^2)_{i,i+d} = c^2 e^{-x d/2} [(d+1) + g (p_i + p_{m-1-i})].
+        (K^2)_{i,i+d} = e^{-x d/2} [(d+1) + h (p_i + p_{m-1-i})].
 
     Summing the square over i gives, with weight 1 at d = 0 and 2 above it,
 
-        e^{-x d} [m (d+1)^2 + 4 (d+1) g P1(m) + g^2 (2 P2(m) + 2 C(m))],
+        e^{-x d} [m (d+1)^2 + 4 (d+1) h P1(m) + h^2 (2 P2(m) + 2 C(m))],
 
     where P1, P2 are prefix sums of p and p^2 and C(m) = sum_i p_i p_{m-1-i}
     = (1 - e^{-x})^2 D(m-3), D the double prefix sum of (k+1) e^{-x k}
-    (C = 0 for m < 3).  Every term is nonnegative; expanding the square into
-    closed-form geometric sums instead loses about 8 digits at
-    theta*delta = 1e-6.  Below x of about 1e-154, g^2 overflows while p^2
-    underflows, so g = h 2^E is split: the p-terms and 1 - e^{-x} carry the
-    power of two, which scales them exactly, and only h is squared.
+    (C = 0 for m < 3).  Every term is nonnegative; closed-form geometric sums
+    instead lose about 8 digits at theta*delta = 1e-6.  At small x, h is
+    about 1/x and the p-terms about x, so h = h' 2^E is split: the p-terms
+    and 1 - e^{-x} carry the power of two and only h' is squared.  Below the
+    smallest normal x, K is all ones and tr(K^4) = n^4.
     """
-    theta, delta, n = params.theta, params.delta, params.n
-    c = 1.0 / (2.0 * theta)
-    x = 2.0 * theta * delta
+    n, x = params.n, _rate(params)
+    if x < sys.float_info.min:
+        return _fn_z_cumulant(params, 4, float(n) ** 4)
     k = np.arange(n, dtype=np.float64)
     decay = np.exp(-x * k)
     u = -math.expm1(-x)
@@ -192,31 +197,36 @@ def k4_fn_z_bound(params: OuParams) -> float:
     diagonals = decay * (
         m * lead**2 + 4.0 * lead * h * p1[m] + h * h * (2.0 * p2[m] + 2.0 * cross[m])
     )
-    trace4 = c**4 * (float(diagonals[0]) + 2.0 * float(np.sum(diagonals[1:])))
-    return 48.0 * (delta / n) ** 2 * trace4
+    trace4 = float(diagonals[0]) + 2.0 * float(np.sum(diagonals[1:]))
+    return _fn_z_cumulant(params, 4, trace4)
 
 
-def _var_x_grid(params: OuParams) -> np.ndarray:
-    """Var X_{t_{i-1}} = (1 - q^{i-1}) / (2 theta) for i = 1..n."""
-    theta, delta, n = params.theta, params.delta, params.n
-    i = np.arange(n, dtype=np.float64)
-    return -np.expm1(-2.0 * theta * delta * i) / (2.0 * theta)
+def _lambda_grid(params: OuParams) -> tuple[np.ndarray, float, float, float]:
+    """(v, scale, a, s2): v_k scale = Var X_{t_k} / T = (1 - q^k) / (x n) for
+    k = 0..n-1, and the AR(1) coefficients from `transition_coefficients`.
+
+    v_k = 2^E (1 - q^k), with the power of two putting the largest in
+    [1/2, 1): sums over v are scale-free, and terms equal to 2^E add without
+    rounding.  Below the smallest normal x, v_k scale is its limit k / n.
+    """
+    n, x = params.n, _rate(params)
+    coefficients = transition_coefficients(params.theta, params.delta)
+    k = np.arange(n, dtype=np.float64)
+    if x < sys.float_info.min:
+        return k, 1.0 / n, *coefficients
+    u = -np.expm1(-x * k)
+    exponent = -math.frexp(u[-1])[1]
+    # 1 / (x n) with x uncapped, dividing by the larger of theta and delta first
+    scale = 0.5 / max(params.theta, params.delta) / min(params.theta, params.delta) / n
+    return np.ldexp(u, exponent, out=u), math.ldexp(scale, -exponent), *coefficients
 
 
 @_finite_oracle
 def exact_var_lambda(params: OuParams) -> float:
-    """Exact variance of Lambda_n / sqrt(T).
-
-    E[(Lambda_n/sqrt T)^2] = ((1-q)/((2 theta)^2 delta)) * (1/n) sum_{i=1}^n
-    (1 - q^{i-1}), q = e^{-2 theta delta}.  Evaluated as the O(n) mean of
-    expm1 terms: every summand is nonnegative, so there is no cancellation in
-    any parameter regime.  Zero at n = 1 (the single summand has X_{t_0} = 0).
-    """
-    theta, delta, n = params.theta, params.delta, params.n
-    u = -math.expm1(-2.0 * theta * delta)
-    i = np.arange(n, dtype=np.float64)
-    mean_term = float(np.mean(-np.expm1(-2.0 * theta * delta * i)))
-    return u / ((2.0 * theta) ** 2 * delta) * mean_term
+    """Exact variance of Lambda_n / sqrt(T), s2 sum_{i=1}^n VarX_{t_{i-1}} / T:
+    no summand is negative, so nothing cancels.  Zero at n = 1 (X_{t_0} = 0)."""
+    v, scale, _, s2 = _lambda_grid(params)
+    return float(np.sum(v)) * (s2 * scale)
 
 
 @_finite_oracle
@@ -229,21 +239,20 @@ def exact_k3_lambda(params: OuParams) -> float:
         kappa3(Lambda_n) = 6 s2^2 sum_{i=2}^{n-1} VarX_{t_{i-1}}
                            * a (1 - q^{n-i}) / (1 - q),
 
-    scaled here by T^{-3/2}.  Strictly positive for n >= 3, identically zero
-    for n <= 2, and of order 1/sqrt(T) after scaling.  Both 1 - q^k factors
-    are taken with expm1, so small theta*delta loses no digits, and T^{-3/2}
-    enters as (s2 / T) (s2 / sqrt(T)), as s2^2 underflows at tiny delta.
+    so, as s2 (1 - q^k) / (1 - q) = VarX_{t_k} = v_k scale T, scaled by
+    T^{-3/2} it is 6 a s2 sqrt(T) scale^2 sum_{i=2}^{n-1} v_{i-1} v_{n-i}.
+    Positive for n >= 3, zero for n <= 2, and of order 1/sqrt(T).  Where
+    a = e^{-theta delta} underflows, s2 sqrt(T) may overflow: logs are used.
     """
-    theta, delta, n = params.theta, params.delta, params.n
+    n = params.n
     if n <= 2:
         return 0.0
-    a, s2 = transition_coefficients(theta, delta)
-    u = -math.expm1(-2.0 * theta * delta)
-    i = np.arange(2, n, dtype=np.float64)
-    var_x = -np.expm1(-2.0 * theta * delta * (i - 1.0)) / (2.0 * theta)
-    tail = a * -np.expm1(-2.0 * theta * delta * (n - i)) / u
-    horizon = params.horizon
-    return 6.0 * (s2 / horizon) * (s2 / math.sqrt(horizon)) * float(np.sum(var_x * tail))
+    v, scale, a, s2 = _lambda_grid(params)
+    pairs = float(np.sum(v[1 : n - 1] * v[n - 2 : 0 : -1]))
+    w, root = s2 * scale, math.sqrt(params.horizon) * scale
+    if a < sys.float_info.min:
+        return 6.0 * pairs * math.exp(np.log(w) + np.log(root) - params.theta * params.delta)
+    return 6.0 * pairs * a * w * root
 
 
 @_finite_oracle
@@ -255,36 +264,27 @@ def exact_k4_lambda(params: OuParams) -> float:
         kappa4(Lambda_n) = 6 s2^2 sum_i VX_{i-1}^2
                          + 12 s2^2 sum_{i<k} q^{k-i} VX_{i-1}^2
                          + 12 s2^3 sum_{i<k} q^{k-i-1} VX_{i-1}
-                         + 48 s2^3 sum_{i<k} (k-i-1) q^{k-i-1} VX_{i-1},
+                         + 48 s2^3 sum_{i<k} (k-i-1) q^{k-i-1} VX_{i-1}.
 
-    scaled here by T^{-2}.  The lag sums collapse to O(n) via prefix sums.
-    All terms are nonnegative; the first line alone equals 6 * `k4_lambda`
-    (to rounding), and the cross terms dominate it at desk scale.  q^{k-i-1}
-    is formed directly, as q / q is 0/0 once q underflows, and T^{-2} enters
-    as (s2 / T)^2, as T^2 underflows at tiny delta.
+    Scaled by T^{-2}, with VX / T = v scale, w = s2 scale and s2 / T =
+    v_1 scale, it is w^2 times the scale-free sum 6 sum v^2
+    + 12 sum q^{k-i} v^2 + 12 v_1 sum (4 (k-i) - 3) q^{k-i-1} v, whose lag
+    sums collapse to O(n) via prefix sums (empty at n = 1).  No term is
+    negative; the first is 6 * `k4_lambda` (to rounding), and the cross terms
+    dominate it at desk scale.  q^{k-i-1} is formed directly: once q
+    underflows, q^{k-i} / q is 0/0.
     """
-    theta, delta, n = params.theta, params.delta, params.n
-    _, s2 = transition_coefficients(theta, delta)
-    q = math.exp(-2.0 * theta * delta)
-    var_x = _var_x_grid(params)  # VX_{i-1}, i = 1..n
-    diag = float(np.sum(var_x**2))
-    if n >= 2:
-        prefix_v = np.cumsum(var_x)
-        prefix_v2 = np.cumsum(var_x**2)
-        lag = np.arange(1, n, dtype=np.float64)
-        q_prev = q ** (lag - 1.0)
-        # sum_{i<k} g(k-i) h(i) = sum_lag g(lag) * prefix_h[n - lag - 1]
-        head_v = prefix_v[n - 2 :: -1]
-        head_v2 = prefix_v2[n - 2 :: -1]
-        cross_v2 = float(np.sum(q * q_prev * head_v2))
-        cross_v = float(np.sum(q_prev * head_v))
-        cross_v_weighted = float(np.sum((lag - 1.0) * q_prev * head_v))
-    else:
-        cross_v2 = cross_v = cross_v_weighted = 0.0
-    r = s2 / params.horizon
-    return r * r * (
-        6.0 * diag + 12.0 * cross_v2 + 12.0 * s2 * cross_v + 48.0 * s2 * cross_v_weighted
-    )
+    n = params.n
+    q = math.exp(-_rate(params))
+    v, scale, _, s2 = _lambda_grid(params)  # v_{i-1}, i = 1..n
+    lag = np.arange(1, n, dtype=np.float64)
+    q_prev = q ** (lag - 1.0)
+    # sum_{i<k} f(k-i) h(i) = sum_lag f(lag) * prefix_h[n - lag - 1]
+    cross_v2 = float(np.sum(q * q_prev * np.cumsum(v * v)[n - 2 :: -1]))
+    cross_v = float(np.sum((4.0 * lag - 3.0) * q_prev * np.cumsum(v)[n - 2 :: -1]))
+    total = 6.0 * float(np.sum(v * v)) + 12.0 * cross_v2 + 12.0 * v[min(1, n - 1)] * cross_v
+    w = s2 * scale
+    return total * w * w
 
 
 def k3_lambda_is_zero(params: OuParams) -> float:
@@ -304,23 +304,15 @@ def k3_lambda_is_zero(params: OuParams) -> float:
 def k4_lambda(params: OuParams) -> float:
     """First-order diagonal value for the fourth cumulant of Lambda_n / sqrt(T).
 
-    ((1-q)^2 / ((2 theta)^4 delta^2)) * (1/n^2) sum_{i=1}^n (1 - q^{i-1})^2,
-    the conditionally independent part of the expansion.  Nonnegative and at
-    most ((1-q)^2 / ((2 theta)^4 delta^2)) / n.  Six times this value equals
-    the diagonal first line of `exact_k4_lambda` (to rounding); the exact
-    cumulant including cross terms is `exact_k4_lambda`, and the harness
-    reports both.
+    s2^2 sum_{i=1}^n (VarX_{t_{i-1}} / T)^2, the conditionally independent
+    part of the expansion.  Nonnegative and at most (s2 / delta / (2 theta))^2
+    / n.  Six times this value equals the first term of `exact_k4_lambda` (to
+    rounding); the exact cumulant including cross terms is `exact_k4_lambda`,
+    and the harness reports both.
     """
-    theta, delta, n = params.theta, params.delta, params.n
-    i = np.arange(n, dtype=np.float64)
-    terms = (_lambda_scale(theta, delta) * -np.expm1(-2.0 * theta * delta * i)) ** 2
-    return float(np.sum(terms)) / n**2
-
-
-def _lambda_scale(theta: float, delta: float) -> float:
-    """(1 - q) / ((2 theta)^2 delta), divided in steps: at tiny theta*delta
-    (1 - q)^2 and delta^2 underflow while the ratio is of order 1/theta."""
-    return -math.expm1(-2.0 * theta * delta) / delta / (2.0 * theta) / (2.0 * theta)
+    v, scale, _, s2 = _lambda_grid(params)
+    w = s2 * scale
+    return float(np.sum(v * v)) * w * w
 
 
 def _report_values(quantity: MomentQuantity, params: OuParams) -> tuple[float, ...]:
@@ -334,7 +326,8 @@ def _report_values(quantity: MomentQuantity, params: OuParams) -> tuple[float, .
     if quantity is MomentQuantity.VAR_LAMBDA:
         return exact_var_lambda(params), 1.0 / (2.0 * theta), delta + 1.0 / (n * delta)
     if quantity is MomentQuantity.K4_LAMBDA:
-        return k4_lambda(params), 0.0, _lambda_scale(theta, delta) ** 2 / n
+        _, s2 = transition_coefficients(theta, delta)
+        return k4_lambda(params), 0.0, (s2 / delta / (2.0 * theta)) ** 2 / n
     raise ValueError(f"unknown quantity {quantity!r}")  # pragma: no cover - enum is closed
 
 

@@ -168,13 +168,16 @@ def test_non_finite_oracle_is_an_error(tmp_path, capsys, argv, quantity):
 
 
 def test_oracle_rows_finite_at_tiny_delta(tmp_path):
-    # k4_fn_z_bound was once nan here (g^2 overflowing against p^2
-    # underflowing) and k4_lambda divided an underflowed 0 by another
-    out = tmp_path / "o"
-    assert main(["oracle", "--delta", "1e-200", "--out", str(out)]) == 0
-    _, rows = _rows(out / "oracle.csv")
-    values = [float(r[c]) for r in rows for c in ("exact", "asymptotic", "bound")]
-    assert len(values) == 15 and all(math.isfinite(v) for v in values)
+    # At delta = 1e-200 k4_fn_z_bound was once nan (g^2 overflowing against
+    # p^2 underflowing) and k4_lambda divided an underflowed 0 by another.  At
+    # theta = delta = 1e-100 k4_fn_z_bound formed c^4 = (2 theta)^-4 = 6.25e398,
+    # though the cumulant 48 g^4 n^2, g = sqrt(delta) / (2 theta), is 4.8e201.
+    for argv in (["--delta", "1e-200"], ["--theta", "1e-100", "--delta", "1e-100", "--n", "4"]):
+        out = tmp_path / "-".join(argv)
+        assert main(["oracle", *argv, "--out", str(out)]) == 0
+        _, rows = _rows(out / "oracle.csv")
+        values = [float(r[c]) for r in rows for c in ("exact", "asymptotic", "bound")]
+        assert len(values) == 15 and all(math.isfinite(v) for v in values)
 
 
 def test_simulate_where_two_theta_delta_underflows(tmp_path):

@@ -8,6 +8,7 @@ through an eigendecomposition built directly from the definitions.
 
 import functools
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -69,62 +70,137 @@ def _lambda_spectrum(theta, delta, n):
     return np.linalg.eigvalsh(sym)
 
 
+# 1 - e^{-x} keeps about 200 digits at x = 1e-600, the smallest 2 theta delta
+# the property test below reaches
+_DECIMAL_DIGITS = 800
+
+
 def _decimal_cumulant(weights, order, scale):
-    """2^{r-1} (r-1)! tr(W^r) * scale in decimal, r = 3 or 4, for a symmetric
-    n x n nested list W."""
+    """2^{r-1} (r-1)! tr(W^r) * scale in decimal, r = 2, 3 or 4, for a
+    symmetric n x n nested list W."""
     n = len(weights)
     square = [
         [sum(weights[i][k] * weights[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
-    other = weights if order == 3 else square
-    trace = sum(square[i][j] * other[j][i] for i in range(n) for j in range(n))
+    left = weights if order == 2 else square
+    right = square if order == 4 else weights
+    trace = sum(left[i][j] * right[j][i] for i in range(n) for j in range(n))
     return 2 ** (order - 1) * math.factorial(order - 1) * trace * scale
 
 
-def _decimal_k4_fn_z(theta, delta, n):
+@functools.lru_cache(maxsize=64)
+def _decimal_powers(theta, delta, n):
+    """a^0..a^n for a = e^{-theta delta}, by products so that 0^0 is 1."""
+    a = (-Decimal(theta) * Decimal(delta)).exp()
+    powers = [Decimal(1)]
+    for _ in range(n):
+        powers.append(powers[-1] * a)
+    return tuple(powers)
+
+
+def _decimal_fn_z(theta, delta, n, order=4):
     # F_n(Z) against M_ij = e^{-theta delta |i-j|} / (2 theta)
     with localcontext() as ctx:
-        ctx.prec = 400  # enough digits that 1 - e^{-2e-200} keeps 50
+        ctx.prec = _DECIMAL_DIGITS
         th, de = Decimal(theta), Decimal(delta)
-        m = [[(-th * de * abs(i - j)).exp() / (2 * th) for j in range(n)] for i in range(n)]
-        return float(_decimal_cumulant(m, 4, (de / n) ** 2))
+        a = _decimal_powers(theta, delta, n)
+        m = [[a[abs(i - j)] / (2 * th) for j in range(n)] for i in range(n)]
+        return _decimal_cumulant(m, order, (de / n).sqrt() ** order)
 
 
 def _decimal_lambda(theta, delta, n, order=4):
     # Lambda_n / sqrt(T) against the symmetrized weights of _lambda_spectrum
     with localcontext() as ctx:
-        ctx.prec = 400  # enough digits that 1 - e^{-2e-200} keeps 50
+        ctx.prec = _DECIMAL_DIGITS
         th, de = Decimal(theta), Decimal(delta)
-        a = (-th * de).exp()
-        s2 = (1 - (-2 * th * de).exp()) / (2 * th)
+        a = _decimal_powers(theta, delta, n)
+        s2 = (1 - a[1] * a[1]) / (2 * th)
         w = [
-            [s2 * a ** (abs(i - j) - 1) / 2 if i != j else Decimal(0) for j in range(n)]
+            [s2 * a[abs(i - j) - 1] / 2 if i != j else Decimal(0) for j in range(n)]
             for i in range(n)
         ]
-        return float(_decimal_cumulant(w, order, 1 / (n * de) ** (Decimal(order) / 2)))
+        return _decimal_cumulant(w, order, 1 / (n * de).sqrt() ** order)
+
+
+_VAR_FN_Z = functools.partial(_decimal_fn_z, order=2)
+_K3_FN_Z = functools.partial(_decimal_fn_z, order=3)
+_VAR_LAMBDA = functools.partial(_decimal_lambda, order=2)
+_K3_LAMBDA = functools.partial(_decimal_lambda, order=3)
 
 
 @pytest.mark.parametrize(
     "oracle, reference, cell",
     [
         # g^2 overflowed against p^2 underflowing: nan
-        (k4_fn_z_bound, _decimal_k4_fn_z, (1.0, 1e-200, 4)),
-        (k4_fn_z_bound, _decimal_k4_fn_z, (1e-60, 1e-140, 4)),
+        (k4_fn_z_bound, _decimal_fn_z, (1.0, 1e-200, 4)),
+        (k4_fn_z_bound, _decimal_fn_z, (1e-60, 1e-140, 4)),
         # q underflows to 0 and q^lag / q was 0/0
         (exact_k4_lambda, _decimal_lambda, (1.0, 400.0, 3)),
         # T^2 underflowed: a division by zero, or 0 where the value is 1e-200
         (exact_k4_lambda, _decimal_lambda, (1.0, 1e-200, 4)),
         (exact_k4_lambda, _decimal_lambda, (1.0, 1e-100, 4)),
         # s2^2 underflowed to 0 before the division by T^1.5
-        (exact_k3_lambda, functools.partial(_decimal_lambda, order=3), (1.0, 1e-200, 4)),
+        (exact_k3_lambda, _K3_LAMBDA, (1.0, 1e-200, 4)),
+        # (2 theta)^2 delta underflowed: a division by zero
+        (exact_var_lambda, _VAR_LAMBDA, (1e-200, 1e-200, 4)),
+        # 1 - q underflowed: 0/0 in the tail factor
+        (exact_k3_lambda, _K3_LAMBDA, (1e-200, 1e-200, 4)),
+        # 2 theta delta is subnormal, so 1 - q^k lost digits
+        (exact_k3_lambda, _K3_LAMBDA, (1e-160, 1e-160, 4)),
+        # 2 theta delta is subnormal, so 1 / (1 - e^{-x}) overflowed: nan
+        (k4_fn_z_bound, _decimal_fn_z, (1e-60, 1e-250, 4)),
+        # c^2 = 1 / (2 theta)^2 overflowed though delta c^2 does not
+        (exact_var_fn_z, _VAR_FN_Z, (1e-172, 1e-249, 4)),
+        # (delta / n)^{3/2} underflowed to 0 though c^3 (delta / n)^{3/2} does not
+        (k3_fn_z, _K3_FN_Z, (1e-81, 1e-266, 5)),
     ],
     ids=["fn-z-tiny-delta", "fn-z-tiny-theta-delta", "lambda-huge-delta",
-         "lambda-tiny-delta", "lambda-small-delta", "lambda-k3-tiny-delta"],
+         "lambda-tiny-delta", "lambda-small-delta", "lambda-k3-tiny-delta",
+         "lambda-var-tiny-theta-delta", "lambda-k3-tiny-theta-delta",
+         "lambda-k3-subnormal-x", "fn-z-k4-subnormal-x", "fn-z-var-huge-c",
+         "fn-z-k3-tiny-delta"],
 )
 def test_fourth_cumulants_against_decimal_reference_at_extreme_cells(oracle, reference, cell):
-    want = reference(*cell)
+    want = float(reference(*cell))
     assert math.isclose(oracle(OuParams(*cell)), want, rel_tol=1e-12)
+
+
+# Each exact oracle with its decimal reference; the two share no code.
+_EXACT = [
+    (exact_var_fn_z, _VAR_FN_Z),
+    (k3_fn_z, _K3_FN_Z),
+    (k4_fn_z_bound, _decimal_fn_z),
+    (exact_var_lambda, _VAR_LAMBDA),
+    (exact_k3_lambda, _K3_LAMBDA),
+    (exact_k4_lambda, _decimal_lambda),
+]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    log_theta=st.floats(-300.0, 300.0),
+    log_delta=st.floats(-300.0, 300.0),
+    n=st.integers(1, 5),
+)
+def test_exact_oracles_refuse_only_what_overflows(log_theta, log_delta, n):
+    # NonFiniteValue if and only if the cumulant exceeds the largest double;
+    # otherwise rel 1e-12, or a few ulps where it is subnormal.
+    theta, delta = 10.0**log_theta, 10.0**log_delta
+    for oracle, reference in _EXACT:
+        want = reference(theta, delta, n)
+        overflows = abs(want) > Decimal(sys.float_info.max)
+        try:
+            got = oracle(OuParams(theta, delta, n))
+        except NonFiniteValue:
+            assert overflows, (oracle.__name__, float(want))
+            continue
+        assert not overflows, (oracle.__name__, got)
+        want = float(want)
+        if want >= sys.float_info.min:
+            assert math.isclose(got, want, rel_tol=1e-12), (oracle.__name__, got, want)
+        else:
+            assert abs(got - want) <= 4 * math.ulp(0.0), (oracle.__name__, got, want)
 
 
 @pytest.mark.parametrize("theta,delta,n", GRID)

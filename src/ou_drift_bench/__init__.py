@@ -13,151 +13,27 @@ Library layout:
 * `harness`: schedules, per-cell Monte Carlo summaries with oracle gating,
   the coupling check, log-log rate fits.
 * `cli`: the `ou-bench` command (simulate | estimate | oracle | verify | rates).
+
+The package exports every name in the `__all__` of errors, ou_core,
+estimators, oracles, metrics and harness; each module declares its own.
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateDenominator,
-    EmptySample,
-    ExcessiveDegeneracy,
-    InsufficientCells,
-    MissingInnovations,
-    NonFiniteValue,
-    NonPositiveValue,
-    OuBenchError,
-    TooSmall,
-)
-from .estimators import (
-    EPS_DEN,
-    EstimateRecord,
-    Estimator,
-    IndexConvention,
-    amce,
-    amle,
-    big_f_n,
-    f_n,
-    lambda_n,
-    normalized_error,
-)
-from .harness import (
-    CouplingRow,
-    CouplingReport,
-    McSummary,
-    OracleCheck,
-    RateFit,
-    RateResponse,
-    Schedule,
-    ScheduleCell,
-    ScheduleResult,
-    bound_terms,
-    coupling_check,
-    fit_rate,
-    preset_names,
-    preset_schedule,
-    run_cell,
-    run_schedule,
-)
-from .metrics import (
-    DistanceReport,
-    SampleCumulants,
-    distance_report,
-    kolmogorov_to_std_normal,
-    sample_cumulants,
-    w1_to_std_normal,
-)
-from .oracles import (
-    MomentQuantity,
-    MomentReport,
-    exact_k3_lambda,
-    exact_k4_lambda,
-    exact_var_fn_z,
-    exact_var_lambda,
-    k3_fn_z,
-    k3_lambda_is_zero,
-    k4_fn_z_bound,
-    k4_lambda,
-    moment_report,
-)
-from .ou_core import (
-    OuParams,
-    SamplePath,
-    Variant,
-    path_rng,
-    rho,
-    simulate_coupled,
-    simulate_path,
-    transition_coefficients,
-)
+from . import errors, estimators, harness, metrics, oracles, ou_core
+from .errors import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .oracles import *  # noqa: F401,F403
+from .ou_core import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "OuBenchError",
-    "ConfigError",
-    "DegenerateDenominator",
-    "EmptySample",
-    "ExcessiveDegeneracy",
-    "InsufficientCells",
-    "MissingInnovations",
-    "NonFiniteValue",
-    "NonPositiveValue",
-    "TooSmall",
-    # ou_core
-    "OuParams",
-    "SamplePath",
-    "Variant",
-    "path_rng",
-    "rho",
-    "simulate_coupled",
-    "simulate_path",
-    "transition_coefficients",
-    # estimators
-    "EPS_DEN",
-    "EstimateRecord",
-    "Estimator",
-    "IndexConvention",
-    "amce",
-    "amle",
-    "big_f_n",
-    "f_n",
-    "lambda_n",
-    "normalized_error",
-    # oracles
-    "MomentQuantity",
-    "MomentReport",
-    "exact_k3_lambda",
-    "exact_k4_lambda",
-    "exact_var_fn_z",
-    "exact_var_lambda",
-    "k3_fn_z",
-    "k3_lambda_is_zero",
-    "k4_fn_z_bound",
-    "k4_lambda",
-    "moment_report",
-    # metrics
-    "DistanceReport",
-    "SampleCumulants",
-    "distance_report",
-    "kolmogorov_to_std_normal",
-    "sample_cumulants",
-    "w1_to_std_normal",
-    # harness
-    "CouplingReport",
-    "CouplingRow",
-    "McSummary",
-    "OracleCheck",
-    "RateFit",
-    "RateResponse",
-    "Schedule",
-    "ScheduleCell",
-    "ScheduleResult",
-    "bound_terms",
-    "coupling_check",
-    "fit_rate",
-    "preset_names",
-    "preset_schedule",
-    "run_cell",
-    "run_schedule",
+    *errors.__all__,
+    *ou_core.__all__,
+    *estimators.__all__,
+    *oracles.__all__,
+    *metrics.__all__,
+    *harness.__all__,
 ]

@@ -5,6 +5,11 @@ comes from an optional YAML file (--config) overridden by flags; every output
 is a pure function of (config, master_seed), with no timestamps, so re-running
 a command produces byte-identical files.
 
+`_FIELDS` is the one table of RunConfig fields: each field's parser, flag and
+help text.  The parser is built from it, and a flag value goes through the
+same field parser as a config-file value, so a bad value from either is a
+config error naming the field (exit code 2).
+
 CSV outputs are UTF-8, comma-separated, '.' decimal, one header row, preceded
 by the schema comment line "# ou-drift-bench csv v1".  `read_bench_csv`
 rejects files with any other schema line.
@@ -111,37 +116,34 @@ class RunConfig:
             raise ConfigError(f"n_bootstrap must be >= 2, got {self.n_bootstrap!r}")
 
 
+def _choices(enum) -> str:
+    return ", ".join(member.value for member in enum)
+
+
+def _enum_parser(enum):
+    """Parser for a member of `enum` named by its value, in any case."""
+
+    def parse(value):
+        try:
+            return enum(str(value).strip().lower())
+        except ValueError:
+            raise ValueError(f"expected one of {_choices(enum)}") from None
+
+    return parse
+
+
+_parse_estimator = _enum_parser(Estimator)
+
+
 def _parse_estimators(value) -> tuple[Estimator, ...]:
     if isinstance(value, str):
-        token = value.strip().lower()
-        if token == "both":
+        if value.strip().lower() == "both":
             return (Estimator.AMCE, Estimator.AMLE)
-        value = [token]
+        value = [value]
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         # a mapping would iterate over its keys
         raise TypeError(f"expected a string or a list of strings, got {type(value).__name__}")
-    try:
-        return tuple(Estimator(v.strip().lower()) for v in value)
-    except ValueError as exc:
-        raise ConfigError(f"estimators: unknown estimator in {value!r}") from exc
-
-
-def _parse_convention(value) -> IndexConvention:
-    try:
-        return IndexConvention(str(value).strip().lower())
-    except ValueError as exc:
-        raise ConfigError(
-            f"index_convention must be body or abstract, got {value!r}"
-        ) from exc
-
-
-def _parse_variant(value) -> Variant:
-    try:
-        return Variant(str(value).strip().lower())
-    except ValueError as exc:
-        raise ConfigError(
-            f"variant must be from-zero or stationary, got {value!r}"
-        ) from exc
+    return tuple(_parse_estimator(v) for v in value)
 
 
 def _parse_int(value) -> int:
@@ -150,7 +152,9 @@ def _parse_int(value) -> int:
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise TypeError(f"expected an integer or a string of digits, got {type(value).__name__}")
+    raise TypeError(
+        f"expected an integer or a string of ASCII digits, got {type(value).__name__}"
+    )
 
 
 def _parse_real(value) -> float:
@@ -167,26 +171,30 @@ def _parse_bool(value) -> bool:
     raise TypeError(f"expected true or false, got {type(value).__name__}")
 
 
-_FIELD_PARSERS = {
-    "theta_true": _parse_real,
-    "estimators": _parse_estimators,
-    "schedule": str,
-    "replications": _parse_int,
-    "master_seed": _parse_int,
-    "index_convention": _parse_convention,
-    "output_dir": Path,
-    "n": _parse_int,
-    "delta": _parse_real,
-    "variant": _parse_variant,
-    "coupled": _parse_bool,
-    "n_bootstrap": _parse_int,
+# Every RunConfig field: the parser that both its flag and its config-file
+# value go through, its flag (None: config file only) and the flag's help.
+_FIELDS = {
+    "master_seed": (_parse_int, "--seed", "master seed (uint64)"),
+    "replications": (_parse_int, "--reps", "replications per cell"),
+    "output_dir": (Path, "--out", "output directory"),
+    "schedule": (str, "--preset", f"schedule preset: {', '.join(preset_names())}"),
+    "estimators": (_parse_estimators, "--estimator", f"{_choices(Estimator)} or both"),
+    "index_convention": (
+        _enum_parser(IndexConvention), "--index-convention", _choices(IndexConvention)
+    ),
+    "theta_true": (_parse_real, "--theta", "true theta"),
+    "n": (_parse_int, "--n", "cell size n"),
+    "delta": (_parse_real, "--delta", "grid step delta"),
+    "variant": (_enum_parser(Variant), "--variant", _choices(Variant)),
+    "coupled": (_parse_bool, "--coupled", "emit the coupled X column alongside Z (simulate)"),
+    "n_bootstrap": (_parse_int, None, None),
 }
 
 
 def _load_config_file(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
@@ -215,14 +223,12 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
         for key, value in source.items():
             if value is None and source is overrides:
                 continue
-            if key not in _FIELD_PARSERS:
+            if key not in _FIELDS:
                 raise ConfigError(f"unknown config key {key!r}")
             if value is None:
                 raise ConfigError(f"{key}: empty value in the config file")
             try:
-                merged[key] = _FIELD_PARSERS[key](value)
-            except ConfigError:
-                raise
+                merged[key] = _FIELDS[key][0](value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from exc
     return RunConfig(**merged)
@@ -591,28 +597,10 @@ def cmd_rates(config: RunConfig) -> list[Path]:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="YAML config file")
-    common.add_argument("--seed", type=int, default=None, help="master seed (uint64)")
-    common.add_argument("--reps", type=int, default=None, help="replications per cell")
-    common.add_argument("--out", type=Path, default=None, help="output directory")
-    common.add_argument(
-        "--preset", choices=preset_names(), default=None, help="schedule preset"
-    )
-    common.add_argument(
-        "--estimator", choices=("amce", "amle", "both"), default=None
-    )
-    common.add_argument(
-        "--index-convention", choices=("body", "abstract"), default=None
-    )
-    common.add_argument("--theta", type=float, default=None, help="true theta")
-    common.add_argument("--n", type=int, default=None, help="cell size n")
-    common.add_argument("--delta", type=float, default=None, help="grid step delta")
-    common.add_argument(
-        "--variant", choices=("from-zero", "stationary"), default=None
-    )
-    common.add_argument(
-        "--coupled", action="store_true", default=None,
-        help="emit the coupled X column alongside Z (simulate)",
-    )
+    for field, (parse, flag, text) in _FIELDS.items():
+        if flag is not None:
+            action = "store_true" if parse is _parse_bool else "store"
+            common.add_argument(flag, dest=field, action=action, default=None, help=text)
     parser = argparse.ArgumentParser(
         prog="ou-bench",
         description="Monte Carlo benchmarks for OU drift estimators",
@@ -628,26 +616,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = _load_config_file(args.config) if args.config else {}
-    overrides = {
-        "master_seed": args.seed,
-        "replications": args.reps,
-        "output_dir": args.out,
-        "schedule": args.preset,
-        "estimators": args.estimator,
-        "index_convention": args.index_convention,
-        "theta_true": args.theta,
-        "n": args.n,
-        "delta": args.delta,
-        "variant": args.variant,
-        "coupled": args.coupled,
-    }
+    # n_bootstrap has no flag, so no attribute
+    overrides = {field: getattr(args, field, None) for field in _FIELDS}
     return build_config(file_values, overrides)
+
+
+def _check_output_dir(path: Path) -> None:
+    """Refuse an output directory that is, or lies under, an existing file."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"output_dir: {existing} exists and is not a directory")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
+        _check_output_dir(config.output_dir)
         if args.command == "simulate":
             paths = cmd_simulate(config)
         elif args.command == "estimate":

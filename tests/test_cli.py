@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,11 +243,17 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
-    # emit, the old output selection, is gone: every command writes all its files
-    for text, key in (("thetaa: 2.0\n", "thetaa"), ("emit: [cells_csv]\n", "emit")):
-        cfg.write_text(text)
+    # emit, the old output selection, is gone: every command writes all its
+    # files; a file that is not UTF-8 once ended in a UnicodeDecodeError
+    # traceback
+    for data, message in (
+        (b"thetaa: 2.0\n", "unknown config key 'thetaa'"),
+        (b"emit: [cells_csv]\n", "unknown config key 'emit'"),
+        (b"\xff\xfe\x00\x01", f"cannot read config file {cfg}"),
+    ):
+        cfg.write_bytes(data)
         assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_invalid_theta_exits_2(tmp_path, capsys):
@@ -256,15 +263,55 @@ def test_invalid_theta_exits_2(tmp_path, capsys):
 
 
 def test_unknown_preset_rejected(tmp_path, capsys):
-    # the flag is constrained by argparse choices
-    with pytest.raises(SystemExit) as exc:
-        main(["rates", "--preset", "no-such", "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
-    # a bad schedule name in the config file goes through RunConfig validation
+    # the flag and the config file go through the same RunConfig validation
+    out = tmp_path / "o"
+    assert main(["rates", "--preset", "no-such", "--out", str(out)]) == 2
+    assert "schedule" in capsys.readouterr().err
+    assert not out.exists()
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("schedule: no-such\n")
-    assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert main(["rates", "--config", str(cfg), "--out", str(out)]) == 2
     assert "schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, field, value",
+    [
+        ("--seed", "master_seed", "1_000"),
+        ("--n", "n", "\uff13"),
+        ("--reps", "replications", " 7"),
+        ("--estimator", "estimators", "amce,amle"),
+        ("--variant", "variant", "zero"),
+    ],
+    ids=["underscore-seed", "full-width-n", "blank-reps", "joined-estimators", "bad-variant"],
+)
+def test_flag_and_file_values_share_one_parser(tmp_path, capsys, flag, field, value):
+    # the flags once went through argparse: its int() took the three integer
+    # strings that the file refused, and a bad choice was a usage error
+    out = tmp_path / "o"
+    assert main(["oracle", flag, value, "--out", str(out)]) == 2
+    from_flag = capsys.readouterr().err
+    assert from_flag.startswith(f"config error: {field}: cannot parse {value!r}")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({field: value}), encoding="utf-8")
+    assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == from_flag
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "oracle", "verify", "rates"])
+def test_output_dir_under_a_file_is_a_config_error(tmp_path, capsys, command):
+    # each once ended in a FileExistsError or NotADirectoryError traceback,
+    # verify and rates only after simulating every cell
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    argv = [command, "--n", "64", "--reps", "8", "--preset", "coupling-sweep"]
+    for out in (blocker, blocker / "sub"):
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: output_dir: {blocker} exists and is not a directory" in captured.err
+        assert captured.out == ""
+    assert blocker.read_text() == "kept\n"
 
 
 def test_read_bench_csv_rejects_foreign_schema(tmp_path):

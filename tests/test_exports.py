@@ -27,6 +27,15 @@ def test_all_names_resolve(module_name):
     assert missing == [], f"{module.__name__}.__all__ names missing attributes"
 
 
+def test_package_exports_are_the_module_exports():
+    # the package declares no name of its own beyond __version__
+    joined = ["__version__"]
+    for module_name in ("errors", "ou_core", "estimators", "oracles", "metrics", "harness"):
+        joined += importlib.import_module(f"ou_drift_bench.{module_name}").__all__
+    assert ou_drift_bench.__all__ == joined
+    assert len(set(joined)) == len(joined)
+
+
 def test_cli_import_leaves_out_scipy_signal():
     # scipy.signal alone once took about 1 s and 50 MiB of every command's
     # start-up; a stray import would bring that back silently.

@@ -1,32 +1,22 @@
 """Command-line front end: config parsing, experiment execution, CSV emission.
 
-Subcommands: simulate | estimate | oracle | verify | rates.  Configuration
-comes from an optional YAML file (--config) overridden by flags; every output
-is a pure function of (config, master_seed), with no timestamps, so re-running
-a command produces byte-identical files.
+`_COMMANDS` is the one table of subcommands: each name's function and help
+text.  Configuration comes from an optional YAML file (--config) overridden
+by flags; every output is a pure function of (config, master_seed), with no
+timestamps, so re-running a command produces byte-identical files.
 
 `_FIELDS` is the one table of RunConfig fields: each field's parser, flag and
 help text.  The parser is built from it, and a flag value goes through the
 same field parser as a config-file value, so a bad value from either is a
-config error naming the field (exit code 2).
+config error naming the field (exit code 2).  Numeric strings follow one rule
+for integers and reals: ASCII only, no "_", no surrounding blanks.  The
+replication floors live in the harness, which raises them as config errors.
 
 CSV outputs are UTF-8, comma-separated, '.' decimal, one header row, preceded
 by the schema comment line "# ou-drift-bench csv v1".  `read_bench_csv`
-rejects files with any other schema line.
-
-File schemas (column order is the contract):
-
-* paths.csv      t,x  |  t,z  |  t,z,x          (variant and coupling decide)
-* estimates.csv  estimator,path,estimate,denominator,normalized_error
-* oracle.csv     quantity,exact,asymptotic,bound
-* cells.csv      estimator,n,delta,T,replications,degenerate,mean_error,rmse,
-                 mae,w1,w1_se,kolmogorov,kolmogorov_se,mean_nerr,var_nerr,
-                 k3_nerr,k4_nerr
-* rates.csv      schedule,estimator,response,predictor,slope,intercept,r2,
-                 n_cells
-* plotdata.csv   estimator,n,delta,T,bound_term_1,bound_term_2,w1,w1_se,
-                 kolmogorov
-* coupling.csv   n,delta,l2,l4,l2_scaled
+rejects files with any other schema line.  Column order is the contract:
+`_COLUMNS` holds it for every file but paths.csv (t,x | t,z | t,z,x, as the
+variant and coupling decide), and the README's CSV table lists the same.
 """
 
 from __future__ import annotations
@@ -35,6 +25,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import yaml
@@ -42,7 +33,6 @@ import yaml
 from .errors import ConfigError, OuBenchError
 from .estimators import Estimator, IndexConvention, normalized_error
 from .harness import (
-    FIT_MIN_REPLICATIONS,
     GATE_SE,
     _RATE_BOUNDS,
     _cell_sums,
@@ -53,7 +43,6 @@ from .harness import (
     run_cell,
     run_schedule,
 )
-from .metrics import CUMULANT_MIN_SAMPLE
 from .oracles import MomentQuantity, moment_report
 from .ou_core import OuParams, Variant, simulate_coupled, simulate_path
 
@@ -73,6 +62,25 @@ __all__ = [
 CSV_SCHEMA_LINE = "# ou-drift-bench csv v1"
 
 _SEED_MAX = 2**64
+
+# Column order of each fixed-schema CSV, by file stem.
+_COLUMNS = {
+    "estimates": ("estimator", "path", "estimate", "denominator", "normalized_error"),
+    "oracle": ("quantity", "exact", "asymptotic", "bound"),
+    "cells": (
+        "estimator", "n", "delta", "T", "replications", "degenerate", "mean_error", "rmse",
+        "mae", "w1", "w1_se", "kolmogorov", "kolmogorov_se", "mean_nerr", "var_nerr",
+        "k3_nerr", "k4_nerr",
+    ),
+    "rates": (
+        "schedule", "estimator", "response", "predictor", "slope", "intercept", "r2", "n_cells",
+    ),
+    "plotdata": (
+        "estimator", "n", "delta", "T", "bound_term_1", "bound_term_2", "w1", "w1_se",
+        "kolmogorov",
+    ),
+    "coupling": ("n", "delta", "l2", "l4", "l2_scaled"),
+}
 
 
 @dataclass(frozen=True)
@@ -146,22 +154,28 @@ def _parse_estimators(value) -> tuple[Estimator, ...]:
     return tuple(_parse_estimator(v) for v in value)
 
 
+def _plain_string(value) -> bool:
+    """The one rule for numeric strings: ASCII, no "_", no surrounding blanks
+    (int() and float() take full-width digits, "1_0" and " 7")."""
+    return (
+        isinstance(value, str) and value.isascii() and "_" not in value and value == value.strip()
+    )
+
+
 def _parse_int(value) -> int:
     # int() would truncate 2.9 and take True for 1
-    if isinstance(value, str) and value.isascii() and value.isdigit():
+    if _plain_string(value) and value.isdigit():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise TypeError(
-        f"expected an integer or a string of ASCII digits, got {type(value).__name__}"
-    )
+    raise TypeError("expected an integer or a string of ASCII digits")
 
 
 def _parse_real(value) -> float:
     # float() would take True for 1.0
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+    if _plain_string(value) or (isinstance(value, (int, float)) and not isinstance(value, bool)):
         return float(value)
-    raise TypeError(f"expected a number or a numeric string, got {type(value).__name__}")
+    raise TypeError('expected a number or a numeric string (ASCII, no "_", no outer blanks)')
 
 
 def _parse_bool(value) -> bool:
@@ -240,12 +254,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+def _write_csv(path: Path, header: tuple[str, ...], rows) -> Path:
     lines = [CSV_SCHEMA_LINE, ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def _write_table(out_dir: Path, name: str, records) -> Path:
+    """Write records (mappings by column name) to `name`.csv in _COLUMNS order."""
+    columns = _COLUMNS[name]
+    return _write_csv(out_dir / f"{name}.csv", columns, map(itemgetter(*columns), records))
 
 
 def read_bench_csv(path: Path) -> tuple[list[str], list[dict]]:
@@ -274,10 +294,10 @@ def cmd_simulate(config: RunConfig) -> list[Path]:
     params = OuParams(theta=config.theta_true, delta=config.delta, n=config.n)
     if config.coupled:
         x_path, z_path = simulate_coupled(params, config.master_seed)
-        header, columns = ["t", "z", "x"], (z_path.values, x_path.values)
+        header, columns = ("t", "z", "x"), (z_path.values, x_path.values)
     else:
         path = simulate_path(params, config.variant, config.master_seed)
-        header = ["t", "z" if config.variant is Variant.STATIONARY else "x"]
+        header = ("t", "z" if config.variant is Variant.STATIONARY else "x")
         columns = (path.values,)
     rows = [[float(v) for v in row] for row in zip(params.times(), *columns)]
     out = _write_csv(config.output_dir / "paths.csv", header, rows)
@@ -301,42 +321,34 @@ def cmd_estimate(config: RunConfig) -> list[Path]:
         est, den, good = _estimates(sums, params, estimator, config.index_convention)
         nerr = normalized_error(est, params, config.theta_true)
         # tolist() gives Python floats, which _fmt writes with repr
-        values = iter(zip(est.tolist(), den.tolist(), nerr.tolist()))
+        values = (
+            {"estimate": e, "denominator": d, "normalized_error": r}
+            for e, d, r in zip(est.tolist(), den.tolist(), nerr.tolist())
+        )
         columns.append((estimator.value, good.tolist(), values))
-    rows = [
-        [name, index, *next(values)]
+    records = (
+        {"estimator": name, "path": index, **next(values)}
         for index in range(config.replications)
         for name, good, values in columns
         if good[index]
-    ]
-    out = _write_csv(
-        config.output_dir / "estimates.csv",
-        ["estimator", "path", "estimate", "denominator", "normalized_error"],
-        rows,
     )
-    return [out]
+    return [_write_table(config.output_dir, "estimates", records)]
 
 
 def cmd_oracle(config: RunConfig) -> list[Path]:
     """Write the exact oracle values for the configured cell to oracle.csv."""
     params = OuParams(theta=config.theta_true, delta=config.delta, n=config.n)
-    rows = []
-    for quantity in MomentQuantity:
-        report = moment_report(quantity, params)
-        rows.append(
-            [
-                quantity.value,
-                report.exact_value,
-                report.asymptotic_value,
-                report.bound_value,
-            ]
-        )
-    out = _write_csv(
-        config.output_dir / "oracle.csv",
-        ["quantity", "exact", "asymptotic", "bound"],
-        rows,
+    reports = [moment_report(quantity, params) for quantity in MomentQuantity]
+    records = (
+        {
+            "quantity": r.quantity.value,
+            "exact": r.exact_value,
+            "asymptotic": r.asymptotic_value,
+            "bound": r.bound_value,
+        }
+        for r in reports
     )
-    return [out]
+    return [_write_table(config.output_dir, "oracle", records)]
 
 
 def _verify_lines(config: RunConfig) -> tuple[list[str], bool]:
@@ -396,13 +408,6 @@ def _verify_lines(config: RunConfig) -> tuple[list[str], bool]:
 
 def cmd_verify(config: RunConfig) -> int:
     """Run gated oracle checks; exit 0 iff all pass.  Report goes to stdout."""
-    if config.replications < CUMULANT_MIN_SAMPLE:
-        # Below this every cumulant gate would be skipped and the verdict
-        # would rest on the second moment alone.
-        raise ConfigError(
-            f"replications must be >= {CUMULANT_MIN_SAMPLE} for verify (the "
-            f"cumulant gates need them), got {config.replications}"
-        )
     lines, all_pass = _verify_lines(config)
     print("\n".join(lines))
     body = "# verify report\n\n```\n" + "\n".join(lines) + "\n```\n"
@@ -418,15 +423,7 @@ def cmd_rates(config: RunConfig) -> list[Path]:
     """Run the configured preset once for every estimator; emit
     cells/rates/plotdata/report, and coupling.csv on coupling-sweep."""
     schedule = preset_schedule(config.schedule)
-    # cells.csv reports the normalized-error cumulants, and a CLT-valid
-    # preset also fits rates.
-    floor = FIT_MIN_REPLICATIONS if schedule.clt_valid else CUMULANT_MIN_SAMPLE
-    if config.replications < floor:
-        raise ConfigError(
-            f"replications must be >= {floor} for rates on preset "
-            f"{schedule.name!r}, got {config.replications}"
-        )
-    cell_rows, rate_rows, plot_rows = [], [], []
+    cell_records, rate_records = [], []
     report: list[str] = [
         "# ou-drift-bench rate report",
         "",
@@ -455,58 +452,36 @@ def cmd_rates(config: RunConfig) -> list[Path]:
     for result in results:
         estimator = result.estimator
         bound = _RATE_BOUNDS[estimator]
+        # One record per cell: the cells.csv fields plus the bound terms,
+        # which plotdata.csv adds.  replications, mean_error, rmse, mae and
+        # the distances are the summary's fields under their own names.
+        records = []
         for cell, summary in zip(schedule.cells, result.summaries):
             term1, term2 = bound.terms(cell)
             cum = summary.cumulants
-            dist = summary.distance
-            cell_rows.append(
-                [
-                    estimator.value,
-                    cell.n,
-                    cell.delta,
-                    cell.horizon,
-                    summary.replications,
-                    summary.degenerate_count,
-                    summary.mean_error,
-                    summary.rmse,
-                    summary.mae,
-                    dist.w1,
-                    dist.w1_se,
-                    dist.kolmogorov,
-                    dist.kolmogorov_se,
-                    cum.mean,
-                    cum.var,
-                    cum.k3,
-                    cum.k4,
-                ]
+            records.append(
+                {
+                    **vars(summary),
+                    **vars(summary.distance),
+                    "estimator": estimator.value,
+                    "n": cell.n,
+                    "delta": cell.delta,
+                    "T": cell.horizon,
+                    "degenerate": summary.degenerate_count,
+                    "mean_nerr": cum.mean,
+                    "var_nerr": cum.var,
+                    "k3_nerr": cum.k3,
+                    "k4_nerr": cum.k4,
+                    "bound_term_1": term1,
+                    "bound_term_2": term2,
+                }
             )
-            plot_rows.append(
-                [
-                    estimator.value,
-                    cell.n,
-                    cell.delta,
-                    cell.horizon,
-                    term1,
-                    term2,
-                    dist.w1,
-                    dist.w1_se,
-                    dist.kolmogorov,
-                ]
-            )
-        for fit in (result.bound_fit, result.dominant_fit):
-            if fit is not None:
-                rate_rows.append(
-                    [
-                        fit.schedule,
-                        estimator.value,
-                        fit.response.value if fit.response else "",
-                        fit.predictor,
-                        fit.slope,
-                        fit.intercept,
-                        fit.r2,
-                        fit.n_cells,
-                    ]
-                )
+        cell_records.extend(records)
+        rate_records.extend(
+            {**vars(fit), "estimator": estimator.value, "response": fit.response.value}
+            for fit in (result.bound_fit, result.dominant_fit)
+            if fit is not None
+        )
 
         report.append(f"## {estimator.value}")
         report.append("")
@@ -517,14 +492,13 @@ def cmd_rates(config: RunConfig) -> list[Path]:
         report.append("")
         report.append("| n | delta | T | W1 | W1 se | Kolmogorov |")
         report.append("|---|-------|---|----|-------|------------|")
-        for cell, summary in zip(schedule.cells, result.summaries):
-            dist = summary.distance
+        for r in records:
             report.append(
-                f"| {cell.n} | {_fmt(cell.delta)} | {_fmt(cell.horizon)} | "
-                f"{dist.w1:.5f} | {dist.w1_se:.5f} | {dist.kolmogorov:.5f} |"
+                f"| {r['n']} | {_fmt(r['delta'])} | {_fmt(r['T'])} | "
+                f"{r['w1']:.5f} | {r['w1_se']:.5f} | {r['kolmogorov']:.5f} |"
             )
         report.append("")
-        w1s = [s.distance.w1 for s in result.summaries]
+        w1s = [r["w1"] for r in records]
         monotone = all(b < a for a, b in zip(w1s, w1s[1:]))
         if schedule.clt_valid:
             report.append(
@@ -549,40 +523,13 @@ def cmd_rates(config: RunConfig) -> list[Path]:
         report.append("")
 
     outputs = [
-        _write_csv(
-            config.output_dir / "cells.csv",
-            [
-                "estimator", "n", "delta", "T", "replications", "degenerate",
-                "mean_error", "rmse", "mae", "w1", "w1_se", "kolmogorov",
-                "kolmogorov_se", "mean_nerr", "var_nerr", "k3_nerr", "k4_nerr",
-            ],
-            cell_rows,
-        ),
-        _write_csv(
-            config.output_dir / "rates.csv",
-            [
-                "schedule", "estimator", "response", "predictor",
-                "slope", "intercept", "r2", "n_cells",
-            ],
-            rate_rows,
-        ),
-        _write_csv(
-            config.output_dir / "plotdata.csv",
-            [
-                "estimator", "n", "delta", "T", "bound_term_1", "bound_term_2",
-                "w1", "w1_se", "kolmogorov",
-            ],
-            plot_rows,
-        ),
+        _write_table(config.output_dir, name, records)
+        for name, records in (
+            ("cells", cell_records), ("rates", rate_records), ("plotdata", cell_records)
+        )
     ]
     if schedule.name == "coupling-sweep":
-        outputs.append(
-            _write_csv(
-                config.output_dir / "coupling.csv",
-                ["n", "delta", "l2", "l4", "l2_scaled"],
-                [[r.n, r.delta, r.l2, r.l4, r.l2_scaled] for r in coupling.rows],
-            )
-        )
+        outputs.append(_write_table(config.output_dir, "coupling", map(vars, coupling.rows)))
         report.append(
             f"Coupling spread of l2*(n delta) across cells: {_fmt(coupling.spread)} "
             f"(within factor 10: {'yes' if coupling.within_factor_10 else 'no'})."
@@ -592,6 +539,17 @@ def cmd_rates(config: RunConfig) -> list[Path]:
     path.write_text("\n".join(report) + "\n", encoding="utf-8")
     outputs.append(path)
     return outputs
+
+
+# Every subcommand: its function and its help text.  `verify` returns its
+# exit code, the others the files they wrote.
+_COMMANDS = {
+    "simulate": (cmd_simulate, "write one path as CSV"),
+    "estimate": (cmd_estimate, "write per-path estimates as CSV"),
+    "oracle": (cmd_oracle, "write exact oracle values as CSV"),
+    "verify": (cmd_verify, "run gated oracle checks"),
+    "rates": (cmd_rates, "run a schedule and fit rates"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -606,11 +564,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo benchmarks for OU drift estimators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common], help="write one path as CSV")
-    sub.add_parser("estimate", parents=[common], help="write per-path estimates as CSV")
-    sub.add_parser("oracle", parents=[common], help="write exact oracle values as CSV")
-    sub.add_parser("verify", parents=[common], help="run gated oracle checks")
-    sub.add_parser("rates", parents=[common], help="run a schedule and fit rates")
+    for name, (_, text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
@@ -622,7 +577,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_output_dir(path: Path) -> None:
-    """Refuse an output directory that is, or lies under, an existing file."""
+    """Refuse an output directory that no file system takes (a NUL byte) or
+    that is, or lies under, an existing file."""
+    if "\0" in str(path):
+        # Path.exists() is False for such a path; mkdir raises ValueError
+        raise ConfigError(f"output_dir: {str(path)!r} holds a NUL byte")
     existing = next((p for p in (path, *path.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise ConfigError(f"output_dir: {existing} exists and is not a directory")
@@ -633,25 +592,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         _check_output_dir(config.output_dir)
-        if args.command == "simulate":
-            paths = cmd_simulate(config)
-        elif args.command == "estimate":
-            paths = cmd_estimate(config)
-        elif args.command == "oracle":
-            paths = cmd_oracle(config)
-        elif args.command == "verify":
-            return cmd_verify(config)
-        elif args.command == "rates":
-            paths = cmd_rates(config)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        result = _COMMANDS[args.command][0](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OuBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for path in paths:
+    if isinstance(result, int):  # verify's exit code
+        return result
+    for path in result:
         print(path)
     return 0
 

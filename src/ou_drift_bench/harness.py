@@ -27,15 +27,19 @@ block has `ou_core.block_rows(n)` rows, about 2^18 values per rows x chunk
 array (2 MiB), so memory per worker is bounded whatever n and the
 replication count are.  Block size changes no path's values.
 
+Replication floors: given estimators, `run_cell` and `run_schedule` refuse
+fewer than CUMULANT_MIN_SAMPLE replications, or FIT_MIN_REPLICATIONS on a
+CLT-valid schedule, with a ConfigError before simulating.  Below 1000
+replications one degenerate path aborts the cell, so every summary has its
+jackknife cumulants.
+
 Oracle gating: rows marked gated compare Monte Carlo moments against exact
 closed forms (and the pathwise decomposition identity) and must pass at 4
 standard errors; `cmd_verify` turns them into an exit code.  A cell takes
 its oracle values before any sample statistic, and one that is not finite
-ends it in NonFiniteValue.  Every oracle is O(n), so a cell with at least
-CUMULANT_MIN_SAMPLE replications gates the variance, third and fourth
-cumulants of F_n(Z) and the exact Lambda_n cumulants at any n; below that
-only the second moment of Lambda_n and the decomposition identity are
-checked.  Rows for the first-order values `k3_lambda_is_zero` and
+ends it in NonFiniteValue.  Every oracle is O(n), so a cell gates the
+variance, third and fourth cumulants of F_n(Z) and the exact Lambda_n
+cumulants at any n.  Rows for the first-order values `k3_lambda_is_zero` and
 `k4_lambda` are reported but not gated: at desk scale the terms those values
 drop are dominant, the empirical cumulants match the exact oracles instead,
 and gating on them would fail every run.  The report keeps both so the gap
@@ -256,8 +260,7 @@ class McSummary:
     theta: float
     convention: IndexConvention
     distance: DistanceReport
-    # None when fewer than 4 usable replications (jackknife needs 4).
-    cumulants: SampleCumulants | None
+    cumulants: SampleCumulants
     mean_error: float
     rmse: float
     mae: float
@@ -409,22 +412,18 @@ def _cell_checks(
     # exact_var_lambda is the raw second moment; E[Lambda_n] = 0 exactly.
     sq = lam_scaled**2
     se_sq = float(np.std(sq, ddof=1)) / math.sqrt(sq.size)
-    rows = [("exact_var_lambda", float(np.mean(sq)), se_sq)]
-    # Jackknife cumulants need 4 observations; below that only the raw second
-    # moment and the pathwise decomposition are checked.
-    if lam.size >= CUMULANT_MIN_SAMPLE:
-        sc_f = sample_cumulants(sqrt_t * (fz - 1.0 / (2.0 * theta)))
-        sc_l = sample_cumulants(lam_scaled)
-        rows = [
-            ("exact_var_fn_z", sc_f.var, sc_f.se_var),
-            ("k3_fn_z", sc_f.k3, sc_f.se_k3),
-            ("k4_fn_z_bound", sc_f.k4, sc_f.se_k4),
-            *rows,
-            ("exact_k3_lambda", sc_l.k3, sc_l.se_k3),
-            ("exact_k4_lambda", sc_l.k4, sc_l.se_k4),
-            ("k3_lambda_is_zero", sc_l.k3, sc_l.se_k3),
-            ("k4_lambda", sc_l.k4, sc_l.se_k4),
-        ]
+    sc_f = sample_cumulants(sqrt_t * (fz - 1.0 / (2.0 * theta)))
+    sc_l = sample_cumulants(lam_scaled)
+    rows = [
+        ("exact_var_fn_z", sc_f.var, sc_f.se_var),
+        ("k3_fn_z", sc_f.k3, sc_f.se_k3),
+        ("k4_fn_z_bound", sc_f.k4, sc_f.se_k4),
+        ("exact_var_lambda", float(np.mean(sq)), se_sq),
+        ("exact_k3_lambda", sc_l.k3, sc_l.se_k3),
+        ("exact_k4_lambda", sc_l.k4, sc_l.se_k4),
+        ("k3_lambda_is_zero", sc_l.k3, sc_l.se_k3),
+        ("k4_lambda", sc_l.k4, sc_l.se_k4),
+    ]
     checks = [
         _se_check(
             name, exact[name], empirical, se,
@@ -453,6 +452,18 @@ def _cell_checks(
         )
     )
     return checks
+
+
+def _require_replications(estimators, replications: int, clt_valid: bool = False) -> None:
+    """Refuse too few replications for the estimators' summaries, or for the
+    rate fits of a CLT-valid schedule; with no estimators there is no floor."""
+    floor, need = CUMULANT_MIN_SAMPLE, "the jackknife cumulants"
+    if clt_valid:
+        floor, need = FIT_MIN_REPLICATIONS, "the rate fits on a CLT-valid schedule"
+    if estimators and replications < floor:
+        raise ConfigError(
+            f"replications must be >= {floor} ({need} need them), got {replications}"
+        )
 
 
 def _summaries(
@@ -484,21 +495,18 @@ def _summaries(
     for estimator, (estimates, _, _), count in zip(estimators, selections, degenerate):
         errors = estimates - params.theta
         nerr = normalized_error(estimates, params, params.theta)
-        cumulants = sample_cumulants(nerr) if nerr.size >= CUMULANT_MIN_SAMPLE else None
+        c = sample_cumulants(nerr)
         distance = distance_report(nerr, n_bootstrap=n_bootstrap, seed=master_seed)
-        checks = list(shared)
         # Finite-size cumulant screen on the normalized errors, informational:
         # the third cumulant decays like the rate bound, not faster, so it
         # sits many standard errors from 0 at desk scale.
-        if cumulants is not None:
-            c = cumulants
-            for order, k, se in ((3, c.k3, c.se_k3), (4, c.k4, c.se_k4)):
-                checks.append(
-                    _se_check(
-                        f"screen_k{order}_normalized_errors", 0.0, k, se, gated=False,
-                        note="finite-size cumulant; decays with the rate bound",
-                    )
-                )
+        checks = shared + [
+            _se_check(
+                f"screen_k{order}_normalized_errors", 0.0, k, se, gated=False,
+                note="finite-size cumulant; decays with the rate bound",
+            )
+            for order, k, se in ((3, c.k3, c.se_k3), (4, c.k4, c.se_k4))
+        ]
         summaries.append(
             McSummary(
                 cell=(params.n, params.delta),
@@ -507,7 +515,7 @@ def _summaries(
                 theta=params.theta,
                 convention=convention,
                 distance=distance,
-                cumulants=cumulants,
+                cumulants=c,
                 mean_error=float(np.mean(errors)),
                 rmse=float(np.sqrt(np.mean(errors**2))),
                 mae=float(np.mean(np.abs(errors))),
@@ -534,6 +542,7 @@ def run_cell(
     paths (denominator at or below the guard) are excluded and counted; more
     than DEGENERACY_ABORT_FRACTION of them aborts the cell.
     """
+    _require_replications(estimators, replications)
     sums = _cell_sums(params, Variant.STATIONARY, replications, master_seed)
     return _summaries(params, sums, estimators, master_seed, convention, n_bootstrap)
 
@@ -652,15 +661,11 @@ def run_schedule(
     in the order given, and the coupling report of the same paths.
 
     Rate fits are CLT statements, so they are produced only for CLT-valid
-    schedules (with >= 3 cells and >= FIT_MIN_REPLICATIONS replications); other
-    schedules get summaries with no fit.  The coupling report's scaled column
-    l2 * (n delta) is the quantity whose spread across cells the factor-10
-    check constrains.
+    schedules (with >= 3 cells); other schedules get summaries with no fit.
+    The coupling report's scaled column l2 * (n delta) is the quantity whose
+    spread across cells the factor-10 check constrains.
     """
-    if schedule.clt_valid and estimators and replications < FIT_MIN_REPLICATIONS:
-        raise ValueError(
-            f"rate fits need replications >= {FIT_MIN_REPLICATIONS}, got {replications}"
-        )
+    _require_replications(estimators, replications, schedule.clt_valid)
     per_cell, rows = [], []
     for cell in schedule.cells:
         params = cell.params(theta)

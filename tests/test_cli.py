@@ -1,6 +1,7 @@
 """Command line interface: outputs, config precedence, byte determinism."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from ou_drift_bench import (
     k3_fn_z,
     simulate_path,
 )
+from ou_drift_bench import cli
 from ou_drift_bench.cli import CSV_SCHEMA_LINE, build_config, main, read_bench_csv
 from ou_drift_bench.errors import ConfigError
 
@@ -282,12 +284,17 @@ def test_unknown_preset_rejected(tmp_path, capsys):
         ("--reps", "replications", " 7"),
         ("--estimator", "estimators", "amce,amle"),
         ("--variant", "variant", "zero"),
+        ("--theta", "theta_true", "\uff13"),
+        ("--theta", "theta_true", "1_0"),
+        ("--delta", "delta", " 0.1"),
     ],
-    ids=["underscore-seed", "full-width-n", "blank-reps", "joined-estimators", "bad-variant"],
+    ids=["underscore-seed", "full-width-n", "blank-reps", "joined-estimators", "bad-variant",
+         "full-width-theta", "underscore-theta", "blank-delta"],
 )
 def test_flag_and_file_values_share_one_parser(tmp_path, capsys, flag, field, value):
     # the flags once went through argparse: its int() took the three integer
-    # strings that the file refused, and a bad choice was a usage error
+    # strings that the file refused, and a bad choice was a usage error; the
+    # real fields then took all three spellings from either source
     out = tmp_path / "o"
     assert main(["oracle", flag, value, "--out", str(out)]) == 2
     from_flag = capsys.readouterr().err
@@ -312,6 +319,26 @@ def test_output_dir_under_a_file_is_a_config_error(tmp_path, capsys, command):
         assert f"config error: output_dir: {blocker} exists and is not a directory" in captured.err
         assert captured.out == ""
     assert blocker.read_text() == "kept\n"
+
+
+def test_output_dir_with_a_nul_byte_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # once a ValueError traceback from mkdir, since Path.exists() is False
+    # for such a path; only a config file can hold one, and --out would win
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text('output_dir: "a\\0b"\n', encoding="utf-8")
+    assert main(["oracle", "--n", "8", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: output_dir: 'a\\x00b' holds a NUL byte\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+
+def test_readme_csv_table_lists_the_columns():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = dict(re.findall(r"^\| `(\w+)\.csv` *\| `([^`]+)`", readme, re.MULTILINE))
+    assert table.pop("paths") == "t,x"  # its header depends on the variant
+    assert {name: tuple(cols.split(",")) for name, cols in table.items()} == cli._COLUMNS
 
 
 def test_read_bench_csv_rejects_foreign_schema(tmp_path):

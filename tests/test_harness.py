@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from ou_drift_bench import (
+    ConfigError,
     Estimator,
     IndexConvention,
     InsufficientCells,
     NonPositiveValue,
     OuParams,
     RateResponse,
+    SampleCumulants,
     Schedule,
     ScheduleCell,
     Variant,
@@ -196,15 +198,22 @@ def test_long_cell_memory_bounded(monkeypatch, n, reps):
     assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
-def test_run_cell_two_replications_deterministic():
+def test_run_cell_two_replications_deterministic(monkeypatch):
+    # Below the jackknife floor the cell is refused before any simulation;
+    # a summary once came back with its cumulants set to None instead.
     p = OuParams(theta=1.0, delta=0.1, n=64)
-    (one,) = run_cell(p, (Estimator.AMCE,), 2, 7, n_bootstrap=10)
-    (two,) = run_cell(p, (Estimator.AMCE,), 2, 7, n_bootstrap=10)
+    calls = []
+    monkeypatch.setattr(harness, "simulate_block", lambda *a, **k: calls.append(a))
+    for reps in (2, 3):
+        with pytest.raises(ConfigError, match="^replications must be >= 4 .*got " + str(reps)):
+            run_cell(p, (Estimator.AMCE,), reps, 7)
+    assert calls == []
+    monkeypatch.undo()
+    (one,) = run_cell(p, (Estimator.AMCE,), 4, 7, n_bootstrap=10)
+    (two,) = run_cell(p, (Estimator.AMCE,), 4, 7, n_bootstrap=10)
     assert one == two
-    assert one.replications == 2
-    assert one.cumulants is None
-    with pytest.raises(ValueError):
-        run_cell(p, (Estimator.AMCE,), 1, 7)
+    assert one.replications == 4
+    assert isinstance(one.cumulants, SampleCumulants)
 
 
 def test_run_cell_estimators_share_one_simulation():
@@ -313,16 +322,19 @@ def test_mean_normalized_error_centering_example(amce_n4096):
 def test_run_schedule_replications_floor_binds_only_fits():
     cells = tuple(ScheduleCell(n=n, delta=n**-0.5) for n in (64, 128, 256))
     clt = Schedule(name="mini-clt", cells=cells, clt_valid=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="replications must be >= 100"):
         # distances would feed a rate fit, so the floor applies
         run_schedule(clt, (Estimator.AMCE,), 50, SEED)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="replications must be >= 4"):
         run_schedule(preset_schedule("coupling-sweep"), (Estimator.AMCE,), 1, SEED)
     # non-CLT schedules produce no fit and accept small runs
     (small,), _ = run_schedule(
         preset_schedule("coupling-sweep"), (Estimator.AMCE,), 50, SEED, n_bootstrap=20
     )
     assert small.bound_fit is None and small.dominant_fit is None
+    # with no estimators there are no summaries, so no floor
+    report = coupling_check(preset_schedule("coupling-sweep"), 2, SEED)
+    assert len(report.rows) == 3
 
 
 def test_run_schedule_clt_fits_and_non_clt_absence():

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
@@ -577,14 +578,32 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_output_dir(path: Path) -> None:
-    """Refuse an output directory that no file system takes (a NUL byte) or
-    that is, or lies under, an existing file."""
+    """Refuse an output directory that no file system takes (a NUL byte, a
+    name or a path too long) or that is, or lies under, an existing file."""
     if "\0" in str(path):
         # Path.exists() is False for such a path; mkdir raises ValueError
         raise ConfigError(f"output_dir: {str(path)!r} holds a NUL byte")
-    existing = next((p for p in (path, *path.parents) if p.exists()), None)
-    if existing is not None and not existing.is_dir():
+    # os.path.exists is False where Path.exists raises (a name too long)
+    existing = next((p for p in (path, *path.parents) if os.path.exists(p)), None)
+    if existing is None:
+        return
+    if not existing.is_dir():
         raise ConfigError(f"output_dir: {existing} exists and is not a directory")
+    name_max = os.pathconf(existing, "PC_NAME_MAX")
+    for name in path.relative_to(existing).parts:
+        if len(os.fsencode(name)) > name_max:
+            raise ConfigError(
+                f"output_dir: a directory name of {len(os.fsencode(name))} bytes is "
+                f"longer than the file system's limit of {name_max}"
+            )
+    # estimates.csv is the longest name of a file a command writes
+    longest = os.fsencode(path / max((f"{stem}.csv" for stem in _COLUMNS), key=len))
+    path_max = os.pathconf(existing, "PC_PATH_MAX")
+    if len(longest) >= path_max:
+        raise ConfigError(
+            f"output_dir: its files' paths take {len(longest)} bytes, at or above "
+            f"the file system's limit of {path_max}"
+        )
 
 
 def main(argv: list[str] | None = None) -> int:

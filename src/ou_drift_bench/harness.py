@@ -7,25 +7,32 @@ and a list of oracle cross-checks; `run_schedule` walks a schedule's cells
 once, adds log-log rate fits of W1 against each estimator's rate bound, and
 measures the pathwise coupling of F_n(X) and F_n(Z) on the same paths
 (`coupling_check` is that walk with no estimators).  Per-path sums come from
-`_cell_sums`, and every estimate from `_estimates`, the one estimator
+`_cell_walk`, and every estimate from `_estimates`, the one estimator
 selection and degeneracy guard; `ou-bench estimate` uses both too, on paths
 in the from-zero layout instead of the stationary one.
+
+Workers: each of `run_cell`, `run_schedule` and `_cell_sums` (behind
+`ou-bench estimate`) opens one pool of forked worker processes through
+`_cell_walk`, which pipelines a command's cells: cell k is summarized while
+the workers simulate cells k+1 onward.
 
 Determinism contract: every result is a pure function of (arguments,
 master_seed).  Path i of a cell draws from the counter-based stream
 (master_seed, i), blocks of paths are filled into disjoint slices of
 preallocated arrays, and reductions run in index order, so results are
-bit-identical across runs and across worker counts.  OU_BENCH_THREADS caps
-the worker pool without affecting values; anything but a positive integer
-there is a ConfigError.  Cells share streams (common random
-numbers): comparisons across cells and between estimators on the same cell
-reuse the same paths, which tightens monotonicity comparisons.
+bit-identical across runs and across worker counts.  OU_BENCH_THREADS sets
+the number of worker processes (default min(cores, 8)) without affecting
+values; anything but a positive integer there is a ConfigError.  Cells
+share streams (common random numbers): comparisons across cells and between
+estimators on the same cell reuse the same paths, which tightens
+monotonicity comparisons.
 
 Memory: each block of paths goes through `ou_core.simulate_block`, which
 scans along time in chunks of 16384 steps and keeps only per-path sums.  A
 block has `ou_core.block_rows(n)` rows, about 2^18 values per rows x chunk
-array (2 MiB), so memory per worker is bounded whatever n and the
-replication count are.  Block size changes no path's values.
+array (2 MiB).  A worker keeps one set of block buffers, so beyond the pages
+it shares with the process it was forked from, its memory is bounded whatever
+n and the replication count are.  Block size changes no path's values.
 
 Replication floors: given estimators, `run_cell` and `run_schedule` refuse
 fewer than CUMULANT_MIN_SAMPLE replications, or FIT_MIN_REPLICATIONS on a
@@ -50,10 +57,14 @@ from __future__ import annotations
 
 import enum
 import math
+import multiprocessing
 import os
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -303,7 +314,7 @@ class ScheduleResult:
 
 
 def _worker_count() -> int:
-    """Worker pool size: OU_BENCH_THREADS if set, else min(cores, 8)."""
+    """Worker processes: OU_BENCH_THREADS if set, else min(cores, 8)."""
     raw = os.environ.get("OU_BENCH_THREADS")
     cores = os.cpu_count() or 1
     if raw is None:
@@ -317,25 +328,65 @@ def _worker_count() -> int:
     return workers
 
 
-def _cell_sums(params: OuParams, variant: Variant, reps: int, master_seed: int) -> BlockSums:
-    """Sums of paths 0..reps-1, path i on stream (master_seed, i) in the
-    variant's draw layout.  In the stationary layout X and Z are the exact
-    coupling; in the from-zero layout Z is X."""
-    if reps < 2:
-        raise ValueError(f"replications must be >= 2, got {reps}")
+def _gather(spans: list[tuple[int, int]], blocks, reps: int) -> BlockSums:
+    """One cell's sums: each block's, taken in turn from the callables
+    `blocks`, copied into the slice of its rows."""
     sums = BlockSums(*(np.empty(reps) for _ in fields(BlockSums)))
-
-    def fill(lo: int, hi: int) -> None:
-        block = simulate_block(params, variant, master_seed, lo, hi)
+    for (lo, hi), result in zip(spans, blocks):
+        block = result()
         for field in fields(BlockSums):
             getattr(sums, field.name)[lo:hi] = getattr(block, field.name)
-
-    block = block_rows(params.n)
-    los = range(0, reps, block)
-    his = [min(lo + block, reps) for lo in los]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        list(pool.map(fill, los, his))
     return sums
+
+
+@contextmanager
+def _cell_walk(
+    cells: Sequence[OuParams], variant: Variant, reps: int, master_seed: int
+) -> Iterator[Iterator[BlockSums]]:
+    """The sums of each cell in turn: paths 0..reps-1, path i on stream
+    (master_seed, i) in the variant's draw layout.  In the stationary layout
+    X and Z are the exact coupling; in the from-zero layout Z is X.
+
+    Every block of every cell goes to the worker processes on entry, so they
+    simulate the next cells while the caller works on this one.  Leaving the
+    walk cancels the blocks not yet started and ends the workers.  With one
+    worker, or one block, the blocks run here when the walk reaches them.
+    """
+    if reps < 2:
+        raise ValueError(f"replications must be >= 2, got {reps}")
+    steps = [block_rows(params.n) for params in cells]
+    spans = [[(lo, min(lo + step, reps)) for lo in range(0, reps, step)] for step in steps]
+    workers = min(_worker_count(), sum(map(len, spans)))
+    # Forked, not spawned: a spawned or forkserver worker imports the package
+    # first (0.44 s on a 2-core host), more than a small cell takes to
+    # simulate.  The harness starts no thread; OpenBLAS stops its own around
+    # a fork, and from Python 3.11 the executor forks all its workers before
+    # it starts its own.
+    pool = (
+        ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        if workers > 1
+        else None
+    )
+
+    def block(params: OuParams, lo: int, hi: int) -> Callable[[], BlockSums]:
+        call = (simulate_block, params, variant, master_seed, lo, hi)
+        return pool.submit(*call).result if pool else partial(*call)
+
+    try:
+        pending = deque(
+            [block(params, lo, hi) for lo, hi in cell_spans]
+            for params, cell_spans in zip(cells, spans)
+        )
+        yield (_gather(cell_spans, pending.popleft(), reps) for cell_spans in spans)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _cell_sums(params: OuParams, variant: Variant, reps: int, master_seed: int) -> BlockSums:
+    """The sums of one cell's paths: `_cell_walk` over that cell alone."""
+    with _cell_walk((params,), variant, reps, master_seed) as walk:
+        return next(walk)
 
 
 def _estimates(
@@ -666,14 +717,14 @@ def run_schedule(
     spread across cells the factor-10 check constrains.
     """
     _require_replications(estimators, replications, schedule.clt_valid)
+    cells = [cell.params(theta) for cell in schedule.cells]
     per_cell, rows = [], []
-    for cell in schedule.cells:
-        params = cell.params(theta)
-        sums = _cell_sums(params, Variant.STATIONARY, replications, master_seed)
-        per_cell.append(
-            _summaries(params, sums, estimators, master_seed, convention, n_bootstrap)
-        )
-        rows.append(_coupling_row(params, sums, convention))
+    with _cell_walk(cells, Variant.STATIONARY, replications, master_seed) as walk:
+        for params, sums in zip(cells, walk):
+            per_cell.append(
+                _summaries(params, sums, estimators, master_seed, convention, n_bootstrap)
+            )
+            rows.append(_coupling_row(params, sums, convention))
     results = tuple(
         _schedule_result(schedule, estimator, summaries)
         for estimator, summaries in zip(estimators, zip(*per_cell))

@@ -15,7 +15,10 @@ AR(1) scan and the per-path sums; the per-path functions and the harness
 both call it.  The scan uses numpy only: within a segment of time,
 x_l = a^l (a x_start + sum_{j <= l} (scale / a^j) xi_j) is a weighted
 cumulative sum (`_scan`).  The tail and Z sums are closed forms in the
-head sums, sum e^{-theta t} X and the end column.
+head sums, sum e^{-theta t} X and the end column.  The harness calls
+`simulate_block` in forked worker processes, as many as OU_BENCH_THREADS
+says; each keeps one set of block buffers from block to block, so a
+worker's memory is bounded by its block buffers.
 """
 
 from __future__ import annotations
@@ -151,12 +154,19 @@ def rho(theta: float, t: float) -> float:
     return math.exp(-theta * abs(t)) / (2.0 * theta)
 
 
-def _philox_key(seed: int, stream: int) -> np.ndarray:
+def _philox_keys(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Philox keys [seed, stream] of streams lo..hi-1, one row each."""
     if not (0 <= seed < _SEED_MAX):
         raise ValueError(f"seed must be a uint64, got {seed!r}")
-    if not (0 <= stream < _SEED_MAX):
-        raise ValueError(f"stream must be a uint64, got {stream!r}")
-    return np.array([seed, stream], dtype=np.uint64)
+    for stream in (lo, hi - 1):
+        if not (0 <= stream < _SEED_MAX):
+            raise ValueError(f"stream must be a uint64, got {stream!r}")
+    keys = np.empty((hi - lo, 2), dtype=np.uint64)
+    keys[:, 0] = seed
+    # added in uint64: an arange from lo would be sized in float64
+    keys[:, 1] = lo
+    keys[:, 1] += np.arange(hi - lo, dtype=np.uint64)
+    return keys
 
 
 def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -166,7 +176,7 @@ def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
     independent streams, so replication i of a run seeded s draws from
     (s, i) with no coordination between workers.
     """
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+    return np.random.Generator(np.random.Philox(key=_philox_keys(seed, stream, stream + 1)[0]))
 
 
 def _add_start(x: np.ndarray, z0: np.ndarray, params: OuParams) -> np.ndarray:
@@ -244,9 +254,10 @@ class BlockPaths:
 
 
 def _new_buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
-    """xi, scan, x and diff buffers of one block; x carries the scan's start column."""
+    """Draw, scan, x and diff buffers of one block.  The draws' column 0 takes
+    a stationary row's Z_0 and x's the scan's start column."""
     return (
-        np.empty((rows, width)),
+        np.empty((rows, width + 1)),
         np.empty((rows, width)),
         np.empty((rows, width + 1)),
         np.empty((rows, width)),
@@ -269,10 +280,12 @@ def simulate_block(
 
     Draw order is part of the determinism contract: a stationary row draws
     Z_0 first, then the n innovations; a from-zero row draws the innovations
-    only.  One Philox serves the block; re-keyed to [seed, stream] with a zero
-    counter and an empty buffer it gives exactly path_rng(seed, stream).  X is
-    scanned from zero by segmented cumulative sums (`_scan`), and a
-    stationary path is Z = X + e^{-theta t} Z_0.
+    only.  A row's first chunk is one draw call, Z_0 included, which gives
+    the same numbers as one call per value.  One Philox serves the block;
+    re-keyed to [seed, stream] with a zero counter and an empty buffer it
+    gives exactly path_rng(seed, stream).  X is scanned from zero by
+    segmented cumulative sums (`_scan`), and a stationary path is
+    Z = X + e^{-theta t} Z_0.
 
     By default time is walked in chunks of _SCAN_CHUNK steps, carrying the
     scan's last column and each row's generator state, and only the per-row
@@ -289,35 +302,38 @@ def simulate_block(
     a, a_pow, weights = _scan_tables(params)
     theta_delta = params.theta * params.delta
     sd0 = math.sqrt(1.0 / (2.0 * params.theta))
-    bitgen = np.random.Philox(key=_philox_key(seed, lo))
+    keys = _philox_keys(seed, lo, hi)
+    bitgen = np.random.Philox(key=keys[0])
     fresh = bitgen.state if rows > 1 else None
     rng = np.random.Generator(bitgen)
-    z0 = np.empty(rows) if variant is Variant.STATIONARY else None
+    stationary = variant is Variant.STATIONARY
+    z0 = None
     saved: list = [None] * rows
     # Buffers are reused from chunk to chunk, and (unless the rows are
     # returned) from block to block; a fresh 2 MiB array per step costs more
     # in page faults than the arithmetic on it, whenever the allocator hands
     # freed blocks back to the system.
     buffers = _new_buffers if paths else _thread_buffers
-    xi_buf, w_buf, x, diff = buffers(rows, width)
+    draws, w_buf, x, diff = buffers(rows, width)
     x[:, 0] = 0.0
     # sum x_head^2, amle_num, sum x_head xi and sum e^{-theta t} x_head
     sums = np.zeros((4, rows))
     for start in range(0, n, width):
         m = min(width, n - start)
-        xi = xi_buf[:, :m]
-        for k, row in enumerate(xi):
+        # A stationary row's first call draws Z_0 and its first innovations.
+        first = 0 if stationary and not start else 1
+        for k in range(rows):
             if start:
                 bitgen.state = saved[k]
-            else:
-                if k:  # row 0 draws from the generator as keyed above
-                    fresh["state"]["key"] = _philox_key(seed, lo + k)
-                    bitgen.state = fresh
-                if z0 is not None:
-                    z0[k] = rng.standard_normal() * sd0
-            rng.standard_normal(out=row)
+            elif k:  # row 0 draws from the generator as keyed above
+                fresh["state"]["key"] = keys[k]
+                bitgen.state = fresh
+            rng.standard_normal(out=draws[k, first : m + 1])
             if start + m < n:
                 saved[k] = bitgen.state
+        if not first:
+            z0 = draws[:, 0] * sd0
+        xi = draws[:, 1 : m + 1]
         xc = x[:, : m + 1]
         _scan(xi, w_buf[:, :m], xc, a, a_pow, weights)
         if paths:

@@ -1,7 +1,9 @@
 """Acceptance suite: nine numbered end-to-end checks, one verdict line each.
 
 Monte Carlo checks 1-3 draw their samples from the package's one simulation
-kernel, `ou_core.simulate_block`, block by block; a spot-check against the
+kernel, `ou_core.simulate_block`: check 1 as one block of whole paths,
+checks 2 and 3 as per-path sums through the harness's cell walk, whose
+worker processes run the kernel block by block.  A spot-check against the
 per-path API (simulate_path with big_f_n or lambda_n) runs inside each test
 that reduces paths to sums.  The kernel's draw layout is pinned against
 path_rng in test_ou_core.  Every random quantity is keyed to one fixed
@@ -17,7 +19,6 @@ import json
 import math
 import os
 import time
-from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -49,7 +50,8 @@ from ou_drift_bench import (
     w1_to_std_normal,
 )
 from ou_drift_bench.cli import main
-from ou_drift_bench.ou_core import BlockSums, block_rows, simulate_block
+from ou_drift_bench.harness import _cell_sums
+from ou_drift_bench.ou_core import simulate_block
 
 from test_metrics import _w1_by_quadrature
 
@@ -57,18 +59,13 @@ SEED = 20260822
 
 
 def _row_sums(params, variant, reps):
-    """Kernel row sums of streams 0..reps-1, one field per BlockSums name."""
-    step = block_rows(params.n)
-    blocks = [
-        simulate_block(params, variant, SEED, lo, min(lo + step, reps))
-        for lo in range(0, reps, step)
-    ]
-    return {f.name: np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(BlockSums)}
+    """Kernel row sums of streams 0..reps-1, from the harness's worker pool."""
+    return _cell_sums(params, variant, reps, SEED)
 
 
 def _big_f_batch(sums, theta, delta, n):
     """big_f_n of every stationary row, body convention."""
-    return math.sqrt(n * delta) * (sums["z_head_sq"] / n - 1.0 / (2.0 * theta))
+    return math.sqrt(n * delta) * (sums.z_head_sq / n - 1.0 / (2.0 * theta))
 
 
 def test_01_stationary_covariance_matches_rho_grid():
@@ -161,7 +158,7 @@ def test_03_cumulant_oracles_fn_z_and_lambda():
     theta, delta, n = 1.0, 0.05, 256
     params = OuParams(theta=theta, delta=delta, n=n)
     _, s2 = transition_coefficients(theta, delta)
-    lam = math.sqrt(s2) * _row_sums(params, Variant.FROM_ZERO, reps)["x_xi"] / math.sqrt(n * delta)
+    lam = math.sqrt(s2) * _row_sums(params, Variant.FROM_ZERO, reps).x_xi / math.sqrt(n * delta)
     probe = simulate_path(params, Variant.FROM_ZERO, SEED, stream=3)
     probe_lam = lambda_n(probe) / math.sqrt(params.horizon)
     assert lam[3] == pytest.approx(probe_lam, rel=1e-12, abs=1e-12)

@@ -1,6 +1,7 @@
 """Command line interface: outputs, config precedence, byte determinism."""
 
 import math
+import multiprocessing
 import re
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from ou_drift_bench import (
 )
 from ou_drift_bench import cli
 from ou_drift_bench.cli import CSV_SCHEMA_LINE, build_config, main, read_bench_csv
-from ou_drift_bench.errors import ConfigError
+from ou_drift_bench.errors import ConfigError, ExcessiveDegeneracy
 
 
 def _rows(path: Path):
@@ -210,24 +211,87 @@ def test_gated_check_with_infinite_se_fails(tmp_path, capsys):
 def test_each_cell_simulated_once_per_command(tmp_path, monkeypatch):
     # Both estimators, the shared gates and the coupling rows take one
     # simulation of a cell; a second pass over the cells would double it.
-    calls = []
-    cell_sums = harness._cell_sums
+    # Each harness entry walks its cells once, with one worker pool.
+    walks = []
+    cell_walk = harness._cell_walk
 
-    def counted(params, *args):
-        calls.append((params.n, params.delta))
-        return cell_sums(params, *args)
+    def counted(cells, *args):
+        walks.append([(params.n, params.delta) for params in cells])
+        return cell_walk(cells, *args)
 
-    monkeypatch.setattr(harness, "_cell_sums", counted)
+    monkeypatch.setattr(harness, "_cell_walk", counted)
     sweep = [(256, 0.05), (1024, 0.05), (4096, 0.05)]
     argv = ["rates", "--preset", "coupling-sweep", "--estimator", "both", "--reps", "200"]
     assert main(argv + ["--out", str(tmp_path / "r")]) == 0
-    assert calls == sweep
-    calls.clear()
+    assert walks == [sweep]
+    walks.clear()
     # At 200 paths some cumulant gates fail by chance; the verdict is not
     # what this test checks, only that the report was written.
     main(["verify", "--n", "64", "--reps", "200", "--out", str(tmp_path / "v")])
     assert (tmp_path / "v" / "verify.md").is_file()
-    assert calls == [(64, 0.05), *sweep]
+    assert walks == [[(64, 0.05)], sweep]
+    walks.clear()
+    main(["estimate", "--n", "64", "--reps", "200", "--out", str(tmp_path / "e")])
+    assert walks == [[(64, 0.05)]]
+
+
+@pytest.fixture
+def recorded_blocks(monkeypatch):
+    """Two forked workers, and the future of every block they are given."""
+    monkeypatch.setenv("OU_BENCH_THREADS", "2")
+    futures = []
+
+    class Recording(harness.ProcessPoolExecutor):
+        def submit(self, *args):
+            futures.append(super().submit(*args))
+            return futures[-1]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    return futures
+
+
+def test_no_worker_outlives_a_command(tmp_path, recorded_blocks):
+    for argv in (
+        ["estimate", "--n", "64", "--reps", "9000"],
+        ["verify", "--n", "64", "--reps", "9000"],
+        ["rates", "--preset", "coupling-sweep", "--reps", "300"],
+    ):
+        recorded_blocks.clear()
+        assert main(argv + ["--out", str(tmp_path / argv[0])]) in (0, 1), argv
+        assert len(recorded_blocks) > 1, argv
+        assert all(f.done() and not f.cancelled() for f in recorded_blocks), argv
+        assert multiprocessing.active_children() == [], argv
+
+
+@pytest.mark.parametrize(
+    "error, code", [(ExcessiveDegeneracy, 1), (ConfigError, 2)], ids=["error", "config-error"]
+)
+def test_error_partway_through_a_schedule_ends_the_workers(
+    tmp_path, monkeypatch, capsys, recorded_blocks, error, code
+):
+    # Every block of every cell is given to the workers up front; an error on
+    # the second cell must cancel the blocks not yet started, not simulate
+    # them, and leave no worker behind.
+    summarized = []
+
+    def failing(params, *args):
+        summarized.append(params.n)
+        if len(summarized) == 2:
+            raise error(f"stop at n={params.n}")
+        return ()
+
+    monkeypatch.setattr(harness, "_summaries", failing)
+    argv = ["rates", "--preset", "coupling-sweep", "--reps", "4000"]
+    assert main(argv + ["--out", str(tmp_path / "r")]) == code
+    assert "stop at n=1024" in capsys.readouterr().err
+    assert summarized == [256, 1024]
+    # 4 + 16 blocks for the first two cells, 63 for the last
+    assert len(recorded_blocks) == 83
+    cancelled = sum(f.cancelled() for f in recorded_blocks)
+    assert cancelled >= 40, f"{cancelled} of 83 blocks cancelled"
+    assert all(f.done() for f in recorded_blocks)
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "r").exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -332,6 +396,29 @@ def test_output_dir_with_a_nul_byte_is_a_config_error(tmp_path, capsys, monkeypa
     assert captured.err == "config error: output_dir: 'a\\x00b' holds a NUL byte\n"
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "oracle", "verify", "rates"])
+@pytest.mark.parametrize(
+    "out, message",
+    [
+        ("a" * 300, "a directory name of 300 bytes is longer than the file system's limit"),
+        ("/".join(["b" * 200] * 21), "its files' paths take 4234 bytes, at or above"),
+    ],
+    ids=["long-name", "long-path"],
+)
+def test_output_dir_too_long_is_a_config_error(tmp_path, capsys, monkeypatch, command, out,
+                                               message):
+    # each once ended in an OSError traceback (File name too long), from
+    # Path.exists or from mkdir, verify and rates only after simulating
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "_cell_walk", None)
+    argv = [command, "--n", "64", "--reps", "8", "--preset", "coupling-sweep"]
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: output_dir: {message}")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_csv_table_lists_the_columns():

@@ -9,8 +9,9 @@ timestamps, so re-running a command produces byte-identical files.
 help text.  The parser is built from it, and a flag value goes through the
 same field parser as a config-file value, so a bad value from either is a
 config error naming the field (exit code 2).  Numeric strings follow one rule
-for integers and reals: ASCII only, no "_", no surrounding blanks.  The
-replication floors live in the harness, which raises them as config errors.
+for integers and reals: ASCII only, no "_", no surrounding blanks; integers
+go through `harness.parse_int`, as OU_BENCH_THREADS does.  The replication
+floors live in the harness, which raises them as config errors.
 
 CSV outputs are UTF-8, comma-separated, '.' decimal, one header row, preceded
 by the schema comment line "# ou-drift-bench csv v1".  `read_bench_csv`
@@ -29,16 +30,17 @@ from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError, OuBenchError
-from .estimators import Estimator, IndexConvention, normalized_error
+from .estimators import Estimator, IndexConvention, estimates_of_sums, normalized_error
 from .harness import (
     GATE_SE,
-    _RATE_BOUNDS,
-    _cell_sums,
-    _estimates,
+    RATE_BOUNDS,
+    cell_sums,
     coupling_check,
+    parse_int,
     preset_names,
     preset_schedule,
     run_cell,
@@ -99,7 +101,6 @@ class RunConfig:
     delta: float = 0.05
     variant: Variant = Variant.FROM_ZERO
     coupled: bool = False
-    n_bootstrap: int = 200
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta_true) and self.theta_true > 0.0):
@@ -121,8 +122,6 @@ class RunConfig:
             raise ConfigError(f"n must be >= 1, got {self.n!r}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ConfigError(f"delta must be finite and > 0, got {self.delta!r}")
-        if self.n_bootstrap < 2:
-            raise ConfigError(f"n_bootstrap must be >= 2, got {self.n_bootstrap!r}")
 
 
 def _choices(enum) -> str:
@@ -155,26 +154,13 @@ def _parse_estimators(value) -> tuple[Estimator, ...]:
     return tuple(_parse_estimator(v) for v in value)
 
 
-def _plain_string(value) -> bool:
-    """The one rule for numeric strings: ASCII, no "_", no surrounding blanks
-    (int() and float() take full-width digits, "1_0" and " 7")."""
-    return (
+def _parse_real(value) -> float:
+    # float() would take True for 1.0, and full-width digits, "1_0" and " 7"
+    # in a string; parse_int's strings of ASCII digits pass this rule too
+    plain = (
         isinstance(value, str) and value.isascii() and "_" not in value and value == value.strip()
     )
-
-
-def _parse_int(value) -> int:
-    # int() would truncate 2.9 and take True for 1
-    if _plain_string(value) and value.isdigit():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise TypeError("expected an integer or a string of ASCII digits")
-
-
-def _parse_real(value) -> float:
-    # float() would take True for 1.0
-    if _plain_string(value) or (isinstance(value, (int, float)) and not isinstance(value, bool)):
+    if plain or (isinstance(value, (int, float)) and not isinstance(value, bool)):
         return float(value)
     raise TypeError('expected a number or a numeric string (ASCII, no "_", no outer blanks)')
 
@@ -187,10 +173,10 @@ def _parse_bool(value) -> bool:
 
 
 # Every RunConfig field: the parser that both its flag and its config-file
-# value go through, its flag (None: config file only) and the flag's help.
+# value go through, its flag and the flag's help.
 _FIELDS = {
-    "master_seed": (_parse_int, "--seed", "master seed (uint64)"),
-    "replications": (_parse_int, "--reps", "replications per cell"),
+    "master_seed": (parse_int, "--seed", "master seed (uint64)"),
+    "replications": (parse_int, "--reps", "replications per cell"),
     "output_dir": (Path, "--out", "output directory"),
     "schedule": (str, "--preset", f"schedule preset: {', '.join(preset_names())}"),
     "estimators": (_parse_estimators, "--estimator", f"{_choices(Estimator)} or both"),
@@ -198,11 +184,10 @@ _FIELDS = {
         _enum_parser(IndexConvention), "--index-convention", _choices(IndexConvention)
     ),
     "theta_true": (_parse_real, "--theta", "true theta"),
-    "n": (_parse_int, "--n", "cell size n"),
+    "n": (parse_int, "--n", "cell size n"),
     "delta": (_parse_real, "--delta", "grid step delta"),
     "variant": (_enum_parser(Variant), "--variant", _choices(Variant)),
     "coupled": (_parse_bool, "--coupled", "emit the coupled X column alongside Z (simulate)"),
-    "n_bootstrap": (_parse_int, None, None),
 }
 
 
@@ -310,16 +295,16 @@ def cmd_estimate(config: RunConfig) -> list[Path]:
 
     Path i is stream (master_seed, i) in the innovations-only layout; its
     sums come from the harness's worker pool (`OU_BENCH_THREADS` applies) and
-    its estimates from the harness's one estimator selection.  Rows are
+    its estimates from `estimates_of_sums`, as in the harness.  Rows are
     path-major, estimators in config order; degenerate paths are skipped and
     get no row.  The paths are not verify's, which draws in the stationary
     layout (Z_0 first).
     """
     params = OuParams(theta=config.theta_true, delta=config.delta, n=config.n)
-    sums = _cell_sums(params, Variant.FROM_ZERO, config.replications, config.master_seed)
+    sums = cell_sums(params, Variant.FROM_ZERO, config.replications, config.master_seed)
     columns = []
     for estimator in config.estimators:
-        est, den, good = _estimates(sums, params, estimator, config.index_convention)
+        est, den, good = estimates_of_sums(sums, params, estimator, config.index_convention)
         nerr = normalized_error(est, params, config.theta_true)
         # tolist() gives Python floats, which _fmt writes with repr
         values = (
@@ -360,14 +345,12 @@ def _verify_lines(config: RunConfig) -> tuple[list[str], bool]:
         f"theta={_fmt(params.theta)} replications={config.replications} "
         f"convention={config.index_convention.value} seed={config.master_seed}",
     ]
-    all_pass = True
     summaries = run_cell(
         params,
         config.estimators,
         config.replications,
         config.master_seed,
         convention=config.index_convention,
-        n_bootstrap=config.n_bootstrap,
     )
     for summary in summaries:
         lines.append(
@@ -381,7 +364,6 @@ def _verify_lines(config: RunConfig) -> tuple[list[str], bool]:
             else:
                 verdict = "OK" if check.passed else "DISCREPANT"
                 tag = "info"
-            all_pass = all_pass and (check.passed or not check.gated)
             line = (
                 f"CHECK {check.name:<28s} exact={_fmt(check.exact)} "
                 f"empirical={_fmt(check.empirical)} se={_fmt(check.standard_error)} "
@@ -398,7 +380,7 @@ def _verify_lines(config: RunConfig) -> tuple[list[str], bool]:
         convention=config.index_convention,
     )
     verdict = "PASS" if coupling.within_factor_10 else "FAIL"
-    all_pass = all_pass and coupling.within_factor_10
+    all_pass = all(s.gated_pass for s in summaries) and coupling.within_factor_10
     lines.append(
         f"CHECK coupling_l2_scaled_spread   exact<=10 "
         f"empirical={_fmt(coupling.spread)} se=0.0 verdict={verdict} [gated]"
@@ -448,11 +430,10 @@ def cmd_rates(config: RunConfig) -> list[Path]:
         config.master_seed,
         theta=config.theta_true,
         convention=config.index_convention,
-        n_bootstrap=config.n_bootstrap,
     )
     for result in results:
         estimator = result.estimator
-        bound = _RATE_BOUNDS[estimator]
+        bound = RATE_BOUNDS[estimator]
         # One record per cell: the cells.csv fields plus the bound terms,
         # which plotdata.csv adds.  replications, mean_error, rmse, mae and
         # the distances are the summary's fields under their own names.
@@ -469,10 +450,7 @@ def cmd_rates(config: RunConfig) -> list[Path]:
                     "delta": cell.delta,
                     "T": cell.horizon,
                     "degenerate": summary.degenerate_count,
-                    "mean_nerr": cum.mean,
-                    "var_nerr": cum.var,
-                    "k3_nerr": cum.k3,
-                    "k4_nerr": cum.k4,
+                    **{f"{k}_nerr": getattr(cum, k) for k in ("mean", "var", "k3", "k4")},
                     "bound_term_1": term1,
                     "bound_term_2": term2,
                 }
@@ -484,15 +462,15 @@ def cmd_rates(config: RunConfig) -> list[Path]:
             if fit is not None
         )
 
-        report.append(f"## {estimator.value}")
-        report.append("")
-        report.append(
+        report += [
+            f"## {estimator.value}",
+            "",
             f"Claim under test: normal approximation of the scaled {bound.error} "
-            f"error at rate {bound.expression}."
-        )
-        report.append("")
-        report.append("| n | delta | T | W1 | W1 se | Kolmogorov |")
-        report.append("|---|-------|---|----|-------|------------|")
+            f"error at rate {bound.expression}.",
+            "",
+            "| n | delta | T | W1 | W1 se | Kolmogorov |",
+            "|---|-------|---|----|-------|------------|",
+        ]
         for r in records:
             report.append(
                 f"| {r['n']} | {_fmt(r['delta'])} | {_fmt(r['T'])} | "
@@ -557,9 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="YAML config file")
     for field, (parse, flag, text) in _FIELDS.items():
-        if flag is not None:
-            action = "store_true" if parse is _parse_bool else "store"
-            common.add_argument(flag, dest=field, action=action, default=None, help=text)
+        action = "store_true" if parse is _parse_bool else "store"
+        common.add_argument(flag, dest=field, action=action, default=None, help=text)
     parser = argparse.ArgumentParser(
         prog="ou-bench",
         description="Monte Carlo benchmarks for OU drift estimators",
@@ -568,13 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, text) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=text)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
-    # n_bootstrap has no flag, so no attribute
-    overrides = {field: getattr(args, field, None) for field in _FIELDS}
-    return build_config(file_values, overrides)
 
 
 def _check_output_dir(path: Path) -> None:
@@ -609,14 +579,21 @@ def _check_output_dir(path: Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        file_values = _load_config_file(args.config) if args.config else {}
+        config = build_config(file_values, {field: getattr(args, field) for field in _FIELDS})
         _check_output_dir(config.output_dir)
-        result = _COMMANDS[args.command][0](config)
+        # A value that leaves the range of a double ends the command in an
+        # error, not in a warning and inf or nan in its outputs.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = _COMMANDS[args.command][0](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OuBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"error: {exc}; a value leaves the range of a double", file=sys.stderr)
         return 1
     if isinstance(result, int):  # verify's exit code
         return result

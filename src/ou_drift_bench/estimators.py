@@ -1,6 +1,6 @@
 """Drift estimators for the discretely observed OU process.
 
-Two estimators of theta from one path X_{t_0}..X_{t_n}:
+Two estimators of theta from a path X_{t_0}..X_{t_n}:
 
 * moment-based (AMCE): theta = 1 / (2 f_n) where f_n is the empirical second
   moment of the observations;
@@ -12,6 +12,12 @@ The AMLE error decomposes pathwise as
 with S_n = delta sum X_{t_{i-1}}^2 and Lambda_n the martingale part recovered
 from the stored innovations; the identity is algebraic and holds to float
 round-off, which the harness checks on every run.
+
+Each statistic comes twice, coded apart: per path (`f_n`, `big_f_n`,
+`lambda_n`, `amce`, `amle`), the references the tests check against, and on
+a cell's per-path sums (`ou_core.BlockSums`) for every path at once (the
+`_of_sums` functions and `decomposition_residual`), which the harness and
+`ou-bench estimate` use.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, MissingInnovations
-from .ou_core import OuParams, SamplePath, transition_coefficients
+from .ou_core import BlockSums, OuParams, SamplePath, transition_coefficients
 
 __all__ = [
     "EPS_DEN",
@@ -36,6 +42,11 @@ __all__ = [
     "amle",
     "lambda_n",
     "normalized_error",
+    "f_n_of_sums",
+    "big_f_n_of_sums",
+    "lambda_n_of_sums",
+    "estimates_of_sums",
+    "decomposition_residual",
 ]
 
 # Degeneracy guard on estimator denominators.
@@ -175,3 +186,59 @@ def lambda_n(path: SamplePath) -> float:
     _, s2 = transition_coefficients(path.params.theta, path.params.delta)
     x_prev = path.values[:-1]
     return math.sqrt(s2) * float(np.dot(x_prev, path.innovations))
+
+
+def f_n_of_sums(sums: BlockSums, params: OuParams, convention: IndexConvention):
+    """f_n of X and of Z on every path, over the convention's window of the
+    sums: head t_0..t_{n-1} for BODY, tail t_1..t_n for ABSTRACT."""
+    if convention is IndexConvention.BODY:
+        return sums.x_head_sq / params.n, sums.z_head_sq / params.n
+    return sums.x_tail_sq / params.n, sums.z_tail_sq / params.n
+
+
+def big_f_n_of_sums(sums: BlockSums, params: OuParams, convention: IndexConvention):
+    """big_f_n of Z on every path, centered at params.theta."""
+    fz = f_n_of_sums(sums, params, convention)[1]
+    return math.sqrt(params.horizon) * (fz - 1.0 / (2.0 * params.theta))
+
+
+def lambda_n_of_sums(sums: BlockSums, params: OuParams) -> np.ndarray:
+    """lambda_n of X on every path."""
+    _, s2 = transition_coefficients(params.theta, params.delta)
+    return math.sqrt(s2) * sums.x_xi
+
+
+def _amle_of_sums(sums: BlockSums, params: OuParams):
+    """AMLE estimates, S_n / T and S_n on the paths where S_n / T is above
+    EPS_DEN, and the mask of those paths."""
+    s_n = params.delta * sums.x_head_sq
+    den = s_n / params.horizon
+    good = den > EPS_DEN
+    return sums.amle_num[good] / s_n[good], den[good], s_n[good], good
+
+
+def estimates_of_sums(
+    sums: BlockSums, params: OuParams, estimator: Estimator, convention: IndexConvention
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Estimates and their `amce` / `amle` denominators (f_n, or S_n / T) on
+    the paths whose denominator is above EPS_DEN, and the mask of those
+    paths."""
+    if estimator is Estimator.AMLE:
+        est, den, _, good = _amle_of_sums(sums, params)
+        return est, den, good
+    if estimator is not Estimator.AMCE:
+        raise TypeError(f"estimator must be an Estimator, got {estimator!r}")
+    den = f_n_of_sums(sums, params, convention)[0]
+    good = den > EPS_DEN
+    return 1.0 / (2.0 * den[good]), den[good], good
+
+
+def decomposition_residual(sums: BlockSums, params: OuParams) -> float:
+    """Largest relative residual |-theta_hat - ((a - 1)/delta + Lambda_n / S_n)|
+    / (1 + |theta_hat|) of the AMLE decomposition over the paths where the
+    AMLE is defined (0 if there are none)."""
+    a, _ = transition_coefficients(params.theta, params.delta)
+    est, _, s_n, good = _amle_of_sums(sums, params)
+    lam = lambda_n_of_sums(sums, params)[good]
+    rel = np.abs(-est - ((a - 1.0) / params.delta + lam / s_n)) / (1.0 + np.abs(est))
+    return float(np.max(rel)) if rel.size else 0.0

@@ -7,11 +7,11 @@ and a list of oracle cross-checks; `run_schedule` walks a schedule's cells
 once, adds log-log rate fits of W1 against each estimator's rate bound, and
 measures the pathwise coupling of F_n(X) and F_n(Z) on the same paths
 (`coupling_check` is that walk with no estimators).  Per-path sums come from
-`_cell_walk`, and every estimate from `_estimates`, the one estimator
-selection and degeneracy guard; `ou-bench estimate` uses both too, on paths
-in the from-zero layout instead of the stationary one.
+`_cell_walk`, and every statistic on them from `estimators`' `_of_sums`
+functions; `ou-bench estimate` uses both too, on paths in the from-zero
+layout instead of the stationary one.
 
-Workers: each of `run_cell`, `run_schedule` and `_cell_sums` (behind
+Workers: each of `run_cell`, `run_schedule` and `cell_sums` (behind
 `ou-bench estimate`) opens one pool of forked worker processes through
 `_cell_walk`, which pipelines a command's cells: cell k is summarized while
 the workers simulate cells k+1 onward.
@@ -22,10 +22,10 @@ master_seed).  Path i of a cell draws from the counter-based stream
 preallocated arrays, and reductions run in index order, so results are
 bit-identical across runs and across worker counts.  OU_BENCH_THREADS sets
 the number of worker processes (default min(cores, 8)) without affecting
-values; anything but a positive integer there is a ConfigError.  Cells
-share streams (common random numbers): comparisons across cells and between
-estimators on the same cell reuse the same paths, which tightens
-monotonicity comparisons.
+values; anything there but a positive integer in ASCII digits (`parse_int`)
+is a ConfigError.  Cells share streams (common random numbers): comparisons
+across cells and between estimators on the same cell reuse the same paths,
+which tightens monotonicity comparisons.
 
 Memory: each block of paths goes through `ou_core.simulate_block`, which
 scans along time in chunks of 16384 steps and keeps only per-path sums.  A
@@ -40,7 +40,7 @@ CLT-valid schedule, with a ConfigError before simulating.  Below 1000
 replications one degenerate path aborts the cell, so every summary has its
 jackknife cumulants.
 
-Oracle gating: rows marked gated compare Monte Carlo moments against exact
+Oracle gating: rows marked gated (`_CELL_CHECKS`) compare Monte Carlo moments against exact
 closed forms (and the pathwise decomposition identity) and must pass at 4
 standard errors; `cmd_verify` turns them into an exit code.  A cell takes
 its oracle values before any sample statistic, and one that is not finite
@@ -59,18 +59,25 @@ import enum
 import math
 import multiprocessing
 import os
-from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
 from . import oracles
 from .errors import ConfigError, ExcessiveDegeneracy, InsufficientCells, NonPositiveValue
-from .estimators import EPS_DEN, Estimator, IndexConvention, normalized_error
+from .estimators import (
+    Estimator,
+    IndexConvention,
+    big_f_n_of_sums,
+    decomposition_residual,
+    estimates_of_sums,
+    f_n_of_sums,
+    lambda_n_of_sums,
+    normalized_error,
+)
 from .metrics import (
     CUMULANT_MIN_SAMPLE,
     DistanceReport,
@@ -84,7 +91,6 @@ from .ou_core import (
     Variant,
     block_rows,
     simulate_block,
-    transition_coefficients,
 )
 
 __all__ = [
@@ -94,16 +100,19 @@ __all__ = [
     "GATE_SE",
     "CouplingReport",
     "CouplingRow",
+    "RATE_BOUNDS",
     "McSummary",
     "OracleCheck",
+    "RateBound",
     "RateFit",
     "RateResponse",
     "Schedule",
     "ScheduleCell",
     "ScheduleResult",
-    "bound_terms",
+    "cell_sums",
     "coupling_check",
     "fit_rate",
+    "parse_int",
     "preset_schedule",
     "preset_names",
     "run_cell",
@@ -217,7 +226,7 @@ class RateResponse(enum.Enum):
 
 
 @dataclass(frozen=True)
-class _RateBound:
+class RateBound:
     """An estimator's rate bound: the error it bounds, expression, response, terms."""
 
     error: str
@@ -226,21 +235,17 @@ class _RateBound:
     terms: Callable[[ScheduleCell], tuple[float, float]]
 
 
-_RATE_BOUNDS = {
-    Estimator.AMCE: _RateBound(
+# Each estimator's rate bound; its terms give the two terms at a cell (constant 1).
+RATE_BOUNDS = {
+    Estimator.AMCE: RateBound(
         "moment-estimator", "delta^2 + (n delta)^(-1/2)", RateResponse.W1_AMCE,
         lambda cell: (cell.delta**2, 1.0 / math.sqrt(cell.horizon)),
     ),
-    Estimator.AMLE: _RateBound(
+    Estimator.AMLE: RateBound(
         "likelihood-estimator", "(n delta)^(-1/2) + (n delta^3)^(1/2)", RateResponse.W1_AMLE,
         lambda cell: (1.0 / math.sqrt(cell.horizon), math.sqrt(cell.n * cell.delta**3)),
     ),
 }
-
-
-def bound_terms(cell: ScheduleCell, estimator: Estimator) -> tuple[float, float]:
-    """The two terms of the estimator's rate bound at this cell (constant 1)."""
-    return _RATE_BOUNDS[estimator].terms(cell)
 
 
 @dataclass(frozen=True)
@@ -313,27 +318,34 @@ class ScheduleResult:
     dominant_fit: RateFit | None
 
 
+def parse_int(value) -> int:
+    """The one rule for an integer setting: an int, or a string of ASCII digits
+    (int() would also take 2.9, True, "1_0", " 7", "+7" and full-width digits)."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError("expected an integer or a string of ASCII digits")
+
+
 def _worker_count() -> int:
     """Worker processes: OU_BENCH_THREADS if set, else min(cores, 8)."""
     raw = os.environ.get("OU_BENCH_THREADS")
-    cores = os.cpu_count() or 1
     if raw is None:
-        return min(cores, 8)
+        return min(os.cpu_count() or 1, 8)
     try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"OU_BENCH_THREADS must be an integer, got {raw!r}") from exc
+        workers = parse_int(raw)
+    except TypeError:
+        raise ConfigError(f"OU_BENCH_THREADS must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ConfigError(f"OU_BENCH_THREADS must be >= 1, got {workers}")
     return workers
 
 
-def _gather(spans: list[tuple[int, int]], blocks, reps: int) -> BlockSums:
-    """One cell's sums: each block's, taken in turn from the callables
-    `blocks`, copied into the slice of its rows."""
+def _gather(spans: list[tuple[int, int]], blocks: Iterator[BlockSums], reps: int) -> BlockSums:
+    """One cell's sums: each span's block, taken in turn from `blocks`, in its rows."""
     sums = BlockSums(*(np.empty(reps) for _ in fields(BlockSums)))
-    for (lo, hi), result in zip(spans, blocks):
-        block = result()
+    for (lo, hi), block in zip(spans, blocks):
         for field in fields(BlockSums):
             getattr(sums, field.name)[lo:hi] = getattr(block, field.name)
     return sums
@@ -347,104 +359,69 @@ def _cell_walk(
     (master_seed, i) in the variant's draw layout.  In the stationary layout
     X and Z are the exact coupling; in the from-zero layout Z is X.
 
-    Every block of every cell goes to the worker processes on entry, so they
-    simulate the next cells while the caller works on this one.  Leaving the
-    walk cancels the blocks not yet started and ends the workers.  With one
-    worker, or one block, the blocks run here when the walk reaches them.
+    One map runs `simulate_block` over every block of every cell.  The pool's
+    map gives them all to the worker processes on entry, so they simulate the
+    next cells while the caller works on this one; leaving the walk cancels
+    the blocks not yet started and ends the workers.  With one worker, or one
+    block, the builtin map runs each block here when the walk reaches it.
     """
     if reps < 2:
         raise ValueError(f"replications must be >= 2, got {reps}")
-    steps = [block_rows(params.n) for params in cells]
-    spans = [[(lo, min(lo + step, reps)) for lo in range(0, reps, step)] for step in steps]
-    workers = min(_worker_count(), sum(map(len, spans)))
+    spans = [
+        [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
+        for step in (block_rows(params.n) for params in cells)
+    ]
+    jobs = [
+        (params, variant, master_seed, lo, hi)
+        for params, cell_spans in zip(cells, spans)
+        for lo, hi in cell_spans
+    ]
+    workers = min(_worker_count(), len(jobs))
     # Forked, not spawned: a spawned or forkserver worker imports the package
     # first (0.44 s on a 2-core host), more than a small cell takes to
     # simulate.  The harness starts no thread; OpenBLAS stops its own around
     # a fork, and from Python 3.11 the executor forks all its workers before
     # it starts its own.
-    pool = (
-        ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        if workers > 1
-        else None
-    )
-
-    def block(params: OuParams, lo: int, hi: int) -> Callable[[], BlockSums]:
-        call = (simulate_block, params, variant, master_seed, lo, hi)
-        return pool.submit(*call).result if pool else partial(*call)
-
+    context = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(workers, mp_context=context) if workers > 1 else None
     try:
-        pending = deque(
-            [block(params, lo, hi) for lo, hi in cell_spans]
-            for params, cell_spans in zip(cells, spans)
-        )
-        yield (_gather(cell_spans, pending.popleft(), reps) for cell_spans in spans)
+        blocks = (pool.map if pool else map)(simulate_block, *zip(*jobs))
+        yield (_gather(cell_spans, blocks, reps) for cell_spans in spans)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
 
-def _cell_sums(params: OuParams, variant: Variant, reps: int, master_seed: int) -> BlockSums:
-    """The sums of one cell's paths: `_cell_walk` over that cell alone."""
+def cell_sums(params: OuParams, variant: Variant, reps: int, master_seed: int) -> BlockSums:
+    """The per-path sums of one cell's paths 0..reps-1 (see `_cell_walk`)."""
     with _cell_walk((params,), variant, reps, master_seed) as walk:
         return next(walk)
 
 
-def _estimates(
-    sums: BlockSums, params: OuParams, estimator: Estimator, convention: IndexConvention
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Estimates and their `amce` / `amle` denominators (f_n, or S_n / T) on
-    the paths whose denominator is above EPS_DEN, and the mask of those
-    paths."""
-    if estimator is Estimator.AMCE:
-        head = convention is IndexConvention.BODY
-        den = (sums.x_head_sq if head else sums.x_tail_sq) / params.n
-        good = den > EPS_DEN
-        return 1.0 / (2.0 * den[good]), den[good], good
-    if estimator is Estimator.AMLE:
-        s_n = params.delta * sums.x_head_sq
-        den = s_n / params.horizon
-        good = den > EPS_DEN
-        return sums.amle_num[good] / s_n[good], den[good], good
-    raise TypeError(f"estimator must be an Estimator, got {estimator!r}")
-
-
-def _se_check(name, exact, empirical, se, *, gated, note="", tol_se=GATE_SE):
+def _se_check(name, exact, empirical, se, *, gated, note=""):
     # Against an infinite SE any value would pass, so a value or SE that is
     # not finite fails.
     passed = (
-        math.isfinite(empirical) and math.isfinite(se) and abs(empirical - exact) <= tol_se * se
+        math.isfinite(empirical) and math.isfinite(se) and abs(empirical - exact) <= GATE_SE * se
     )
-    return OracleCheck(
-        name=name,
-        exact=float(exact),
-        empirical=float(empirical),
-        standard_error=float(se),
-        passed=bool(passed),
-        gated=gated,
-        note=note,
-    )
+    return OracleCheck(name, float(exact), float(empirical), float(se), bool(passed), gated, note)
 
 
-# Every oracle a cell is checked against; each check is named after its oracle.
-_CELL_ORACLES = (
-    "exact_var_fn_z", "k3_fn_z", "k4_fn_z_bound", "exact_var_lambda",
-    "exact_k3_lambda", "exact_k4_lambda", "k3_lambda_is_zero", "k4_lambda",
+# Every oracle row of a cell, named after its oracle: the sample statistic it
+# is checked against (var, m2 the raw second moment, k3 or k4, of F = F_n(Z)
+# or L = Lambda_n / sqrt(T)), whether it gates and its note.  The first-order
+# values are reported next to the exact ones but not gated.
+_CELL_CHECKS = (
+    ("exact_var_fn_z", "var F", True, ""),
+    ("k3_fn_z", "k3 F", True, ""),
+    ("k4_fn_z_bound", "k4 F", True, "bound attained exactly for this kernel; checked as parity"),
+    ("exact_var_lambda", "m2 L", True, ""),
+    ("exact_k3_lambda", "k3 L", True, ""),
+    ("exact_k4_lambda", "k4 L", True, ""),
+    ("k3_lambda_is_zero", "k3 L", False, "first-order value; dropped cross terms are "
+     "O(1/sqrt(T)) and dominate at this scale, see exact_k3_lambda"),
+    ("k4_lambda", "k4 L", False, "first-order diagonal value; see exact_k4_lambda"),
 )
-# First-order values, reported next to the exact ones but not gated.
-_FIRST_ORDER = ("k3_lambda_is_zero", "k4_lambda")
-_NOTES = {
-    "k4_fn_z_bound": "bound attained exactly for this kernel; checked as parity",
-    "k3_lambda_is_zero": "first-order value; dropped cross terms are O(1/sqrt(T)) and "
-    "dominate at this scale, see exact_k3_lambda",
-    "k4_lambda": "first-order diagonal value; see exact_k4_lambda",
-}
-
-
-def _exact_oracles(params: OuParams) -> dict[str, float]:
-    """The cell's oracle values by check name.  `_summaries` takes them before
-    any sample statistic, so a cell where one is not finite ends in
-    NonFiniteValue rather than in overflowing sample statistics."""
-    return {name: getattr(oracles, name)(params) for name in _CELL_ORACLES}
 
 
 def _cell_checks(
@@ -452,57 +429,28 @@ def _cell_checks(
 ) -> list[OracleCheck]:
     """The oracle rows and the decomposition identity: one cell's gates, the
     same for every estimator."""
-    theta = params.theta
-    horizon = params.horizon
-    sqrt_t = math.sqrt(horizon)
-    head = convention is IndexConvention.BODY
-    fz = (sums.z_head_sq if head else sums.z_tail_sq) / params.n
-    a, s2 = transition_coefficients(theta, params.delta)
-    lam = math.sqrt(s2) * sums.x_xi
-    lam_scaled = lam / sqrt_t
+    sc_f = sample_cumulants(big_f_n_of_sums(sums, params, convention))
+    lam = lambda_n_of_sums(sums, params) / math.sqrt(params.horizon)
+    sc_l = sample_cumulants(lam)
     # exact_var_lambda is the raw second moment; E[Lambda_n] = 0 exactly.
-    sq = lam_scaled**2
-    se_sq = float(np.std(sq, ddof=1)) / math.sqrt(sq.size)
-    sc_f = sample_cumulants(sqrt_t * (fz - 1.0 / (2.0 * theta)))
-    sc_l = sample_cumulants(lam_scaled)
-    rows = [
-        ("exact_var_fn_z", sc_f.var, sc_f.se_var),
-        ("k3_fn_z", sc_f.k3, sc_f.se_k3),
-        ("k4_fn_z_bound", sc_f.k4, sc_f.se_k4),
-        ("exact_var_lambda", float(np.mean(sq)), se_sq),
-        ("exact_k3_lambda", sc_l.k3, sc_l.se_k3),
-        ("exact_k4_lambda", sc_l.k4, sc_l.se_k4),
-        ("k3_lambda_is_zero", sc_l.k3, sc_l.se_k3),
-        ("k4_lambda", sc_l.k4, sc_l.se_k4),
-    ]
+    sq = lam**2
+    stats = {
+        "var F": (sc_f.var, sc_f.se_var),
+        "k3 F": (sc_f.k3, sc_f.se_k3),
+        "k4 F": (sc_f.k4, sc_f.se_k4),
+        "m2 L": (float(np.mean(sq)), float(np.std(sq, ddof=1)) / math.sqrt(sq.size)),
+        "k3 L": (sc_l.k3, sc_l.se_k3),
+        "k4 L": (sc_l.k4, sc_l.se_k4),
+    }
     checks = [
-        _se_check(
-            name, exact[name], empirical, se,
-            gated=name not in _FIRST_ORDER, note=_NOTES.get(name, ""),
-        )
-        for name, empirical, se in rows
+        _se_check(name, exact[name], *stats[stat], gated=gated, note=note)
+        for name, stat, gated, note in _CELL_CHECKS
     ]
-
-    # Pathwise decomposition: -theta_hat = (e^{-theta delta} - 1)/delta
-    # + Lambda_n / S_n, checked on every non-degenerate path.
-    drift_term = (a - 1.0) / params.delta
-    est, _, good = _estimates(sums, params, Estimator.AMLE, convention)
-    s_n = params.delta * sums.x_head_sq
-    resid = np.abs(-est - (drift_term + lam[good] / s_n[good]))
-    rel = resid / (1.0 + np.abs(est))
-    worst = float(np.max(rel)) if rel.size else 0.0
-    checks.append(
-        OracleCheck(
-            name="decomposition_identity",
-            exact=0.0,
-            empirical=worst,
-            standard_error=0.0,
-            passed=worst <= DECOMP_TOL,
-            gated=True,
-            note=f"max relative residual over paths, tolerance {DECOMP_TOL:g}",
-        )
-    )
-    return checks
+    worst = decomposition_residual(sums, params)
+    note = f"max relative residual over paths, tolerance {DECOMP_TOL:g}"
+    return checks + [
+        OracleCheck("decomposition_identity", 0.0, worst, 0.0, worst <= DECOMP_TOL, True, note)
+    ]
 
 
 def _require_replications(estimators, replications: int, clt_valid: bool = False) -> None:
@@ -529,10 +477,13 @@ def _summaries(
     if not estimators:
         return ()
     reps = sums.x_xi.size
-    # After the simulation: taken before it, the oracles' temporary arrays
-    # raised verify's peak RSS at n = 262144 from 133 to 153 MiB.
-    exact = _exact_oracles(params)
-    selections = [_estimates(sums, params, e, convention) for e in estimators]
+    # The oracle values by check name, before any sample statistic, so a cell
+    # where one is not finite ends in NonFiniteValue rather than in
+    # overflowing sample statistics.  After the simulation: taken before it,
+    # their temporary arrays raised verify's peak RSS at n = 262144 from 133
+    # to 153 MiB.
+    exact = {name: getattr(oracles, name)(params) for name, *_ in _CELL_CHECKS}
+    selections = [estimates_of_sums(sums, params, e, convention) for e in estimators]
     degenerate = [reps - int(np.count_nonzero(good)) for _, _, good in selections]
     for count in degenerate:
         if count > DEGENERACY_ABORT_FRACTION * reps:
@@ -594,7 +545,7 @@ def run_cell(
     than DEGENERACY_ABORT_FRACTION of them aborts the cell.
     """
     _require_replications(estimators, replications)
-    sums = _cell_sums(params, Variant.STATIONARY, replications, master_seed)
+    sums = cell_sums(params, Variant.STATIONARY, replications, master_seed)
     return _summaries(params, sums, estimators, master_seed, convention, n_bootstrap)
 
 
@@ -657,9 +608,7 @@ class CouplingReport:
 
 def _coupling_row(params: OuParams, sums: BlockSums, convention: IndexConvention) -> CouplingRow:
     """Empirical L2/L4 norms of F_n(X) - F_n(Z) on one cell's coupled paths."""
-    head = convention is IndexConvention.BODY
-    fx = (sums.x_head_sq if head else sums.x_tail_sq) / params.n
-    fz = (sums.z_head_sq if head else sums.z_tail_sq) / params.n
+    fx, fz = f_n_of_sums(sums, params, convention)
     diff = math.sqrt(params.horizon) * (fx - fz)
     l2 = float(np.sqrt(np.mean(diff**2)))
     l4 = float(np.mean(diff**4) ** 0.25)
@@ -674,7 +623,7 @@ def _schedule_result(
     """One estimator's summaries with its rate fits on a CLT-valid schedule."""
     bound_fit = dominant_fit = None
     if schedule.clt_valid:
-        bound = _RATE_BOUNDS[estimator]
+        bound = RATE_BOUNDS[estimator]
         w1 = [s.distance.w1 for s in summaries]
         terms = [bound.terms(cell) for cell in schedule.cells]
         bound_fit = fit_rate(

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteValue
+
 __all__ = [
     "Variant",
     "OuParams",
@@ -302,11 +304,13 @@ def simulate_block(
     a, a_pow, weights = _scan_tables(params)
     theta_delta = params.theta * params.delta
     sd0 = math.sqrt(1.0 / (2.0 * params.theta))
+    stationary = variant is Variant.STATIONARY
+    if stationary and math.isinf(sd0):
+        raise NonFiniteValue(f"the stationary sd 1/sqrt(2 theta) is inf at theta={params.theta!r}")
     keys = _philox_keys(seed, lo, hi)
     bitgen = np.random.Philox(key=keys[0])
     fresh = bitgen.state if rows > 1 else None
     rng = np.random.Generator(bitgen)
-    stationary = variant is Variant.STATIONARY
     z0 = None
     saved: list = [None] * rows
     # Buffers are reused from chunk to chunk, and (unless the rows are

@@ -3,11 +3,13 @@
 Monte Carlo checks 1-3 draw their samples from the package's one simulation
 kernel, `ou_core.simulate_block`: check 1 as one block of whole paths,
 checks 2 and 3 as per-path sums through the harness's cell walk, whose
-worker processes run the kernel block by block.  A spot-check against the
-per-path API (simulate_path with big_f_n or lambda_n) runs inside each test
-that reduces paths to sums.  The kernel's draw layout is pinned against
-path_rng in test_ou_core.  Every random quantity is keyed to one fixed
-master seed, which makes each verdict deterministic.
+worker processes run the kernel block by block, reduced by the package's
+sum-side statistics (big_f_n_of_sums, lambda_n_of_sums).  A spot-check
+against the per-path API (simulate_path with big_f_n or lambda_n), the
+independent reference, runs inside each test that reduces paths to sums.
+The kernel's draw layout is pinned against path_rng in test_ou_core.  Every
+random quantity is keyed to one fixed master seed, which makes each verdict
+deterministic.
 
 Check 3 pins the Lambda_n / sqrt(T) cumulants to the exact closed forms and
 asserts that the same sample rejects the first-order values (0 and
@@ -26,10 +28,13 @@ import pytest
 
 from ou_drift_bench import (
     Estimator,
+    IndexConvention,
     OuParams,
     Variant,
     amle,
     big_f_n,
+    big_f_n_of_sums,
+    cell_sums,
     coupling_check,
     exact_k3_lambda,
     exact_k4_lambda,
@@ -41,16 +46,15 @@ from ou_drift_bench import (
     k4_lambda,
     kolmogorov_to_std_normal,
     lambda_n,
+    lambda_n_of_sums,
     preset_schedule,
     rho,
     run_schedule,
     sample_cumulants,
     simulate_path,
-    transition_coefficients,
     w1_to_std_normal,
 )
 from ou_drift_bench.cli import main
-from ou_drift_bench.harness import _cell_sums
 from ou_drift_bench.ou_core import simulate_block
 
 from test_metrics import _w1_by_quadrature
@@ -60,12 +64,7 @@ SEED = 20260822
 
 def _row_sums(params, variant, reps):
     """Kernel row sums of streams 0..reps-1, from the harness's worker pool."""
-    return _cell_sums(params, variant, reps, SEED)
-
-
-def _big_f_batch(sums, theta, delta, n):
-    """big_f_n of every stationary row, body convention."""
-    return math.sqrt(n * delta) * (sums.z_head_sq / n - 1.0 / (2.0 * theta))
+    return cell_sums(params, variant, reps, SEED)
 
 
 def test_01_stationary_covariance_matches_rho_grid():
@@ -103,7 +102,8 @@ def test_02_var_fn_z_parity_and_monotone_asymptotic_gap():
     start = time.perf_counter()
     theta, delta, n, reps = 1.0, 0.05, 1000, 100_000
     params = OuParams(theta=theta, delta=delta, n=n)
-    f = _big_f_batch(_row_sums(params, Variant.STATIONARY, reps), theta, delta, n)
+    sums = _row_sums(params, Variant.STATIONARY, reps)
+    f = big_f_n_of_sums(sums, params, IndexConvention.BODY)
     probe = simulate_path(params, Variant.STATIONARY, SEED, stream=7)
     probe_f = big_f_n(probe, theta)
     assert f[7] == pytest.approx(probe_f, rel=1e-12, abs=1e-12)
@@ -141,7 +141,8 @@ def test_03_cumulant_oracles_fn_z_and_lambda():
 
     theta, delta, n = 1.0, 0.1, 64
     params = OuParams(theta=theta, delta=delta, n=n)
-    f = _big_f_batch(_row_sums(params, Variant.STATIONARY, reps), theta, delta, n)
+    sums = _row_sums(params, Variant.STATIONARY, reps)
+    f = big_f_n_of_sums(sums, params, IndexConvention.BODY)
     probe = simulate_path(params, Variant.STATIONARY, SEED, stream=5)
     assert f[5] == pytest.approx(big_f_n(probe, theta), rel=1e-12, abs=1e-12)
     sc_f = sample_cumulants(f)
@@ -157,8 +158,8 @@ def test_03_cumulant_oracles_fn_z_and_lambda():
 
     theta, delta, n = 1.0, 0.05, 256
     params = OuParams(theta=theta, delta=delta, n=n)
-    _, s2 = transition_coefficients(theta, delta)
-    lam = math.sqrt(s2) * _row_sums(params, Variant.FROM_ZERO, reps).x_xi / math.sqrt(n * delta)
+    sums = _row_sums(params, Variant.FROM_ZERO, reps)
+    lam = lambda_n_of_sums(sums, params) / math.sqrt(n * delta)
     probe = simulate_path(params, Variant.FROM_ZERO, SEED, stream=3)
     probe_lam = lambda_n(probe) / math.sqrt(params.horizon)
     assert lam[3] == pytest.approx(probe_lam, rel=1e-12, abs=1e-12)

@@ -310,11 +310,12 @@ def test_config_file_and_flag_precedence(tmp_path):
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     # emit, the old output selection, is gone: every command writes all its
-    # files; a file that is not UTF-8 once ended in a UnicodeDecodeError
-    # traceback
+    # files; so is n_bootstrap, which no flag set and no command varied; a
+    # file that is not UTF-8 once ended in a UnicodeDecodeError traceback
     for data, message in (
         (b"thetaa: 2.0\n", "unknown config key 'thetaa'"),
         (b"emit: [cells_csv]\n", "unknown config key 'emit'"),
+        (b"n_bootstrap: 200\n", "unknown config key 'n_bootstrap'"),
         (b"\xff\xfe\x00\x01", f"cannot read config file {cfg}"),
     ):
         cfg.write_bytes(data)
@@ -514,14 +515,38 @@ def test_too_few_replications_is_a_config_error(tmp_path, capsys, argv, floor):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "2.5"])
+@pytest.mark.parametrize("threads", ["abc", "0", "2.5", "1_0", " 2", "２", "+2"])
 def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threads):
-    # once a ValueError traceback from the worker-pool sizing
+    # once a ValueError traceback from the worker-pool sizing; "1_0", " 2",
+    # a full-width 2 and "+2" were once taken, as int() takes them
     monkeypatch.setenv("OU_BENCH_THREADS", threads)
     assert main(["verify", "--n", "64", "--reps", "10", "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     assert "config error" in captured.err and "OU_BENCH_THREADS" in captured.err
     assert "VERIFY" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--variant", "stationary", "--theta", "5e-324", "--n", "60"],
+         "the stationary sd 1/sqrt(2 theta) is inf at theta=5e-324"),
+        (["simulate", "--n", "36", "--delta", "1.7976931348623157e+308"],
+         "overflow encountered in multiply; a value leaves the range of a double"),
+        (["estimate", "--n", "17", "--delta", "1.7976931348623157e+308", "--reps", "2"],
+         "overflow encountered in multiply; a value leaves the range of a double"),
+        (["verify", "--n", "8", "--reps", "7", "--theta", "1e300", "--delta", "1e300"],
+         "invalid value encountered in multiply; a value leaves the range of a double"),
+    ],
+    ids=["stationary-sd", "times", "estimate-sums", "verify-in-workers"],
+)
+def test_value_out_of_double_range_is_an_error(tmp_path, capsys, monkeypatch, argv, message):
+    # Found by test_fuzz: the first ended in a ValueError traceback, the
+    # others in RuntimeWarnings with inf or nan written to the CSVs.
+    monkeypatch.setenv("OU_BENCH_THREADS", "2")
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -553,7 +578,7 @@ def test_config_file_values_are_not_coerced(tmp_path, capsys, text, field):
     assert not (tmp_path / "o").exists()
 
 
-_INT_FIELDS = ("replications", "n", "master_seed", "n_bootstrap")
+_INT_FIELDS = ("replications", "n", "master_seed")
 _JUNK = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.recursive(st.lists(st.integers(), max_size=3), lambda inner: st.lists(inner, max_size=3)),

@@ -16,9 +16,16 @@ from ou_drift_bench import (
     amce,
     amle,
     big_f_n,
+    big_f_n_of_sums,
+    cell_sums,
+    decomposition_residual,
+    estimates_of_sums,
     f_n,
+    f_n_of_sums,
     lambda_n,
+    lambda_n_of_sums,
     normalized_error,
+    simulate_coupled,
     simulate_path,
     transition_coefficients,
 )
@@ -207,6 +214,52 @@ def test_decomposition_identity_on_simulated_paths():
         s_n = p.delta * float(np.sum(path.values[:-1] ** 2))
         resid = abs(-rec.estimate - (drift + lambda_n(path) / s_n))
         assert resid <= 1e-10 * (1.0 + abs(rec.estimate))
+
+
+@pytest.mark.parametrize("convention", list(IndexConvention))
+def test_sum_side_statistics_match_the_per_path_references(convention):
+    # The harness and `estimate` see only the sum-side forms; each must agree
+    # with its independently coded per-path reference on every path.
+    p = OuParams(theta=1.3, delta=0.05, n=300)
+    reps = 40
+    sums = cell_sums(p, Variant.STATIONARY, reps, 17)
+    fx, fz = f_n_of_sums(sums, p, convention)
+    big_f = big_f_n_of_sums(sums, p, convention)
+    lam = lambda_n_of_sums(sums, p)
+    by_estimator = {e: estimates_of_sums(sums, p, e, convention) for e in Estimator}
+    for e, (_, _, good) in by_estimator.items():
+        assert good.all(), e
+    for i in range(reps):
+        x, z = simulate_coupled(p, 17, stream=i)
+        assert fx[i] == pytest.approx(f_n(x, convention), rel=1e-12)
+        assert fz[i] == pytest.approx(f_n(z, convention), rel=1e-12)
+        assert big_f[i] == pytest.approx(big_f_n(z, p.theta, convention), rel=1e-9, abs=1e-12)
+        assert lam[i] == pytest.approx(lambda_n(x), rel=1e-12)
+        for e, record in (
+            (Estimator.AMCE, amce(x, convention=convention)), (Estimator.AMLE, amle(x))
+        ):
+            est, den, _ = by_estimator[e]
+            assert est[i] == pytest.approx(record.estimate, rel=1e-12), e
+            assert den[i] == pytest.approx(record.denominator, rel=1e-12), e
+    assert 0.0 <= decomposition_residual(sums, p) <= 1e-10
+    with pytest.raises(TypeError):
+        estimates_of_sums(sums, p, "amce", convention)
+
+
+def test_sum_side_estimates_skip_degenerate_paths():
+    # n = 1 from zero: X_{t_0} = 0 is the whole body window and the whole
+    # AMLE denominator, so every path is degenerate there; the abstract AMCE
+    # window X_{t_1} is not.
+    p = OuParams(theta=1.0, delta=0.1, n=1)
+    sums = cell_sums(p, Variant.FROM_ZERO, 5, 3)
+    for estimator, convention, kept in (
+        (Estimator.AMLE, IndexConvention.BODY, 0),
+        (Estimator.AMCE, IndexConvention.BODY, 0),
+        (Estimator.AMCE, IndexConvention.ABSTRACT, 5),
+    ):
+        est, den, good = estimates_of_sums(sums, p, estimator, convention)
+        assert est.size == den.size == int(good.sum()) == kept
+    assert decomposition_residual(sums, p) == 0.0
 
 
 def test_estimator_consistency_monte_carlo():

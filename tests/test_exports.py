@@ -1,6 +1,8 @@
-"""Every exported name resolves, in the package and in each module; the
-command line imports only what it uses."""
+"""Every exported name resolves, in the package and in each module; no
+module imports another's private names; the command line imports only what
+it uses."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -34,6 +36,24 @@ def test_package_exports_are_the_module_exports():
         joined += importlib.import_module(f"ou_drift_bench.{module_name}").__all__
     assert ou_drift_bench.__all__ == joined
     assert len(set(joined)) == len(joined)
+
+
+def test_no_module_imports_a_private_name():
+    # What one module takes from another is that module's public interface;
+    # the command line once imported three private harness names.
+    found = []
+    for path in sorted(Path(ou_drift_bench.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            ours = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("ou_drift_bench")
+            )
+            if ours:
+                found += [
+                    f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert found == []
 
 
 def test_cli_import_leaves_out_scipy_signal():

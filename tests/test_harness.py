@@ -14,13 +14,14 @@ from ou_drift_bench import (
     InsufficientCells,
     NonPositiveValue,
     OuParams,
+    RATE_BOUNDS,
     RateResponse,
     SampleCumulants,
     Schedule,
     ScheduleCell,
     Variant,
     amle,
-    bound_terms,
+    cell_sums,
     coupling_check,
     exact_var_fn_z,
     f_n,
@@ -96,10 +97,10 @@ def test_presets_shapes():
 
 def test_bound_terms_values():
     cell = ScheduleCell(n=256, delta=0.0625)
-    t1, t2 = bound_terms(cell, Estimator.AMCE)
+    t1, t2 = RATE_BOUNDS[Estimator.AMCE].terms(cell)
     assert t1 == pytest.approx(0.0625**2, rel=1e-15)
     assert t2 == pytest.approx((256 * 0.0625) ** -0.5, rel=1e-15)
-    u1, u2 = bound_terms(cell, Estimator.AMLE)
+    u1, u2 = RATE_BOUNDS[Estimator.AMLE].terms(cell)
     assert u1 == pytest.approx((256 * 0.0625) ** -0.5, rel=1e-15)
     assert u2 == pytest.approx(math.sqrt(256 * 0.0625**3), rel=1e-15)
 
@@ -166,7 +167,7 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
     p = OuParams(theta=1.0, delta=0.05, n=3 * 64 + 17)
     monkeypatch.setenv("OU_BENCH_THREADS", "1")
-    stats = harness._cell_sums(p, Variant.STATIONARY, 130, SEED)
+    stats = cell_sums(p, Variant.STATIONARY, 130, SEED)
     ref = _per_path_stats(p, 130, SEED)
     for name in _STATS_FIELDS:
         np.testing.assert_allclose(
@@ -175,9 +176,9 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
 
     # Enough rows for two blocks, so two workers really split the cell.
     reps = ou_core.block_rows(p.n) + 100
-    serial = harness._cell_sums(p, Variant.STATIONARY, reps, SEED)
+    serial = cell_sums(p, Variant.STATIONARY, reps, SEED)
     monkeypatch.setenv("OU_BENCH_THREADS", "2")
-    threaded = harness._cell_sums(p, Variant.STATIONARY, reps, SEED)
+    threaded = cell_sums(p, Variant.STATIONARY, reps, SEED)
     for name in _STATS_FIELDS:
         assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
 
@@ -191,7 +192,7 @@ def test_long_cell_memory_bounded(monkeypatch, n, reps):
     p = OuParams(theta=1.0, delta=0.05, n=n)
     tracemalloc.start()
     try:
-        harness._cell_sums(p, Variant.STATIONARY, reps, SEED)
+        cell_sums(p, Variant.STATIONARY, reps, SEED)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

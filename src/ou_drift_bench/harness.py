@@ -14,7 +14,8 @@ layout instead of the stationary one.
 Workers: each of `run_cell`, `run_schedule` and `cell_sums` (behind
 `ou-bench estimate`) opens one pool of forked worker processes through
 `_cell_walk`, which pipelines a command's cells: cell k is summarized while
-the workers simulate cells k+1 onward.
+the workers simulate cells k+1 onward.  The walk is one map of
+`simulate_block` over all blocks: the pool's, or with one worker the builtin.
 
 Determinism contract: every result is a pure function of (arguments,
 master_seed).  Path i of a cell draws from the counter-based stream

@@ -39,7 +39,6 @@ from .harness import (
     GATE_SE,
     RATE_BOUNDS,
     cell_sums,
-    coupling_check,
     parse_int,
     preset_names,
     preset_schedule,
@@ -372,11 +371,11 @@ def _verify_lines(config: RunConfig) -> tuple[list[str], bool]:
             if check.note:
                 line += f"  ({check.note})"
             lines.append(line)
-    coupling = coupling_check(
-        preset_schedule("coupling-sweep"),
+    _, coupling = run_schedule(
+        preset_schedule("coupling-sweep", config.theta_true),
+        (),
         min(config.replications, 4000),
         config.master_seed,
-        theta=config.theta_true,
         convention=config.index_convention,
     )
     verdict = "PASS" if coupling.within_factor_10 else "FAIL"
@@ -405,7 +404,7 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_rates(config: RunConfig) -> list[Path]:
     """Run the configured preset once for every estimator; emit
     cells/rates/plotdata/report, and coupling.csv on coupling-sweep."""
-    schedule = preset_schedule(config.schedule)
+    schedule = preset_schedule(config.schedule, config.theta_true)
     cell_records, rate_records = [], []
     report: list[str] = [
         "# ou-drift-bench rate report",
@@ -428,7 +427,6 @@ def cmd_rates(config: RunConfig) -> list[Path]:
         config.estimators,
         config.replications,
         config.master_seed,
-        theta=config.theta_true,
         convention=config.index_convention,
     )
     for result in results:
@@ -531,13 +529,21 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parse error is a config error (exit code 2, nothing written), not
+    argparse's usage text and exit; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="YAML config file")
     for field, (parse, flag, text) in _FIELDS.items():
         action = "store_true" if parse is _parse_bool else "store"
         common.add_argument(flag, dest=field, action=action, default=None, help=text)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ou-bench",
         description="Monte Carlo benchmarks for OU drift estimators",
     )
@@ -577,8 +583,8 @@ def _check_output_dir(path: Path) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         file_values = _load_config_file(args.config) if args.config else {}
         config = build_config(file_values, {field: getattr(args, field) for field in _FIELDS})
         _check_output_dir(config.output_dir)

@@ -13,6 +13,7 @@ __all__ = [
     "NonPositiveValue",
     "ExcessiveDegeneracy",
     "ConfigError",
+    "at_cell",
 ]
 
 
@@ -54,3 +55,9 @@ class ExcessiveDegeneracy(OuBenchError):
 
 class ConfigError(OuBenchError):
     """A run configuration field failed validation."""
+
+
+def at_cell(params) -> str:
+    """Where a value failed, in every error that names a cell:
+    "at cell (theta=..., delta=..., n=...)"."""
+    return f"at cell (theta={params.theta!r}, delta={params.delta!r}, n={params.n})"

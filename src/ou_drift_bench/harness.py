@@ -1,15 +1,17 @@
 """Monte Carlo harness: schedules, per-cell summaries, oracle gating, rate fits.
 
-A Schedule is a sequence of (n, delta) cells encoding an asymptotic regime;
-`run_cell` simulates one cell once and returns one McSummary per estimator,
-each holding the estimator's error distribution, its distance to N(0, 1),
-and a list of oracle cross-checks; `run_schedule` walks a schedule's cells
-once, adds log-log rate fits of W1 against each estimator's rate bound, and
-measures the pathwise coupling of F_n(X) and F_n(Z) on the same paths
-(`coupling_check` is that walk with no estimators).  Per-path sums come from
-`_cell_walk`, and every statistic on them from `estimators`' `_of_sums`
-functions; `ou-bench estimate` uses both too, on paths in the from-zero
-layout instead of the stationary one.
+A cell is one OuParams (theta, delta, n).  A Schedule is a sequence of
+cells encoding an asymptotic regime; `preset_schedule` builds a preset's
+cells at a given theta.  `run_cell` simulates one cell once and returns one
+McSummary per estimator, each holding the estimator's error distribution,
+its distance to N(0, 1), and a list of oracle cross-checks; `run_schedule`
+walks a schedule's cells once, adds log-log rate fits of W1 against each
+estimator's rate bound, and measures the pathwise coupling of F_n(X) and
+F_n(Z) on the same paths (with no estimators, it measures only that coupling,
+as `ou-bench verify` does).  Per-path sums come from `_cell_walk`, and
+every statistic on them from `estimators`' `_of_sums` functions; `ou-bench
+estimate` uses both too, on paths in the from-zero layout instead of the
+stationary one.
 
 Workers: each of `run_cell`, `run_schedule` and `cell_sums` (behind
 `ou-bench estimate`) opens one pool of forked worker processes through
@@ -68,7 +70,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import oracles
-from .errors import ConfigError, ExcessiveDegeneracy, InsufficientCells, NonPositiveValue
+from .errors import (
+    ConfigError,
+    ExcessiveDegeneracy,
+    InsufficientCells,
+    NonFiniteValue,
+    NonPositiveValue,
+    at_cell,
+)
 from .estimators import (
     Estimator,
     IndexConvention,
@@ -108,10 +117,8 @@ __all__ = [
     "RateFit",
     "RateResponse",
     "Schedule",
-    "ScheduleCell",
     "ScheduleResult",
     "cell_sums",
-    "coupling_check",
     "fit_rate",
     "parse_int",
     "preset_schedule",
@@ -130,27 +137,6 @@ FIT_MIN_REPLICATIONS = 100
 
 
 @dataclass(frozen=True)
-class ScheduleCell:
-    """One (n, delta) cell with its regime control quantities."""
-
-    n: int
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"schedule cells need n >= 2, got {self.n}")
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"schedule cells need delta > 0, got {self.delta!r}")
-
-    @property
-    def horizon(self) -> float:
-        return self.n * self.delta
-
-    def params(self, theta: float) -> OuParams:
-        return OuParams(theta=theta, delta=self.delta, n=self.n)
-
-
-@dataclass(frozen=True)
 class Schedule:
     """Named sequence of cells; clt_valid asserts the joint regime.
 
@@ -160,49 +146,43 @@ class Schedule:
     """
 
     name: str
-    cells: tuple[ScheduleCell, ...]
+    cells: tuple[OuParams, ...]
     clt_valid: bool = False
 
     def __post_init__(self) -> None:
         if not self.cells:
             raise ValueError("schedule needs at least one cell")
         object.__setattr__(self, "cells", tuple(self.cells))
-        if self.clt_valid and not (self.delta_decreasing and self.horizon_increasing):
+        steps = zip(self.cells, self.cells[1:])
+        regime = all(b.delta < a.delta and b.horizon > a.horizon for a, b in steps)
+        if self.clt_valid and not regime:
             raise ValueError(
                 f"schedule {self.name!r} marked CLT-valid but delta is not strictly "
                 "decreasing with strictly increasing horizon"
             )
 
-    @property
-    def delta_decreasing(self) -> bool:
-        deltas = [c.delta for c in self.cells]
-        return all(b < a for a, b in zip(deltas, deltas[1:]))
 
-    @property
-    def horizon_increasing(self) -> bool:
-        horizons = [c.horizon for c in self.cells]
-        return all(b > a for a, b in zip(horizons, horizons[1:]))
-
-
-def _gamma_schedule(name: str, gamma: float, exponents: range) -> Schedule:
+def _gamma_schedule(name: str, gamma: float, exponents: range, theta: float) -> Schedule:
     cells = tuple(
-        ScheduleCell(n=2**k, delta=float(2**k) ** -gamma) for k in exponents
+        OuParams(theta=theta, delta=float(2**k) ** -gamma, n=2**k) for k in exponents
     )
     return Schedule(name=name, cells=cells, clt_valid=True)
 
 
-def _preset_map() -> dict[str, Schedule]:
+def _preset_map(theta: float = 1.0) -> dict[str, Schedule]:
     return {
-        "amce-gamma-half": _gamma_schedule("amce-gamma-half", 0.5, range(8, 15)),
-        "amle-gamma-3q": _gamma_schedule("amle-gamma-3q", 0.75, range(8, 15)),
+        "amce-gamma-half": _gamma_schedule("amce-gamma-half", 0.5, range(8, 15), theta),
+        "amle-gamma-3q": _gamma_schedule("amle-gamma-3q", 0.75, range(8, 15), theta),
         "coupling-sweep": Schedule(
             name="coupling-sweep",
-            cells=tuple(ScheduleCell(n=2**k, delta=0.05) for k in (8, 10, 12)),
+            cells=tuple(OuParams(theta=theta, delta=0.05, n=2**k) for k in (8, 10, 12)),
             clt_valid=False,
         ),
         "negative-control-fixed-T": Schedule(
             name="negative-control-fixed-T",
-            cells=tuple(ScheduleCell(n=2**k, delta=16.0 / 2**k) for k in range(8, 15)),
+            cells=tuple(
+                OuParams(theta=theta, delta=16.0 / 2**k, n=2**k) for k in range(8, 15)
+            ),
             clt_valid=False,
         ),
     }
@@ -212,8 +192,9 @@ def preset_names() -> tuple[str, ...]:
     return tuple(_preset_map())
 
 
-def preset_schedule(name: str) -> Schedule:
-    presets = _preset_map()
+def preset_schedule(name: str, theta: float = 1.0) -> Schedule:
+    """The named preset's cells at drift theta."""
+    presets = _preset_map(theta)
     if name not in presets:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(sorted(presets))}"
@@ -233,7 +214,7 @@ class RateBound:
     error: str
     expression: str
     response: RateResponse
-    terms: Callable[[ScheduleCell], tuple[float, float]]
+    terms: Callable[[OuParams], tuple[float, float]]
 
 
 # Each estimator's rate bound; its terms give the two terms at a cell (constant 1).
@@ -271,11 +252,8 @@ class OracleCheck:
 class McSummary:
     """Monte Carlo summary of one estimator on one cell."""
 
-    cell: tuple[int, float]
     estimator: Estimator
     replications: int
-    theta: float
-    convention: IndexConvention
     distance: DistanceReport
     cumulants: SampleCumulants
     mean_error: float
@@ -312,7 +290,6 @@ class RateFit:
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    schedule: Schedule
     estimator: Estimator
     summaries: tuple[McSummary, ...]
     bound_fit: RateFit | None
@@ -365,6 +342,10 @@ def _cell_walk(
     next cells while the caller works on this one; leaving the walk cancels
     the blocks not yet started and ends the workers.  With one worker, or one
     block, the builtin map runs each block here when the walk reaches it.
+
+    A value that leaves the range of a double, in a block or in the caller's
+    work on a cell, ends the walk in NonFiniteValue naming the cell, not in
+    a warning and inf or nan in its sums or summaries.
     """
     if reps < 2:
         raise ValueError(f"replications must be >= 2, got {reps}")
@@ -385,9 +366,20 @@ def _cell_walk(
     # it starts its own.
     context = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(workers, mp_context=context) if workers > 1 else None
+    walked = []  # the cells reached so far; the last is the one being worked on
+
+    def each_cell(blocks):
+        for params, cell_spans in zip(cells, spans):
+            walked.append(params)
+            yield _gather(cell_spans, blocks, reps)
+
     try:
-        blocks = (pool.map if pool else map)(simulate_block, *zip(*jobs))
-        yield (_gather(cell_spans, blocks, reps) for cell_spans in spans)
+        # The workers are forked inside this state, so they raise too.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield each_cell((pool.map if pool else map)(simulate_block, *zip(*jobs)))
+    except FloatingPointError as exc:
+        where = at_cell(walked[-1])
+        raise NonFiniteValue(f"a value leaves the range of a double {where}: {exc}") from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -472,7 +464,6 @@ def _summaries(
     estimators: tuple[Estimator, ...],
     master_seed: int,
     convention: IndexConvention,
-    n_bootstrap: int,
 ) -> tuple[McSummary, ...]:
     """One McSummary per estimator from one cell's sums (see `run_cell`)."""
     if not estimators:
@@ -499,7 +490,7 @@ def _summaries(
         errors = estimates - params.theta
         nerr = normalized_error(estimates, params, params.theta)
         c = sample_cumulants(nerr)
-        distance = distance_report(nerr, n_bootstrap=n_bootstrap, seed=master_seed)
+        distance = distance_report(nerr, seed=master_seed)
         # Finite-size cumulant screen on the normalized errors, informational:
         # the third cumulant decays like the rate bound, not faster, so it
         # sits many standard errors from 0 at desk scale.
@@ -512,11 +503,8 @@ def _summaries(
         ]
         summaries.append(
             McSummary(
-                cell=(params.n, params.delta),
                 estimator=estimator,
                 replications=reps,
-                theta=params.theta,
-                convention=convention,
                 distance=distance,
                 cumulants=c,
                 mean_error=float(np.mean(errors)),
@@ -536,7 +524,6 @@ def run_cell(
     master_seed: int,
     *,
     convention: IndexConvention = IndexConvention.BODY,
-    n_bootstrap: int = 200,
 ) -> tuple[McSummary, ...]:
     """Simulate one cell once and summarize each estimator's error
     distribution on its paths, in the order given.
@@ -546,8 +533,8 @@ def run_cell(
     than DEGENERACY_ABORT_FRACTION of them aborts the cell.
     """
     _require_replications(estimators, replications)
-    sums = cell_sums(params, Variant.STATIONARY, replications, master_seed)
-    return _summaries(params, sums, estimators, master_seed, convention, n_bootstrap)
+    with _cell_walk((params,), Variant.STATIONARY, replications, master_seed) as walk:
+        return _summaries(params, next(walk), estimators, master_seed, convention)
 
 
 def fit_rate(
@@ -640,7 +627,6 @@ def _schedule_result(
             predictor="dominant bound term",
         )
     return ScheduleResult(
-        schedule=schedule,
         estimator=estimator,
         summaries=summaries,
         bound_fit=bound_fit,
@@ -654,9 +640,7 @@ def run_schedule(
     replications: int,
     master_seed: int,
     *,
-    theta: float = 1.0,
     convention: IndexConvention = IndexConvention.BODY,
-    n_bootstrap: int = 200,
 ) -> tuple[tuple[ScheduleResult, ...], CouplingReport]:
     """Run every cell of a schedule once: one ScheduleResult per estimator,
     in the order given, and the coupling report of the same paths.
@@ -667,13 +651,10 @@ def run_schedule(
     spread across cells the factor-10 check constrains.
     """
     _require_replications(estimators, replications, schedule.clt_valid)
-    cells = [cell.params(theta) for cell in schedule.cells]
     per_cell, rows = [], []
-    with _cell_walk(cells, Variant.STATIONARY, replications, master_seed) as walk:
-        for params, sums in zip(cells, walk):
-            per_cell.append(
-                _summaries(params, sums, estimators, master_seed, convention, n_bootstrap)
-            )
+    with _cell_walk(schedule.cells, Variant.STATIONARY, replications, master_seed) as walk:
+        for params, sums in zip(schedule.cells, walk):
+            per_cell.append(_summaries(params, sums, estimators, master_seed, convention))
             rows.append(_coupling_row(params, sums, convention))
     results = tuple(
         _schedule_result(schedule, estimator, summaries)
@@ -686,19 +667,3 @@ def run_schedule(
         spread = max(scaled) / min(scaled)
     coupling = CouplingReport(rows=tuple(rows), spread=spread, within_factor_10=spread <= 10.0)
     return results, coupling
-
-
-def coupling_check(
-    schedule: Schedule,
-    replications: int,
-    master_seed: int,
-    *,
-    theta: float = 1.0,
-    convention: IndexConvention = IndexConvention.BODY,
-) -> CouplingReport:
-    """Empirical L2/L4 norms of F_n(X) - F_n(Z) on coupled paths, per cell:
-    `run_schedule` with no estimators."""
-    _, report = run_schedule(
-        schedule, (), replications, master_seed, theta=theta, convention=convention
-    )
-    return report

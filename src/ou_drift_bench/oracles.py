@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteValue
+from .errors import NonFiniteValue, at_cell
 from .ou_core import OuParams, transition_coefficients
 
 __all__ = [
@@ -88,7 +88,7 @@ def _finite(name: str, params: OuParams, compute, parts=("",)) -> list[float]:
     shows up as inf or nan, a Python float overflow or division by zero as an
     exception, and both end in the same error.
     """
-    where = f"at cell (theta={params.theta!r}, delta={params.delta!r}, n={params.n})"
+    where = at_cell(params)
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             values = [float(v) for v in compute()]

@@ -35,7 +35,6 @@ from ou_drift_bench import (
     big_f_n,
     big_f_n_of_sums,
     cell_sums,
-    coupling_check,
     exact_k3_lambda,
     exact_k4_lambda,
     exact_var_fn_z,
@@ -328,7 +327,7 @@ def test_08_coupling_l2_scaled_within_factor_10():
     4096} at delta = 0.05: max/min below 10.  Budget two minutes.
     """
     start = time.perf_counter()
-    report = coupling_check(preset_schedule("coupling-sweep"), 2000, SEED)
+    _, report = run_schedule(preset_schedule("coupling-sweep"), (), 2000, SEED)
     assert [row.n for row in report.rows] == [256, 1024, 4096]
     assert all(row.delta == 0.05 for row in report.rows)
     assert all(row.l2 > 0.0 for row in report.rows)

@@ -329,6 +329,31 @@ def test_invalid_theta_exits_2(tmp_path, capsys):
     assert "config error" in err and "theta" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--out", "-x"], "argument --out: expected one argument"),
+        (["simulate", "--no-such-flag", "1"], "unrecognized arguments: --no-such-flag 1"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["value-starting-with-dash", "unknown-flag", "no-subcommand"],
+)
+def test_parse_error_is_a_config_error(tmp_path, capsys, monkeypatch, argv, message):
+    # A value that starts with "-" once ended in argparse's usage text and
+    # SystemExit(2) raised out of main, with no config error line.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--help"])
+    assert exit_.value.code == 0
+    assert "--reps" in capsys.readouterr().out
+
+
 def test_unknown_preset_rejected(tmp_path, capsys):
     # the flag and the config file go through the same RunConfig validation
     out = tmp_path / "o"
@@ -536,13 +561,20 @@ def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threa
         (["estimate", "--n", "17", "--delta", "1.7976931348623157e+308", "--reps", "2"],
          "overflow encountered in multiply; a value leaves the range of a double"),
         (["verify", "--n", "8", "--reps", "7", "--theta", "1e300", "--delta", "1e300"],
-         "invalid value encountered in multiply; a value leaves the range of a double"),
+         "a value leaves the range of a double at cell (theta=1e+300, delta=1e+300, n=8): "
+         "invalid value encountered in multiply"),
+        (["rates", "--preset", "coupling-sweep", "--reps", "5",
+          "--theta", "1.7976931348623157e+308"],
+         "a value leaves the range of a double at cell "
+         "(theta=1.7976931348623157e+308, delta=0.05, n=256): overflow encountered in multiply"),
     ],
-    ids=["stationary-sd", "times", "estimate-sums", "verify-in-workers"],
+    ids=["stationary-sd", "times", "estimate-sums", "verify-in-workers", "rates-names-the-cell"],
 )
 def test_value_out_of_double_range_is_an_error(tmp_path, capsys, monkeypatch, argv, message):
     # Found by test_fuzz: the first ended in a ValueError traceback, the
-    # others in RuntimeWarnings with inf or nan written to the CSVs.
+    # others in RuntimeWarnings with inf or nan written to the CSVs.  In a
+    # harness cell the error names the cell; on rates over several cells it
+    # once named neither the cell nor the value to change.
     monkeypatch.setenv("OU_BENCH_THREADS", "2")
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

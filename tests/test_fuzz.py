@@ -29,6 +29,7 @@ _ODD = st.one_of(
     st.integers(),
     st.floats() | _EXTREME,
     _TEXT,
+    _TEXT.map("-x".__add__),  # as a flag's separate value, a parse error
     st.lists(st.integers(), max_size=2),
     st.dictionaries(_TEXT, st.integers(), max_size=2),
 )
@@ -91,15 +92,20 @@ def _runs(draw):
         if source in ("file", "both"):
             file_values[field] = _value(draw, field)
         if source in ("flag", "both"):
-            # --flag=value, which argparse takes verbatim even if it starts with "-"
+            # --flag=value, which argparse takes verbatim, or --flag value,
+            # where a value that starts with "-" is a parse error
             value = None if field == "coupled" else _value(draw, field, flag=True)
-            flags.append(flag if value is None else f"{flag}={value}")
+            if value is None:
+                flags.append([flag])
+            else:
+                flags.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
     if _odd(draw):
         file_values[draw(_TEXT)] = draw(_ODD)
     raw = draw(st.binary(max_size=16)) if _odd(draw) else None
     threads = draw(_BAD_THREADS if _odd(draw) else st.integers(1, 4).map(str))
     command = draw(st.sampled_from(list(_COMMANDS)))
-    return command, draw(st.permutations(flags)), file_values, raw, threads
+    flags = [arg for group in draw(st.permutations(flags)) for arg in group]
+    return command, flags, file_values, raw, threads
 
 
 @settings(max_examples=200, deadline=None, database=None)

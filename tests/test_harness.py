@@ -1,6 +1,7 @@
 """Monte Carlo harness: cells, schedules, rate fits, coupling, determinism."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -12,17 +13,16 @@ from ou_drift_bench import (
     Estimator,
     IndexConvention,
     InsufficientCells,
+    NonFiniteValue,
     NonPositiveValue,
     OuParams,
     RATE_BOUNDS,
     RateResponse,
     SampleCumulants,
     Schedule,
-    ScheduleCell,
     Variant,
     amle,
     cell_sums,
-    coupling_check,
     exact_var_fn_z,
     f_n,
     fit_rate,
@@ -41,21 +41,26 @@ SEED = 20260822
 
 
 def test_schedule_cell_validation_and_controls():
-    cell = ScheduleCell(n=256, delta=0.0625)
+    # A schedule's cells are OuParams at the run's theta.
+    cell = OuParams(theta=1.0, delta=0.0625, n=256)
     assert cell.horizon == pytest.approx(16.0, rel=1e-15)
     with pytest.raises(ValueError):
-        ScheduleCell(n=1, delta=0.1)
-    with pytest.raises(ValueError):
-        ScheduleCell(n=16, delta=0.0)
+        OuParams(theta=1.0, delta=0.0, n=16)
+    for name in preset_names():
+        assert {c.theta for c in preset_schedule(name).cells} == {1.0}
+        slow = preset_schedule(name, theta=0.25)
+        assert slow.cells == tuple(
+            OuParams(theta=0.25, delta=c.delta, n=c.n) for c in preset_schedule(name).cells
+        )
 
 
 def test_schedule_clt_marking_requires_monotone_regime():
-    cells = (ScheduleCell(n=100, delta=0.1), ScheduleCell(n=200, delta=0.1))
+    cells = (OuParams(theta=1.0, delta=0.1, n=100), OuParams(theta=1.0, delta=0.1, n=200))
     Schedule(name="flat", cells=cells)
     with pytest.raises(ValueError):
         # delta not strictly decreasing
         Schedule(name="flat", cells=cells, clt_valid=True)
-    shrinking_t = (ScheduleCell(n=100, delta=0.1), ScheduleCell(n=120, delta=0.05))
+    shrinking_t = (OuParams(theta=1.0, delta=0.1, n=100), OuParams(theta=1.0, delta=0.05, n=120))
     with pytest.raises(ValueError):
         # horizon not strictly increasing (10 -> 6)
         Schedule(name="bad-T", cells=shrinking_t, clt_valid=True)
@@ -96,7 +101,7 @@ def test_presets_shapes():
 
 
 def test_bound_terms_values():
-    cell = ScheduleCell(n=256, delta=0.0625)
+    cell = OuParams(theta=1.0, delta=0.0625, n=256)
     t1, t2 = RATE_BOUNDS[Estimator.AMCE].terms(cell)
     assert t1 == pytest.approx(0.0625**2, rel=1e-15)
     assert t2 == pytest.approx((256 * 0.0625) ** -0.5, rel=1e-15)
@@ -136,9 +141,9 @@ def test_fit_rate_error_paths():
 def test_run_cell_bit_identical_across_workers(monkeypatch):
     p = OuParams(theta=1.0, delta=0.05, n=300)
     monkeypatch.setenv("OU_BENCH_THREADS", "1")
-    serial = run_cell(p, (Estimator.AMLE,), 500, SEED, n_bootstrap=50)
+    serial = run_cell(p, (Estimator.AMLE,), 500, SEED)
     monkeypatch.setenv("OU_BENCH_THREADS", "4")
-    threaded = run_cell(p, (Estimator.AMLE,), 500, SEED, n_bootstrap=50)
+    threaded = run_cell(p, (Estimator.AMLE,), 500, SEED)
     assert serial == threaded
 
 
@@ -210,20 +215,35 @@ def test_run_cell_two_replications_deterministic(monkeypatch):
             run_cell(p, (Estimator.AMCE,), reps, 7)
     assert calls == []
     monkeypatch.undo()
-    (one,) = run_cell(p, (Estimator.AMCE,), 4, 7, n_bootstrap=10)
-    (two,) = run_cell(p, (Estimator.AMCE,), 4, 7, n_bootstrap=10)
+    (one,) = run_cell(p, (Estimator.AMCE,), 4, 7)
+    (two,) = run_cell(p, (Estimator.AMCE,), 4, 7)
     assert one == two
     assert one.replications == 4
     assert isinstance(one.cumulants, SampleCumulants)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_out_of_range_cell_names_the_cell(monkeypatch, threads):
+    # The library call once warned "invalid value encountered in multiply"
+    # and then raised ExcessiveDegeneracy (8 of 8 paths degenerate).  Two
+    # blocks, so with two workers the error comes from a forked worker.
+    monkeypatch.setenv("OU_BENCH_THREADS", threads)
+    p = OuParams(theta=1e300, delta=1e300, n=8)
+    reps = ou_core.block_rows(p.n) + 8
+    cell = re.escape("at cell (theta=1e+300, delta=1e+300, n=8): invalid value")
+    before = np.geterr()
+    with pytest.raises(NonFiniteValue, match=cell):
+        run_cell(p, (Estimator.AMCE,), reps, 1)
+    assert np.geterr() == before
 
 
 def test_run_cell_estimators_share_one_simulation():
     # Summaries of both estimators from one call are those of one call each:
     # the shared gate rows and the paths do not depend on the estimator set.
     p = OuParams(theta=1.0, delta=0.1, n=128)
-    both = run_cell(p, (Estimator.AMLE, Estimator.AMCE), 300, SEED, n_bootstrap=20)
-    amle_only = run_cell(p, (Estimator.AMLE,), 300, SEED, n_bootstrap=20)
-    amce_only = run_cell(p, (Estimator.AMCE,), 300, SEED, n_bootstrap=20)
+    both = run_cell(p, (Estimator.AMLE, Estimator.AMCE), 300, SEED)
+    amle_only = run_cell(p, (Estimator.AMLE,), 300, SEED)
+    amce_only = run_cell(p, (Estimator.AMCE,), 300, SEED)
     assert both == amle_only + amce_only
     assert run_cell(p, (), 300, SEED) == ()
 
@@ -269,7 +289,7 @@ def test_run_cell_summary_statistics_consistent():
 def amce_n4096():
     """AMCE at (theta=1, n=4096, delta=n^{-1/2}) with 1e4 replications."""
     p = OuParams(theta=1.0, delta=4096**-0.5, n=4096)
-    (summary,) = run_cell(p, (Estimator.AMCE,), 10_000, SEED, n_bootstrap=50)
+    (summary,) = run_cell(p, (Estimator.AMCE,), 10_000, SEED)
     return p, summary
 
 
@@ -321,7 +341,7 @@ def test_mean_normalized_error_centering_example(amce_n4096):
 
 
 def test_run_schedule_replications_floor_binds_only_fits():
-    cells = tuple(ScheduleCell(n=n, delta=n**-0.5) for n in (64, 128, 256))
+    cells = tuple(OuParams(theta=1.0, delta=n**-0.5, n=n) for n in (64, 128, 256))
     clt = Schedule(name="mini-clt", cells=cells, clt_valid=True)
     with pytest.raises(ConfigError, match="replications must be >= 100"):
         # distances would feed a rate fit, so the floor applies
@@ -329,19 +349,17 @@ def test_run_schedule_replications_floor_binds_only_fits():
     with pytest.raises(ConfigError, match="replications must be >= 4"):
         run_schedule(preset_schedule("coupling-sweep"), (Estimator.AMCE,), 1, SEED)
     # non-CLT schedules produce no fit and accept small runs
-    (small,), _ = run_schedule(
-        preset_schedule("coupling-sweep"), (Estimator.AMCE,), 50, SEED, n_bootstrap=20
-    )
+    (small,), _ = run_schedule(preset_schedule("coupling-sweep"), (Estimator.AMCE,), 50, SEED)
     assert small.bound_fit is None and small.dominant_fit is None
     # with no estimators there are no summaries, so no floor
-    report = coupling_check(preset_schedule("coupling-sweep"), 2, SEED)
+    _, report = run_schedule(preset_schedule("coupling-sweep"), (), 2, SEED)
     assert len(report.rows) == 3
 
 
 def test_run_schedule_clt_fits_and_non_clt_absence():
-    cells = tuple(ScheduleCell(n=n, delta=n**-0.5) for n in (256, 512, 1024))
+    cells = tuple(OuParams(theta=1.0, delta=n**-0.5, n=n) for n in (256, 512, 1024))
     clt = Schedule(name="mini-clt", cells=cells, clt_valid=True)
-    (result,), _ = run_schedule(clt, (Estimator.AMCE,), 400, SEED, n_bootstrap=50)
+    (result,), _ = run_schedule(clt, (Estimator.AMCE,), 400, SEED)
     assert len(result.summaries) == 3
     for fit in (result.bound_fit, result.dominant_fit):
         assert fit is not None, "CLT-valid schedule must produce rate fits"
@@ -351,25 +369,24 @@ def test_run_schedule_clt_fits_and_non_clt_absence():
 
     flat = Schedule(
         name="mini-flat",
-        cells=tuple(ScheduleCell(n=n, delta=0.05) for n in (256, 512)),
+        cells=tuple(OuParams(theta=1.0, delta=0.05, n=n) for n in (256, 512)),
     )
-    (flat_result,), _ = run_schedule(flat, (Estimator.AMCE,), 400, SEED, n_bootstrap=50)
+    (flat_result,), _ = run_schedule(flat, (Estimator.AMCE,), 400, SEED)
     assert flat_result.bound_fit is None and flat_result.dominant_fit is None
 
 
 def test_run_schedule_coupling_report_is_coupling_check():
+    # The coupling report does not depend on the estimators run beside it.
     sweep = preset_schedule("coupling-sweep")
-    results, coupling = run_schedule(
-        sweep, (Estimator.AMCE, Estimator.AMLE), 300, SEED, n_bootstrap=20
-    )
+    results, coupling = run_schedule(sweep, (Estimator.AMCE, Estimator.AMLE), 300, SEED)
     assert [r.estimator for r in results] == [Estimator.AMCE, Estimator.AMLE]
-    assert coupling == coupling_check(sweep, 300, SEED)
+    assert coupling == run_schedule(sweep, (), 300, SEED)[1]
     with pytest.raises(ValueError):
-        coupling_check(sweep, 1, SEED)
+        run_schedule(sweep, (), 1, SEED)
 
 
 def test_coupling_check_contracted_sweep():
-    report = coupling_check(preset_schedule("coupling-sweep"), 500, SEED)
+    _, report = run_schedule(preset_schedule("coupling-sweep"), (), 500, SEED)
     assert len(report.rows) == 3
     assert report.within_factor_10
     assert 1.0 <= report.spread < 10.0

@@ -38,7 +38,7 @@ from .estimators import Estimator, IndexConvention, estimates_of_sums, normalize
 from .harness import (
     GATE_SE,
     RATE_BOUNDS,
-    cell_sums,
+    map_cells,
     parse_int,
     preset_names,
     preset_schedule,
@@ -294,23 +294,30 @@ def cmd_estimate(config: RunConfig) -> list[Path]:
 
     Path i is stream (master_seed, i) in the innovations-only layout; its
     sums come from the harness's worker pool (`OU_BENCH_THREADS` applies) and
-    its estimates from `estimates_of_sums`, as in the harness.  Rows are
+    its estimates from `estimates_of_sums`, as in the harness, inside the
+    cell's `map_cells` call, so a value out of range names the cell.  Rows are
     path-major, estimators in config order; degenerate paths are skipped and
     get no row.  The paths are not verify's, which draws in the stationary
     layout (Z_0 first).
     """
+
+    def estimates(params, sums):
+        columns = []
+        for estimator in config.estimators:
+            est, den, good = estimates_of_sums(sums, params, estimator, config.index_convention)
+            nerr = normalized_error(est, params, config.theta_true)
+            # tolist() gives Python floats, which _fmt writes with repr
+            values = (
+                {"estimate": e, "denominator": d, "normalized_error": r}
+                for e, d, r in zip(est.tolist(), den.tolist(), nerr.tolist())
+            )
+            columns.append((estimator.value, good.tolist(), values))
+        return columns
+
     params = OuParams(theta=config.theta_true, delta=config.delta, n=config.n)
-    sums = cell_sums(params, Variant.FROM_ZERO, config.replications, config.master_seed)
-    columns = []
-    for estimator in config.estimators:
-        est, den, good = estimates_of_sums(sums, params, estimator, config.index_convention)
-        nerr = normalized_error(est, params, config.theta_true)
-        # tolist() gives Python floats, which _fmt writes with repr
-        values = (
-            {"estimate": e, "denominator": d, "normalized_error": r}
-            for e, d, r in zip(est.tolist(), den.tolist(), nerr.tolist())
-        )
-        columns.append((estimator.value, good.tolist(), values))
+    (columns,) = map_cells(
+        (params,), Variant.FROM_ZERO, config.replications, config.master_seed, estimates
+    )
     records = (
         {"estimator": name, "path": index, **next(values)}
         for index in range(config.replications)
@@ -454,9 +461,15 @@ def cmd_rates(config: RunConfig) -> list[Path]:
                 }
             )
         cell_records.extend(records)
+        # Each fit with its label in the report and its predictor in rates.csv.
+        fits = (
+            (result.bound_fit, "bound expression", bound.expression),
+            (result.dominant_fit, "dominant term", "dominant bound term"),
+        )
         rate_records.extend(
-            {**vars(fit), "estimator": estimator.value, "response": fit.response.value}
-            for fit in (result.bound_fit, result.dominant_fit)
+            {**vars(fit), "schedule": schedule.name, "estimator": estimator.value,
+             "response": f"w1_{estimator.value}", "predictor": predictor}
+            for fit, _, predictor in fits
             if fit is not None
         )
 
@@ -481,12 +494,9 @@ def cmd_rates(config: RunConfig) -> list[Path]:
             report.append(
                 f"W1 strictly decreasing across cells: {'yes' if monotone else 'no'}."
             )
-            for fit, label in (
-                (result.bound_fit, "bound expression"),
-                (result.dominant_fit, "dominant term"),
-            ):
+            for fit, label, predictor in fits:
                 report.append(
-                    f"Log-log fit against the {label} [{fit.predictor}]: "
+                    f"Log-log fit against the {label} [{predictor}]: "
                     f"slope={fit.slope:.4f}, intercept={fit.intercept:.4f}, "
                     f"r2={fit.r2:.4f} over {fit.n_cells} cells."
                 )

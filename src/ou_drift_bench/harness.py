@@ -8,15 +8,15 @@ its distance to N(0, 1), and a list of oracle cross-checks; `run_schedule`
 walks a schedule's cells once, adds log-log rate fits of W1 against each
 estimator's rate bound, and measures the pathwise coupling of F_n(X) and
 F_n(Z) on the same paths (with no estimators, it measures only that coupling,
-as `ou-bench verify` does).  Per-path sums come from `_cell_walk`, and
+as `ou-bench verify` does).  Per-path sums come from `map_cells`, and
 every statistic on them from `estimators`' `_of_sums` functions; `ou-bench
 estimate` uses both too, on paths in the from-zero layout instead of the
 stationary one.
 
-Workers: each of `run_cell`, `run_schedule` and `cell_sums` (behind
-`ou-bench estimate`) opens one pool of forked worker processes through
-`_cell_walk`, which pipelines a command's cells: cell k is summarized while
-the workers simulate cells k+1 onward.  The walk is one map of
+Workers: each of `run_cell`, `run_schedule`, `cell_sums` and `ou-bench
+estimate` is one `map_cells` call, which opens one pool of forked worker
+processes and pipelines a command's cells: the caller's function runs on
+cell k while the workers simulate cells k+1 onward.  The walk is one map of
 `simulate_block` over all blocks: the pool's, or with one worker the builtin.
 
 Determinism contract: every result is a pure function of (arguments,
@@ -58,13 +58,11 @@ is visible, not hidden.
 
 from __future__ import annotations
 
-import enum
 import math
 import multiprocessing
 import os
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -115,11 +113,11 @@ __all__ = [
     "OracleCheck",
     "RateBound",
     "RateFit",
-    "RateResponse",
     "Schedule",
     "ScheduleResult",
     "cell_sums",
     "fit_rate",
+    "map_cells",
     "parse_int",
     "preset_schedule",
     "preset_names",
@@ -202,29 +200,23 @@ def preset_schedule(name: str, theta: float = 1.0) -> Schedule:
     return presets[name]
 
 
-class RateResponse(enum.Enum):
-    W1_AMCE = "w1_amce"
-    W1_AMLE = "w1_amle"
-
-
 @dataclass(frozen=True)
 class RateBound:
-    """An estimator's rate bound: the error it bounds, expression, response, terms."""
+    """An estimator's rate bound: the error it bounds, expression, terms."""
 
     error: str
     expression: str
-    response: RateResponse
     terms: Callable[[OuParams], tuple[float, float]]
 
 
 # Each estimator's rate bound; its terms give the two terms at a cell (constant 1).
 RATE_BOUNDS = {
     Estimator.AMCE: RateBound(
-        "moment-estimator", "delta^2 + (n delta)^(-1/2)", RateResponse.W1_AMCE,
+        "moment-estimator", "delta^2 + (n delta)^(-1/2)",
         lambda cell: (cell.delta**2, 1.0 / math.sqrt(cell.horizon)),
     ),
     Estimator.AMLE: RateBound(
-        "likelihood-estimator", "(n delta)^(-1/2) + (n delta^3)^(1/2)", RateResponse.W1_AMLE,
+        "likelihood-estimator", "(n delta)^(-1/2) + (n delta^3)^(1/2)",
         lambda cell: (1.0 / math.sqrt(cell.horizon), math.sqrt(cell.n * cell.delta**3)),
     ),
 }
@@ -279,9 +271,6 @@ class RateFit:
     unknown constant in the bound makes absolute levels meaningless.
     """
 
-    schedule: str
-    response: RateResponse | None
-    predictor: str
     slope: float
     intercept: float
     r2: float
@@ -320,32 +309,27 @@ def _worker_count() -> int:
     return workers
 
 
-def _gather(spans: list[tuple[int, int]], blocks: Iterator[BlockSums], reps: int) -> BlockSums:
-    """One cell's sums: each span's block, taken in turn from `blocks`, in its rows."""
-    sums = BlockSums(*(np.empty(reps) for _ in fields(BlockSums)))
-    for (lo, hi), block in zip(spans, blocks):
-        for field in fields(BlockSums):
-            getattr(sums, field.name)[lo:hi] = getattr(block, field.name)
-    return sums
-
-
-@contextmanager
-def _cell_walk(
-    cells: Sequence[OuParams], variant: Variant, reps: int, master_seed: int
-) -> Iterator[Iterator[BlockSums]]:
-    """The sums of each cell in turn: paths 0..reps-1, path i on stream
-    (master_seed, i) in the variant's draw layout.  In the stationary layout
-    X and Z are the exact coupling; in the from-zero layout Z is X.
+def map_cells(
+    cells: Sequence[OuParams],
+    variant: Variant,
+    reps: int,
+    master_seed: int,
+    each: Callable[[OuParams, BlockSums], object],
+) -> list:
+    """[each(params, sums) for each cell], where sums are the cell's paths
+    0..reps-1, path i on stream (master_seed, i) in the variant's draw
+    layout.  In the stationary layout X and Z are the exact coupling; in the
+    from-zero layout Z is X.
 
     One map runs `simulate_block` over every block of every cell.  The pool's
     map gives them all to the worker processes on entry, so they simulate the
-    next cells while the caller works on this one; leaving the walk cancels
-    the blocks not yet started and ends the workers.  With one worker, or one
-    block, the builtin map runs each block here when the walk reaches it.
+    next cells while `each` works on this one; leaving the map cancels the
+    blocks not yet started and ends the workers.  With one worker, or one
+    block, the builtin map runs each block here when the loop reaches it.
 
-    A value that leaves the range of a double, in a block or in the caller's
-    work on a cell, ends the walk in NonFiniteValue naming the cell, not in
-    a warning and inf or nan in its sums or summaries.
+    A value that leaves the range of a double, in a block or in `each`, ends
+    the map in NonFiniteValue naming the cell, not in a warning and inf or
+    nan in its sums or results.
     """
     if reps < 2:
         raise ValueError(f"replications must be >= 2, got {reps}")
@@ -366,29 +350,30 @@ def _cell_walk(
     # it starts its own.
     context = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(workers, mp_context=context) if workers > 1 else None
-    walked = []  # the cells reached so far; the last is the one being worked on
-
-    def each_cell(blocks):
-        for params, cell_spans in zip(cells, spans):
-            walked.append(params)
-            yield _gather(cell_spans, blocks, reps)
-
+    results = []
     try:
         # The workers are forked inside this state, so they raise too.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield each_cell((pool.map if pool else map)(simulate_block, *zip(*jobs)))
+            blocks = (pool.map if pool else map)(simulate_block, *zip(*jobs))
+            for params, cell_spans in zip(cells, spans):
+                # each span's block, taken in turn from the one map, in its rows
+                sums = BlockSums(*(np.empty(reps) for _ in fields(BlockSums)))
+                for (lo, hi), block in zip(cell_spans, blocks):
+                    for field in fields(BlockSums):
+                        getattr(sums, field.name)[lo:hi] = getattr(block, field.name)
+                results.append(each(params, sums))
     except FloatingPointError as exc:
-        where = at_cell(walked[-1])
+        where = at_cell(params)
         raise NonFiniteValue(f"a value leaves the range of a double {where}: {exc}") from exc
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    return results
 
 
 def cell_sums(params: OuParams, variant: Variant, reps: int, master_seed: int) -> BlockSums:
-    """The per-path sums of one cell's paths 0..reps-1 (see `_cell_walk`)."""
-    with _cell_walk((params,), variant, reps, master_seed) as walk:
-        return next(walk)
+    """The per-path sums of one cell's paths 0..reps-1 (see `map_cells`)."""
+    return map_cells((params,), variant, reps, master_seed, lambda _, sums: sums)[0]
 
 
 def _se_check(name, exact, empirical, se, *, gated, note=""):
@@ -480,8 +465,7 @@ def _summaries(
     for count in degenerate:
         if count > DEGENERACY_ABORT_FRACTION * reps:
             raise ExcessiveDegeneracy(
-                f"{count} of {reps} paths degenerate at cell "
-                f"(n={params.n}, delta={params.delta}); exceeds "
+                f"{count} of {reps} paths degenerate {at_cell(params)}; exceeds "
                 f"{DEGENERACY_ABORT_FRACTION:.1%}"
             )
     shared = _cell_checks(params, convention, sums, exact)
@@ -533,24 +517,22 @@ def run_cell(
     than DEGENERACY_ABORT_FRACTION of them aborts the cell.
     """
     _require_replications(estimators, replications)
-    with _cell_walk((params,), Variant.STATIONARY, replications, master_seed) as walk:
-        return _summaries(params, next(walk), estimators, master_seed, convention)
+
+    def summaries(params, sums):
+        return _summaries(params, sums, estimators, master_seed, convention)
+
+    return map_cells((params,), Variant.STATIONARY, replications, master_seed, summaries)[0]
 
 
-def fit_rate(
-    cells,
-    *,
-    schedule: str = "",
-    response: RateResponse | None = None,
-    predictor: str = "",
-) -> RateFit:
+def fit_rate(pairs) -> RateFit:
     """Log-log least squares of distance against a bound expression.
 
-    cells is an iterable of (bound_value, distance) pairs; needs at least 3,
-    all strictly positive.  A slope near 1 supports the bound as an envelope;
-    slopes are reported, never asserted here (the constant is unknown).
+    pairs is an iterable of (bound_value, distance), one per cell; needs at
+    least 3, all strictly positive.  A slope near 1 supports the bound as an
+    envelope; slopes are reported, never asserted here (the constant is
+    unknown).
     """
-    pairs = [(float(b), float(d)) for b, d in cells]
+    pairs = [(float(b), float(d)) for b, d in pairs]
     if len(pairs) < 3:
         raise InsufficientCells(f"rate fit needs >= 3 cells, got {len(pairs)}")
     if any(b <= 0.0 or d <= 0.0 for b, d in pairs):
@@ -567,15 +549,7 @@ def fit_rate(
     ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
     ss_tot = float(np.dot(dy, dy))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(
-        schedule=schedule,
-        response=response,
-        predictor=predictor,
-        slope=slope,
-        intercept=intercept,
-        r2=r2,
-        n_cells=len(pairs),
-    )
+    return RateFit(slope=slope, intercept=intercept, r2=r2, n_cells=len(pairs))
 
 
 @dataclass(frozen=True)
@@ -614,18 +588,8 @@ def _schedule_result(
         bound = RATE_BOUNDS[estimator]
         w1 = [s.distance.w1 for s in summaries]
         terms = [bound.terms(cell) for cell in schedule.cells]
-        bound_fit = fit_rate(
-            [(t1 + t2, d) for (t1, t2), d in zip(terms, w1)],
-            schedule=schedule.name,
-            response=bound.response,
-            predictor=bound.expression,
-        )
-        dominant_fit = fit_rate(
-            [(max(t1, t2), d) for (t1, t2), d in zip(terms, w1)],
-            schedule=schedule.name,
-            response=bound.response,
-            predictor="dominant bound term",
-        )
+        bound_fit = fit_rate((t1 + t2, d) for (t1, t2), d in zip(terms, w1))
+        dominant_fit = fit_rate((max(t1, t2), d) for (t1, t2), d in zip(terms, w1))
     return ScheduleResult(
         estimator=estimator,
         summaries=summaries,
@@ -651,11 +615,14 @@ def run_schedule(
     spread across cells the factor-10 check constrains.
     """
     _require_replications(estimators, replications, schedule.clt_valid)
-    per_cell, rows = [], []
-    with _cell_walk(schedule.cells, Variant.STATIONARY, replications, master_seed) as walk:
-        for params, sums in zip(schedule.cells, walk):
-            per_cell.append(_summaries(params, sums, estimators, master_seed, convention))
-            rows.append(_coupling_row(params, sums, convention))
+
+    def cell(params, sums):
+        summaries = _summaries(params, sums, estimators, master_seed, convention)
+        return summaries, _coupling_row(params, sums, convention)
+
+    per_cell, rows = zip(
+        *map_cells(schedule.cells, Variant.STATIONARY, replications, master_seed, cell)
+    )
     results = tuple(
         _schedule_result(schedule, estimator, summaries)
         for estimator, summaries in zip(estimators, zip(*per_cell))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteValue
+from .errors import NonFiniteValue, at_cell
 
 __all__ = [
     "Variant",
@@ -306,7 +306,7 @@ def simulate_block(
     sd0 = math.sqrt(1.0 / (2.0 * params.theta))
     stationary = variant is Variant.STATIONARY
     if stationary and math.isinf(sd0):
-        raise NonFiniteValue(f"the stationary sd 1/sqrt(2 theta) is inf at theta={params.theta!r}")
+        raise NonFiniteValue(f"the stationary sd 1/sqrt(2 theta) is inf {at_cell(params)}")
     keys = _philox_keys(seed, lo, hi)
     bitgen = np.random.Philox(key=keys[0])
     fresh = bitgen.state if rows > 1 else None

@@ -213,13 +213,14 @@ def test_each_cell_simulated_once_per_command(tmp_path, monkeypatch):
     # simulation of a cell; a second pass over the cells would double it.
     # Each harness entry walks its cells once, with one worker pool.
     walks = []
-    cell_walk = harness._cell_walk
+    map_cells = harness.map_cells
 
     def counted(cells, *args):
         walks.append([(params.n, params.delta) for params in cells])
-        return cell_walk(cells, *args)
+        return map_cells(cells, *args)
 
-    monkeypatch.setattr(harness, "_cell_walk", counted)
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "map_cells", counted)
     sweep = [(256, 0.05), (1024, 0.05), (4096, 0.05)]
     argv = ["rates", "--preset", "coupling-sweep", "--estimator", "both", "--reps", "200"]
     assert main(argv + ["--out", str(tmp_path / "r")]) == 0
@@ -438,7 +439,8 @@ def test_output_dir_too_long_is_a_config_error(tmp_path, capsys, monkeypatch, co
     # each once ended in an OSError traceback (File name too long), from
     # Path.exists or from mkdir, verify and rates only after simulating
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(harness, "_cell_walk", None)
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "map_cells", None)
     argv = [command, "--n", "64", "--reps", "8", "--preset", "coupling-sweep"]
     assert main(argv + ["--out", out]) == 2
     captured = capsys.readouterr()
@@ -507,6 +509,33 @@ def test_rates_clt_preset_emits_fits_and_plotdata(tmp_path):
     assert "w1" in report.lower()
 
 
+def test_rates_labels_each_fit(tmp_path):
+    # rates.csv's label columns and the report's fit lines name the schedule,
+    # the response and the predictor of each fit, bound expression first.
+    out = tmp_path / "amle"
+    assert main(["rates", "--preset", "amle-gamma-3q", "--reps", "100",
+                 "--estimator", "both", "--out", str(out)]) == 0
+    _, rrows = _rows(out / "rates.csv")
+    labels = [[r[k] for k in ("schedule", "estimator", "response", "predictor")] for r in rrows]
+    amce_bound = "delta^2 + (n delta)^(-1/2)"
+    amle_bound = "(n delta)^(-1/2) + (n delta^3)^(1/2)"
+    assert labels == [
+        ["amle-gamma-3q", "amce", "w1_amce", amce_bound],
+        ["amle-gamma-3q", "amce", "w1_amce", "dominant bound term"],
+        ["amle-gamma-3q", "amle", "w1_amle", amle_bound],
+        ["amle-gamma-3q", "amle", "w1_amle", "dominant bound term"],
+    ]
+    assert all(r["n_cells"] == "7" for r in rrows)
+    fit_lines = re.findall(r"^Log-log fit against the (.*?):", (out / "report.md").read_text(),
+                           re.MULTILINE)
+    assert fit_lines == [
+        f"bound expression [{amce_bound}]",
+        "dominant term [dominant bound term]",
+        f"bound expression [{amle_bound}]",
+        "dominant term [dominant bound term]",
+    ]
+
+
 def test_rates_byte_identical_across_reruns_and_workers(tmp_path, monkeypatch):
     def run_into(out, threads):
         monkeypatch.setenv("OU_BENCH_THREADS", str(threads))
@@ -555,11 +584,12 @@ def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threa
     "argv, message",
     [
         (["simulate", "--variant", "stationary", "--theta", "5e-324", "--n", "60"],
-         "the stationary sd 1/sqrt(2 theta) is inf at theta=5e-324"),
+         "the stationary sd 1/sqrt(2 theta) is inf at cell (theta=5e-324, delta=0.05, n=60)"),
         (["simulate", "--n", "36", "--delta", "1.7976931348623157e+308"],
          "overflow encountered in multiply; a value leaves the range of a double"),
         (["estimate", "--n", "17", "--delta", "1.7976931348623157e+308", "--reps", "2"],
-         "overflow encountered in multiply; a value leaves the range of a double"),
+         "a value leaves the range of a double at cell "
+         "(theta=1.0, delta=1.7976931348623157e+308, n=17): overflow encountered in multiply"),
         (["verify", "--n", "8", "--reps", "7", "--theta", "1e300", "--delta", "1e300"],
          "a value leaves the range of a double at cell (theta=1e+300, delta=1e+300, n=8): "
          "invalid value encountered in multiply"),
@@ -578,6 +608,19 @@ def test_value_out_of_double_range_is_an_error(tmp_path, capsys, monkeypatch, ar
     monkeypatch.setenv("OU_BENCH_THREADS", "2")
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_excessive_degeneracy_aborts_naming_the_cell(tmp_path, capsys):
+    # At n = 1 every AMCE denominator is at the guard; the abort names the
+    # cell as every other error on a cell does.
+    assert main(["verify", "--n", "1", "--reps", "1000", "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: 1000 of 1000 paths degenerate at cell (theta=1.0, delta=0.05, n=1); "
+        "exceeds 0.1%\n"
+    )
+    assert captured.out == ""
     assert not (tmp_path / "o").exists()
 
 

@@ -17,7 +17,6 @@ from ou_drift_bench import (
     NonPositiveValue,
     OuParams,
     RATE_BOUNDS,
-    RateResponse,
     SampleCumulants,
     Schedule,
     Variant,
@@ -114,12 +113,7 @@ def test_fit_rate_recovers_synthetic_slopes():
     bound = np.geomspace(0.01, 1.0, 6)
     for slope, scale in ((1.0, 2.0), (2.0, 0.5)):
         distances = scale * bound**slope
-        fit = fit_rate(
-            list(zip(bound, distances)),
-            schedule="synthetic",
-            response=RateResponse.W1_AMCE,
-            predictor="bound",
-        )
+        fit = fit_rate(list(zip(bound, distances)))
         assert fit.slope == pytest.approx(slope, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(scale), abs=1e-12)
         assert fit.r2 == pytest.approx(1.0, abs=1e-12)

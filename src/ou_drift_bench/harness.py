@@ -258,10 +258,6 @@ class McSummary:
     def gated_pass(self) -> bool:
         return all(c.passed for c in self.oracle_checks if c.gated)
 
-    @property
-    def failed_gates(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.oracle_checks if c.gated and not c.passed)
-
 
 @dataclass(frozen=True)
 class RateFit:

@@ -13,16 +13,14 @@ kappa3, kappa4) with leave-one-out jackknife standard errors, vectorized via
 power sums on the pre-centered sample.  `distance_report` pairs both distances
 with deterministic bootstrap standard errors.
 
-The bootstrap never sorts or transforms a resample.  It sorts the sample once
-and tabulates Phi and G at the order statistics; a resample is then a vector
-of counts over those sorted positions, and its empirical CDF between two
-occupied positions is the cumulative count over N.  Both distances of a
-resample are read off the tables at its occupied positions: only the few gaps
-where that level crosses Phi need ndtri and G.  The per-gap terms and the
-Kolmogorov candidates are those `w1_to_std_normal` and
-`kolmogorov_to_std_normal` compute on the sorted resample, so the Kolmogorov
-standard error is the same to the bit, and the W1 one differs only by the
-summation order (a few ulps).
+Every W1 goes through one kernel, `_distances(xs, g, phi, count)`: both
+distances of the sample holding the sorted value xs[k] count[k] times, read off
+the tables g = G(xs) and phi = Phi(xs); only the gaps where the empirical CDF
+crosses Phi need ndtri.  `w1_to_std_normal` passes all-ones counts.
+`distance_report` sorts once and builds the tables once, then passes all-ones
+counts for the point distances and each bootstrap resample's index counts, so
+no resample is sorted or transformed.  The kernel takes the Kolmogorov
+candidates of `kolmogorov_to_std_normal`, so it agrees with it to the bit.
 """
 
 from __future__ import annotations
@@ -69,33 +67,56 @@ def _as_clean_1d(sample, what: str) -> np.ndarray:
 
 def _big_phi_antideriv(x: np.ndarray) -> np.ndarray:
     """G(x) = x Phi(x) + phi(x), the antiderivative of Phi with G(-inf) = 0."""
-    return x * ndtr(x) + np.exp(-0.5 * x * x) / _SQRT_2PI
+    # -0.5 * x * x overflows for |x| above about 1.9e154, where phi(x) is 0 anyway
+    with np.errstate(over="ignore"):
+        phi = np.exp(-0.5 * x * x) / _SQRT_2PI
+    return x * ndtr(x) + phi
+
+
+def _distances(xs: np.ndarray, g: np.ndarray, phi: np.ndarray, count: np.ndarray):
+    """(W1, Kolmogorov) to N(0, 1) of the sample holding xs[k] count[k] times.
+
+    xs is sorted, g = G(xs) and phi = Phi(xs).  Between consecutive occupied
+    values F_emp is the constant c = (cumulative count) / N, and c - Phi
+    changes sign at most once, at Phi^{-1}(c); splitting there reduces every
+    piece to differences of G.  The tails contribute G(x_(1)) and G(x_(N)) - x_(N).
+    """
+    occ = np.flatnonzero(count > 0)
+    occ_count = count[occ]
+    cum = np.cumsum(occ_count)
+    n = float(cum[-1])
+    xv, gv, pv = xs.take(occ), g.take(occ), phi.take(occ)
+    level = cum / n
+    # the lower candidates rounded as kolmogorov_to_std_normal rounds them
+    below_level = (cum - occ_count + 1) / n - 1.0 / n
+    kolmogorov = max(np.max(level - pv), np.max(pv - below_level))
+
+    levels = level[:-1]
+    # |F_emp - Phi| keeps one sign on a gap unless the level crosses Phi; a gap
+    # too wide for a double runs from Phi = 0 to 1, so its piece is replaced
+    with np.errstate(over="ignore"):
+        piece = np.abs(levels * np.diff(xv) - np.diff(gv))
+    j = np.flatnonzero((pv[:-1] < levels) & (levels < pv[1:]))
+    # resamples of a shifted sample often never cross Phi
+    if j.size:
+        lv, lo, hi = levels[j], xv[j], xv[j + 1]
+        cross = np.clip(ndtri(lv), lo, hi)
+        g_cross = _big_phi_antideriv(cross)
+        below = lv * (cross - lo) - (g_cross - gv[j])
+        above = (gv[j + 1] - g_cross) - lv * (hi - cross)
+        piece[j] = np.maximum(below, 0.0) + np.maximum(above, 0.0)
+    w1 = float(gv[0]) + float(gv[-1] - xv[-1]) + float(np.sum(piece))
+    return w1, float(kolmogorov)
 
 
 def w1_to_std_normal(sample) -> float:
     """Exact Wasserstein-1 distance between the empirical law and N(0, 1).
 
-    Integrates |F_emp(x) - Phi(x)| in closed form.  Between consecutive order
-    statistics F_emp is the constant c = i/N, and the integrand changes sign
-    at most once, at Phi^{-1}(c); splitting there reduces every piece to
-    differences of G.  The two tails contribute G(x_(1)) and
-    G(x_(N)) - x_(N).
+    Integrates |F_emp(x) - Phi(x)| in closed form, piecewise between order
+    statistics (see `_distances`).
     """
     x = np.sort(_as_clean_1d(sample, "w1_to_std_normal"))
-    n = x.size
-    g = _big_phi_antideriv(x)
-    total = float(g[0]) + float(g[-1] - x[-1])
-    if n == 1:
-        return total
-    lo, hi = x[:-1], x[1:]
-    g_lo, g_hi = g[:-1], g[1:]
-    levels = np.arange(1, n, dtype=np.float64) / n
-    cross = np.clip(ndtri(levels), lo, hi)
-    g_cross = _big_phi_antideriv(cross)
-    below = levels * (cross - lo) - (g_cross - g_lo)
-    above = (g_hi - g_cross) - levels * (hi - cross)
-    total += float(np.sum(np.maximum(below, 0.0) + np.maximum(above, 0.0)))
-    return total
+    return _distances(x, _big_phi_antideriv(x), ndtr(x), np.ones(x.size, dtype=np.intp))[0]
 
 
 def kolmogorov_to_std_normal(sample) -> float:
@@ -187,12 +208,10 @@ def sample_cumulants(sample) -> SampleCumulants:
 class DistanceReport:
     """Both distances to N(0, 1) with bootstrap standard errors."""
 
-    sample_size: int
     w1: float
     kolmogorov: float
     w1_se: float
     kolmogorov_se: float
-    n_bootstrap: int
 
 
 def _resample_blocks(size: int, n_bootstrap: int, seed: int):
@@ -208,75 +227,40 @@ def _resample_blocks(size: int, n_bootstrap: int, seed: int):
         yield rng.integers(0, size, size=(min(rows, n_bootstrap - lo), size))
 
 
-def _bootstrap_replicates(x: np.ndarray, n_bootstrap: int, seed: int):
-    """W1 and Kolmogorov distance of every resample, from counts on one sort."""
-    n = x.size
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    g = _big_phi_antideriv(xs)
-    phi = ndtr(xs)
-    # steps[k] = k/N; kolmogorov_to_std_normal rounds its lower candidates as
-    # (k+1)/N - 1/N, not k/N
-    steps = np.arange(n + 1, dtype=np.float64) / n
-    steps_below = steps[1:] - 1.0 / n
-    w1_rep = np.empty(n_bootstrap)
-    k_rep = np.empty(n_bootstrap)
-    b = 0
-    for block in _resample_blocks(n, n_bootstrap, seed):
-        for ranks in rank[block]:
-            count = np.bincount(ranks, minlength=n)
-            # the sorted positions the resample occupies, and its CDF there
-            occ = np.flatnonzero(count > 0)
-            occ_count = count[occ]
-            cum = np.cumsum(occ_count)
-            xv, gv, pv = xs[occ], g[occ], phi[occ]
-            level = steps[cum]
-            upper = np.max(level - pv)
-            lower = np.max(pv - steps_below[cum - occ_count])
-            k_rep[b] = max(upper, lower)
-
-            levels = level[:-1]
-            # |F_emp - Phi| keeps one sign on a gap unless the level crosses Phi
-            piece = np.abs(levels * np.diff(xv) - np.diff(gv))
-            j = np.flatnonzero((pv[:-1] < levels) & (levels < pv[1:]))
-            if j.size:
-                lv, lo, hi = levels[j], xv[j], xv[j + 1]
-                cross = np.clip(ndtri(lv), lo, hi)
-                g_cross = _big_phi_antideriv(cross)
-                below = lv * (cross - lo) - (g_cross - gv[j])
-                above = (gv[j + 1] - g_cross) - lv * (hi - cross)
-                piece[j] = np.maximum(below, 0.0) + np.maximum(above, 0.0)
-            w1_rep[b] = float(gv[0]) + float(gv[-1] - xv[-1]) + float(np.sum(piece))
-            b += 1
-    return w1_rep, k_rep
-
-
 def distance_report(sample, n_bootstrap: int = 200, seed: int = 0) -> DistanceReport:
     """Distances to N(0, 1) with nonparametric bootstrap standard errors.
 
     Resampling uses a counter-based generator keyed on (seed, fixed stream),
     so reports are reproducible and independent of simulation draws.  The
     resample indices are drawn in blocks of about 2^18 values, so memory does
-    not grow with n_bootstrap.  Each resample is turned into counts over the
-    once-sorted sample and its distances are read off per-sample tables (see
-    the module docstring); the standard errors equal those of
-    `w1_to_std_normal` and `kolmogorov_to_std_normal` applied to every
-    resample, Kolmogorov to the bit and W1 up to summation order.
+    not grow with n_bootstrap.  The sample is sorted once; each resample is
+    its counts over the sorted positions (see the module docstring), and the
+    standard errors equal those of `w1_to_std_normal` and
+    `kolmogorov_to_std_normal` applied to every resample, Kolmogorov to the
+    bit and W1 up to summation order.
     """
     if isinstance(n_bootstrap, bool) or not isinstance(n_bootstrap, (int, np.integer)):
         raise TypeError(f"n_bootstrap must be an int, got {n_bootstrap!r}")
     if n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be at least 2, got {n_bootstrap!r}")
-    n_bootstrap = int(n_bootstrap)
     x = _as_clean_1d(sample, "distance_report")
-    w1_rep, k_rep = _bootstrap_replicates(x, n_bootstrap, seed)
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    g, phi = _big_phi_antideriv(xs), ndtr(xs)
+    w1, kolmogorov = _distances(xs, g, phi, np.ones(n, dtype=np.intp))
+    w1_rep, k_rep = zip(
+        *(
+            _distances(xs, g, phi, np.bincount(ranks, minlength=n))
+            for block in _resample_blocks(n, n_bootstrap, seed)
+            for ranks in rank[block]
+        )
+    )
     return DistanceReport(
-        sample_size=x.size,
-        w1=w1_to_std_normal(x),
-        kolmogorov=kolmogorov_to_std_normal(x),
+        w1=w1,
+        kolmogorov=kolmogorov,
         w1_se=float(np.std(w1_rep, ddof=1)),
         kolmogorov_se=float(np.std(k_rep, ddof=1)),
-        n_bootstrap=n_bootstrap,
     )

@@ -38,7 +38,6 @@ __all__ = [
     "OuParams",
     "SamplePath",
     "transition_coefficients",
-    "rho",
     "BlockPaths",
     "BlockSums",
     "block_rows",
@@ -147,13 +146,6 @@ def transition_coefficients(theta: float, delta: float) -> tuple[float, float]:
     x = 2.0 * theta * delta
     s2 = delta if x < sys.float_info.min else -math.expm1(-x) / (2.0 * theta)
     return a, s2
-
-
-def rho(theta: float, t: float) -> float:
-    """Stationary autocovariance rho(t) = e^{-theta |t|} / (2 theta)."""
-    if theta <= 0.0:
-        raise ValueError("theta must be > 0")
-    return math.exp(-theta * abs(t)) / (2.0 * theta)
 
 
 def _philox_keys(seed: int, lo: int, hi: int) -> np.ndarray:

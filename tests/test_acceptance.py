@@ -47,7 +47,6 @@ from ou_drift_bench import (
     lambda_n,
     lambda_n_of_sums,
     preset_schedule,
-    rho,
     run_schedule,
     sample_cumulants,
     simulate_path,
@@ -56,6 +55,7 @@ from ou_drift_bench import (
 from ou_drift_bench.cli import main
 from ou_drift_bench.ou_core import simulate_block
 
+from reference import rho
 from test_metrics import _w1_by_quadrature
 
 SEED = 20260822

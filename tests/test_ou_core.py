@@ -14,12 +14,13 @@ from ou_drift_bench import (
     Variant,
     ou_core,
     path_rng,
-    rho,
     simulate_coupled,
     simulate_path,
     transition_coefficients,
 )
 from ou_drift_bench.ou_core import simulate_block
+
+from reference import rho
 
 
 def test_transition_coefficients_closed_form():

@@ -15,9 +15,11 @@ stationary one.
 
 Workers: each of `run_cell`, `run_schedule`, `cell_sums` and `ou-bench
 estimate` is one `map_cells` call, which opens one pool of forked worker
-processes and pipelines a command's cells: the caller's function runs on
-cell k while the workers simulate cells k+1 onward.  The walk is one map of
-`simulate_block` over all blocks: the pool's, or with one worker the builtin.
+processes.  The walk is one map of `simulate_block` over blocks of rows, each
+block simulated at every cell of the call: a row draws its normals once and
+each cell scans its own prefix of them.  The map is the pool's, or with one
+worker the builtin.  The caller's function runs on each cell in turn once
+the last block is in.
 
 Determinism contract: every result is a pure function of (arguments,
 master_seed).  Path i of a cell draws from the counter-based stream
@@ -32,10 +34,11 @@ which tightens monotonicity comparisons.
 
 Memory: each block of paths goes through `ou_core.simulate_block`, which
 scans along time in chunks of 16384 steps and keeps only per-path sums.  A
-block has `ou_core.block_rows(n)` rows, about 2^18 values per rows x chunk
-array (2 MiB).  A worker keeps one set of block buffers, so beyond the pages
-it shares with the process it was forked from, its memory is bounded whatever
-n and the replication count are.  Block size changes no path's values.
+block has `ou_core.block_rows(n)` rows at the largest n of its cells, about
+2^18 values per rows x chunk array (2 MiB).  A worker keeps one set of block
+buffers, so beyond the pages it shares with the process it was forked from,
+its memory is bounded whatever n and the replication count are.  Block size
+changes no path's values.
 
 Replication floors: given estimators, `run_cell` and `run_schedule` refuse
 fewer than CUMULANT_MIN_SAMPLE replications, or FIT_MIN_REPLICATIONS on a
@@ -317,11 +320,14 @@ def map_cells(
     layout.  In the stationary layout X and Z are the exact coupling; in the
     from-zero layout Z is X.
 
-    One map runs `simulate_block` over every block of every cell.  The pool's
-    map gives them all to the worker processes on entry, so they simulate the
-    next cells while `each` works on this one; leaving the map cancels the
-    blocks not yet started and ends the workers.  With one worker, or one
-    block, the builtin map runs each block here when the loop reaches it.
+    One map runs `simulate_block` over the blocks of rows, each block at
+    every cell: a row draws its normals once, up to the largest n, and each
+    cell scans its own prefix of them.  The pool's map gives every block to
+    the worker processes on entry; `each` runs here, in cell order, once the
+    last block is in, and leaving the map cancels the blocks not yet started
+    and ends the workers.  With one worker, or one block, the builtin map
+    runs each block here when the loop reaches it.  Every cell's sums are
+    held until the last block, 6 * reps doubles a cell.
 
     A value that leaves the range of a double, in a block or in `each`, ends
     the map in NonFiniteValue naming the cell, not in a warning and inf or
@@ -329,15 +335,9 @@ def map_cells(
     """
     if reps < 2:
         raise ValueError(f"replications must be >= 2, got {reps}")
-    spans = [
-        [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
-        for step in (block_rows(params.n) for params in cells)
-    ]
-    jobs = [
-        (params, variant, master_seed, lo, hi)
-        for params, cell_spans in zip(cells, spans)
-        for lo, hi in cell_spans
-    ]
+    step = block_rows(max(params.n for params in cells))
+    spans = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
+    jobs = [(cells, variant, master_seed, lo, hi) for lo, hi in spans]
     workers = min(_worker_count(), len(jobs))
     # Forked, not spawned: a spawned or forkserver worker imports the package
     # first (0.44 s on a 2-core host), more than a small cell takes to
@@ -346,18 +346,20 @@ def map_cells(
     # it starts its own.
     context = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(workers, mp_context=context) if workers > 1 else None
+    sums = [BlockSums(*(np.empty(reps) for _ in fields(BlockSums))) for _ in cells]
     results = []
     try:
-        # The workers are forked inside this state, so they raise too.
+        # The workers are forked inside this state, so they raise too; the
+        # kernel names the cell of a value out of range in a block.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             blocks = (pool.map if pool else map)(simulate_block, *zip(*jobs))
-            for params, cell_spans in zip(cells, spans):
-                # each span's block, taken in turn from the one map, in its rows
-                sums = BlockSums(*(np.empty(reps) for _ in fields(BlockSums)))
-                for (lo, hi), block in zip(cell_spans, blocks):
+            for (lo, hi), cell_blocks in zip(spans, blocks):
+                # each cell's block, copied into its rows
+                for cell, block in zip(sums, cell_blocks):
                     for field in fields(BlockSums):
-                        getattr(sums, field.name)[lo:hi] = getattr(block, field.name)
-                results.append(each(params, sums))
+                        getattr(cell, field.name)[lo:hi] = getattr(block, field.name)
+            for params, cell in zip(cells, sums):
+                results.append(each(params, cell))
     except FloatingPointError as exc:
         where = at_cell(params)
         raise NonFiniteValue(f"a value leaves the range of a double {where}: {exc}") from exc

@@ -227,6 +227,14 @@ def _resample_blocks(size: int, n_bootstrap: int, seed: int):
         yield rng.integers(0, size, size=(min(rows, n_bootstrap - lo), size))
 
 
+def _bootstrap_se(replicates) -> float:
+    """Sample standard deviation of the replicates, taken on them scaled by a
+    power of two (exact) to at most 1, so no square overflows."""
+    r = np.asarray(replicates)
+    exponent = max(int(np.frexp(np.max(np.abs(r)))[1]), 0)
+    return math.ldexp(float(np.std(np.ldexp(r, -exponent), ddof=1)), exponent)
+
+
 def distance_report(sample, n_bootstrap: int = 200, seed: int = 0) -> DistanceReport:
     """Distances to N(0, 1) with nonparametric bootstrap standard errors.
 
@@ -261,6 +269,6 @@ def distance_report(sample, n_bootstrap: int = 200, seed: int = 0) -> DistanceRe
     return DistanceReport(
         w1=w1,
         kolmogorov=kolmogorov,
-        w1_se=float(np.std(w1_rep, ddof=1)),
-        kolmogorov_se=float(np.std(k_rep, ddof=1)),
+        w1_se=_bootstrap_se(w1_rep),
+        kolmogorov_se=_bootstrap_se(k_rep),
     )

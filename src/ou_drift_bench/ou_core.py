@@ -12,13 +12,17 @@ X_{t_i} = Z_{t_i} - e^{-theta t_i} Z_0 holds pathwise, exactly.
 
 `simulate_block` is the one simulation kernel, with the draw layout, the
 AR(1) scan and the per-path sums; the per-path functions and the harness
-both call it.  The scan uses numpy only: within a segment of time,
+both call it.  It simulates a block of rows at one or more cells: each row
+draws its normals once, up to the largest n, and each cell scans its own
+prefix of them, since a prefix of a row's draw is what a shorter draw gives.
+The scan uses numpy only: within a segment of time,
 x_l = a^l (a x_start + sum_{j <= l} (scale / a^j) xi_j) is a weighted
 cumulative sum (`_scan`).  The tail and Z sums are closed forms in the
 head sums, sum e^{-theta t} X and the end column.  The harness calls
 `simulate_block` in forked worker processes, as many as OU_BENCH_THREADS
-says; each keeps one set of block buffers from block to block, so a
-worker's memory is bounded by its block buffers.
+says; each keeps one set of block buffers, and the scan tables of its
+cells, from block to block, so a worker's memory is bounded by its block
+buffers.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import enum
 import math
 import sys
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +56,8 @@ _SEED_MAX = 2**64
 # Time steps per scan chunk, and values per rows x chunk array of a block.
 _SCAN_CHUNK = 16384
 _BLOCK_VALUES = 2**18
-# Each thread's block buffers, kept from one simulate_block call to the next.
+# Each thread's block buffers and scan tables, kept from one simulate_block
+# call to the next.
 _scratch = threading.local()
 
 
@@ -267,43 +273,68 @@ def _thread_buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
     return _scratch.buffers
 
 
+def _thread_tables(cells: Sequence[OuParams]) -> list:
+    """This thread's scan tables of the cells, rebuilt only when the cells (or
+    the chunk length, which bounds the span) change: a map's every block is
+    at the same cells, and the tables of a long cell cost more than a small
+    block's scan."""
+    key = (tuple(cells), _SCAN_CHUNK)
+    if getattr(_scratch, "cells", None) != key:
+        _scratch.tables = [_scan_tables(params) for params in cells]
+        _scratch.cells = key
+    return _scratch.tables
+
+
 def simulate_block(
-    params: OuParams, variant: Variant, seed: int, lo: int, hi: int, *, paths: bool = False
-) -> BlockSums | BlockPaths:
-    """Simulate the paths on streams [lo, hi) of seed: the one simulation kernel.
+    cells: Sequence[OuParams],
+    variant: Variant,
+    seed: int,
+    lo: int,
+    hi: int,
+    *,
+    paths: bool = False,
+) -> list[BlockSums] | list[BlockPaths]:
+    """Simulate the paths on streams [lo, hi) of seed at every cell: the one
+    simulation kernel.  One result per cell, in the order given.
 
     Draw order is part of the determinism contract: a stationary row draws
-    Z_0 first, then the n innovations; a from-zero row draws the innovations
+    Z_0 first, then the innovations; a from-zero row draws the innovations
     only.  A row's first chunk is one draw call, Z_0 included, which gives
     the same numbers as one call per value.  One Philox serves the block;
     re-keyed to [seed, stream] with a zero counter and an empty buffer it
-    gives exactly path_rng(seed, stream).  X is scanned from zero by
-    segmented cumulative sums (`_scan`), and a stationary path is
+    gives exactly path_rng(seed, stream).  Each row draws once, up to the
+    largest n, and a cell of n steps takes the first n innovations, as a
+    draw of n alone would give them.  X is scanned from zero by segmented
+    cumulative sums (`_scan`), and a stationary path is
     Z = X + e^{-theta t} Z_0.
 
-    By default time is walked in chunks of _SCAN_CHUNK steps, carrying the
-    scan's last column and each row's generator state, and only the per-row
-    sums are kept, so memory is bounded by the block size whatever n is;
-    the buffers are the calling thread's, kept for its next block.  The sums
-    of X and X xi are taken per chunk; the tail sums and the Z sums follow in
-    closed form from them, from sum e^{-theta t} X and from the end column,
-    so no Z is formed.  With ``paths`` the rows are scanned whole and
-    returned.  Scan segments start at multiples of their span in absolute
-    time, so no row's values depend on the chunking or on the block it is in.
+    By default time is walked in chunks of _SCAN_CHUNK steps, carrying each
+    row's generator state and, per cell, the scan's last column and the sums,
+    so memory is bounded by the block size whatever n is; the buffers are
+    the calling thread's, kept for its next block.  The sums of X and X xi
+    are taken per chunk; the tail sums and the Z sums follow in closed form
+    from them, from sum e^{-theta t} X and from the end column, so no Z is
+    formed.  With ``paths`` the rows are scanned whole and returned.  Scan
+    segments start at multiples of their span in absolute time, and chunks
+    at multiples of every span, so no row's values depend on the chunking,
+    on the block it is in or on the other cells.
+
+    A value that leaves the range of a double in a cell's arithmetic ends the
+    block in NonFiniteValue naming the cell.
     """
-    n, rows = params.n, hi - lo
+    n, rows = max(params.n for params in cells), hi - lo
     width = n if paths else min(n, _SCAN_CHUNK)
-    a, a_pow, weights = _scan_tables(params)
-    theta_delta = params.theta * params.delta
-    sd0 = math.sqrt(1.0 / (2.0 * params.theta))
     stationary = variant is Variant.STATIONARY
-    if stationary and math.isinf(sd0):
-        raise NonFiniteValue(f"the stationary sd 1/sqrt(2 theta) is inf {at_cell(params)}")
+    sd0 = [math.sqrt(1.0 / (2.0 * params.theta)) for params in cells]
+    for params, sd in zip(cells, sd0):
+        if stationary and math.isinf(sd):
+            raise NonFiniteValue(f"the stationary sd 1/sqrt(2 theta) is inf {at_cell(params)}")
+    tables = _thread_tables(cells)
     keys = _philox_keys(seed, lo, hi)
     bitgen = np.random.Philox(key=keys[0])
     fresh = bitgen.state if rows > 1 else None
     rng = np.random.Generator(bitgen)
-    z0 = None
+    z0s: list = [None] * len(cells)
     saved: list = [None] * rows
     # Buffers are reused from chunk to chunk, and (unless the rows are
     # returned) from block to block; a fresh 2 MiB array per step costs more
@@ -311,43 +342,72 @@ def simulate_block(
     # freed blocks back to the system.
     buffers = _new_buffers if paths else _thread_buffers
     draws, w_buf, x, diff = buffers(rows, width)
-    x[:, 0] = 0.0
-    # sum x_head^2, amle_num, sum x_head xi and sum e^{-theta t} x_head
-    sums = np.zeros((4, rows))
-    for start in range(0, n, width):
-        m = min(width, n - start)
-        # A stationary row's first call draws Z_0 and its first innovations.
-        first = 0 if stationary and not start else 1
-        for k in range(rows):
-            if start:
-                bitgen.state = saved[k]
-            elif k:  # row 0 draws from the generator as keyed above
-                fresh["state"]["key"] = keys[k]
-                bitgen.state = fresh
-            rng.standard_normal(out=draws[k, first : m + 1])
-            if start + m < n:
-                saved[k] = bitgen.state
-        if not first:
-            z0 = draws[:, 0] * sd0
-        xi = draws[:, 1 : m + 1]
-        xc = x[:, : m + 1]
-        _scan(xi, w_buf[:, :m], xc, a, a_pow, weights)
+    # per cell: the scan's last column, and sum x_head^2, amle_num,
+    # sum x_head xi and sum e^{-theta t} x_head
+    carry = np.zeros((len(cells), rows))
+    sums = np.zeros((len(cells), 4, rows))
+    results = []
+    try:
+        for start in range(0, n, width):
+            m = min(width, n - start)
+            # A stationary row's first call draws Z_0 and its first innovations.
+            first = 0 if stationary and not start else 1
+            for k in range(rows):
+                if start:
+                    bitgen.state = saved[k]
+                elif k:  # row 0 draws from the generator as keyed above
+                    fresh["state"]["key"] = keys[k]
+                    bitgen.state = fresh
+                rng.standard_normal(out=draws[k, first : m + 1])
+                if start + m < n:
+                    saved[k] = bitgen.state
+            if not first:
+                z0s = [draws[:, 0] * sd for sd in sd0]
+            for c, params in enumerate(cells):
+                mc = min(m, params.n - start)
+                if mc <= 0:
+                    continue
+                a, a_pow, weights = tables[c]
+                z0 = z0s[c]
+                xi = draws[:, 1 : mc + 1]
+                # whole rows are returned, so each cell scans into its own
+                xc = np.empty((rows, mc + 1)) if paths else x[:, : mc + 1]
+                xc[:, 0] = carry[c]
+                _scan(xi, w_buf[:, :mc], xc, a, a_pow, weights)
+                if paths:
+                    values = xc if z0 is None else _add_start(xc, z0, params)
+                    results.append(BlockPaths(x=xc, values=values, innovations=xi, z0=z0))
+                    continue
+                x_head = xc[:, :mc]
+                total = sums[c]
+                total[0] += np.einsum("ij,ij->i", x_head, x_head)
+                step = np.subtract(xc[:, 1:], x_head, out=diff[:, :mc])
+                total[1] -= np.einsum("ij,ij->i", x_head, step)
+                total[2] += np.einsum("ij,ij->i", x_head, xi)
+                if z0 is not None:
+                    theta_delta = params.theta * params.delta
+                    decay = np.exp(-theta_delta * np.arange(start, start + mc))
+                    total[3] += np.einsum("ij,j->i", x_head, decay)
+                carry[c] = xc[:, mc]
         if paths:
-            values = x if z0 is None else _add_start(x, z0, params)
-            return BlockPaths(x=x, values=values, innovations=xi, z0=z0)
-        x_head = xc[:, :m]
-        sums[0] += np.einsum("ij,ij->i", x_head, x_head)
-        sums[1] -= np.einsum("ij,ij->i", x_head, np.subtract(xc[:, 1:], x_head, out=diff[:, :m]))
-        sums[2] += np.einsum("ij,ij->i", x_head, xi)
-        if z0 is not None:
-            decay = np.exp(-theta_delta * np.arange(start, start + m))
-            sums[3] += np.einsum("ij,j->i", x_head, decay)
-        x[:, 0] = xc[:, m]
+            return results
+        for c, params in enumerate(cells):
+            results.append(_closed_sums(params, sums[c], carry[c], z0s[c]))
+    except FloatingPointError as exc:
+        raise NonFiniteValue(
+            f"a value leaves the range of a double {at_cell(params)}: {exc}"
+        ) from exc
+    return results
+
+
+def _closed_sums(params: OuParams, sums: np.ndarray, x_n: np.ndarray, z0) -> BlockSums:
+    """A cell's BlockSums from its chunk sums (sum x_head^2, amle_num,
+    sum x_head xi, sum e^{-theta t} x_head), its end column X_n and Z_0."""
     x_head_sq, amle_num, x_xi, decay_x = sums
-    x_n = x[:, 0]
     x_tail_sq = x_head_sq + x_n * x_n
     if z0 is None:
         return BlockSums(x_head_sq, x_tail_sq, x_head_sq, x_tail_sq, amle_num, x_xi)
+    n, theta_delta = params.n, params.theta * params.delta
     # sum_{i<n} e^{-2 theta t_i}, a geometric sum; n when theta*delta underflows to 0
     decay_sq = (
         math.expm1(-2.0 * theta_delta * n) / math.expm1(-2.0 * theta_delta)
@@ -362,7 +422,7 @@ def simulate_block(
 
 def simulate_path(params: OuParams, variant: Variant, seed: int, stream: int = 0) -> SamplePath:
     """Simulate one path: a one-row simulate_block.  Innovations are retained."""
-    block = simulate_block(params, variant, seed, stream, stream + 1, paths=True)
+    (block,) = simulate_block((params,), variant, seed, stream, stream + 1, paths=True)
     z0 = None if block.z0 is None else float(block.z0[0])
     return SamplePath(params, variant, block.values[0], block.innovations[0], z0)
 
@@ -377,7 +437,9 @@ def simulate_coupled(
     innovations.  The stream layout is the stationary variant's (Z_0 first,
     then innovations).
     """
-    block = simulate_block(params, Variant.STATIONARY, seed, stream, stream + 1, paths=True)
+    (block,) = simulate_block(
+        (params,), Variant.STATIONARY, seed, stream, stream + 1, paths=True
+    )
     xi, z0 = block.innovations[0], float(block.z0[0])
     x_path = SamplePath(params, Variant.FROM_ZERO, block.x[0], xi)
     return x_path, SamplePath(params, Variant.STATIONARY, block.values[0], xi, z0)

@@ -75,9 +75,10 @@ def test_01_stationary_covariance_matches_rho_grid():
     reps, n, delta = 100_000, 4, 0.5
     for idx, theta in enumerate((0.5, 1.0, 2.0)):
         params = OuParams(theta=theta, delta=delta, n=n)
-        batch = simulate_block(
-            params, Variant.STATIONARY, SEED, idx * reps, (idx + 1) * reps, paths=True
-        ).values
+        (block,) = simulate_block(
+            (params,), Variant.STATIONARY, SEED, idx * reps, (idx + 1) * reps, paths=True
+        )
+        batch = block.values
         for i in range(n + 1):
             for j in range(n + 1):
                 prod = batch[:, i] * batch[:, j]

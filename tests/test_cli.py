@@ -1,5 +1,6 @@
 """Command line interface: outputs, config precedence, byte determinism."""
 
+import functools
 import math
 import multiprocessing
 import re
@@ -26,6 +27,7 @@ from ou_drift_bench import (
 from ou_drift_bench import cli
 from ou_drift_bench.cli import CSV_SCHEMA_LINE, build_config, main, read_bench_csv
 from ou_drift_bench.errors import ConfigError, ExcessiveDegeneracy
+from ou_drift_bench.ou_core import simulate_block
 
 
 def _rows(path: Path):
@@ -264,15 +266,21 @@ def test_no_worker_outlives_a_command(tmp_path, recorded_blocks):
         assert multiprocessing.active_children() == [], argv
 
 
+def _failing_block(error, at, cells, variant, seed, lo, hi):
+    """The kernel, except that the block of streams from `at` raises error."""
+    if lo == at:
+        raise error(f"stop at streams {lo}..{hi}")
+    return simulate_block(cells, variant, seed, lo, hi)
+
+
 @pytest.mark.parametrize(
     "error, code", [(ExcessiveDegeneracy, 1), (ConfigError, 2)], ids=["error", "config-error"]
 )
 def test_error_partway_through_a_schedule_ends_the_workers(
     tmp_path, monkeypatch, capsys, recorded_blocks, error, code
 ):
-    # Every block of every cell is given to the workers up front; an error on
-    # the second cell must cancel the blocks not yet started, not simulate
-    # them, and leave no worker behind.
+    # The summaries run in cell order once the last block is in; an error in
+    # the second one must leave no worker behind and write nothing.
     summarized = []
 
     def failing(params, *args):
@@ -286,10 +294,24 @@ def test_error_partway_through_a_schedule_ends_the_workers(
     assert main(argv + ["--out", str(tmp_path / "r")]) == code
     assert "stop at n=1024" in capsys.readouterr().err
     assert summarized == [256, 1024]
-    # 4 + 16 blocks for the first two cells, 63 for the last
-    assert len(recorded_blocks) == 83
+    # 4000 rows in blocks of 64, each block at all three cells
+    assert len(recorded_blocks) == 63
+    assert all(f.done() and not f.cancelled() for f in recorded_blocks)
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "r").exists()
+
+    # Every block is given to the workers up front; a block that raises
+    # partway through must cancel the blocks not yet started, not simulate
+    # them.  The kernel is patched here, before the pool forks its workers.
+    summarized.clear()
+    recorded_blocks.clear()
+    monkeypatch.setattr(harness, "simulate_block", functools.partial(_failing_block, error, 128))
+    assert main(argv + ["--out", str(tmp_path / "r")]) == code
+    assert "stop at streams 128..192" in capsys.readouterr().err
+    assert summarized == []
+    assert len(recorded_blocks) == 63
     cancelled = sum(f.cancelled() for f in recorded_blocks)
-    assert cancelled >= 40, f"{cancelled} of 83 blocks cancelled"
+    assert cancelled >= 40, f"{cancelled} of 63 blocks cancelled"
     assert all(f.done() for f in recorded_blocks)
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "r").exists()
@@ -597,8 +619,13 @@ def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threa
           "--theta", "1.7976931348623157e+308"],
          "a value leaves the range of a double at cell "
          "(theta=1.7976931348623157e+308, delta=0.05, n=256): overflow encountered in multiply"),
+        (["simulate", "--variant", "stationary", "--n", "36", "--delta",
+          "1.7976931348623157e+308"],
+         "a value leaves the range of a double at cell "
+         "(theta=1.0, delta=1.7976931348623157e+308, n=36): overflow encountered in multiply"),
     ],
-    ids=["stationary-sd", "times", "estimate-sums", "verify-in-workers", "rates-names-the-cell"],
+    ids=["stationary-sd", "times", "estimate-sums", "verify-in-workers", "rates-names-the-cell",
+         "simulate-names-the-cell"],
 )
 def test_value_out_of_double_range_is_an_error(tmp_path, capsys, monkeypatch, argv, message):
     # Found by test_fuzz: the first ended in a ValueError traceback, the

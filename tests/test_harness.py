@@ -182,16 +182,47 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
         assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
 
 
-@pytest.mark.parametrize("n, reps", [(1024, 10_000), (4096, 1024), (2**20, 64)])
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_map_cells_matches_each_cell_alone(monkeypatch, variant, threads):
+    # A row draws its normals once for every cell of a map, and each cell
+    # scans its own prefix of them: its sums must be those of the cell
+    # simulated alone, byte for byte.  n = 209 is three chunks and a
+    # partial one, n = 40 less than one chunk, and at theta*delta = 5 a
+    # chunk is two scan segments.
+    monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
+    cells = (
+        OuParams(theta=0.5, delta=0.2, n=40),
+        OuParams(theta=1.0, delta=0.05, n=3 * 64 + 17),
+        OuParams(theta=5.0, delta=1.0, n=100),
+    )
+    # two blocks, so two workers really split the map
+    reps = ou_core.block_rows(3 * 64 + 17) + 100
+    monkeypatch.setenv("OU_BENCH_THREADS", threads)
+    together = harness.map_cells(cells, variant, reps, SEED, lambda _, sums: sums)
+    for params, sums in zip(cells, together):
+        alone = cell_sums(params, variant, reps, SEED)
+        for name in _STATS_FIELDS:
+            got, want = getattr(sums, name), getattr(alone, name)
+            assert got.tobytes() == want.tobytes(), (params, name)
+
+
+@pytest.mark.parametrize(
+    "n, reps", [(1024, 10_000), (4096, 1024), (2**20, 64), ("amce-gamma-half", 1024)]
+)
 def test_long_cell_memory_bounded(monkeypatch, n, reps):
     # Whole-path arrays would trace about 2 GiB at n = 2^20, and a block size
     # of 4e6 / n rows once traced about 123 MiB at the two smaller cells; the
-    # value-based block size keeps each cell near 12 MiB.
+    # value-based block size keeps each cell near 12 MiB.  A preset's seven
+    # cells share one walk, sized by its largest n.
     monkeypatch.setenv("OU_BENCH_THREADS", "1")
-    p = OuParams(theta=1.0, delta=0.05, n=n)
+    if isinstance(n, str):
+        cells = preset_schedule(n).cells
+    else:
+        cells = (OuParams(theta=1.0, delta=0.05, n=n),)
     tracemalloc.start()
     try:
-        cell_sums(p, Variant.STATIONARY, reps, SEED)
+        harness.map_cells(cells, Variant.STATIONARY, reps, SEED, lambda _, sums: sums)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

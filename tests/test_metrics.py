@@ -26,7 +26,7 @@ from ou_drift_bench import (
     sample_cumulants,
     w1_to_std_normal,
 )
-from ou_drift_bench.metrics import _BOOTSTRAP_STREAM, _resample_blocks
+from ou_drift_bench.metrics import _BOOTSTRAP_STREAM, _bootstrap_se, _resample_blocks
 from ou_drift_bench.ou_core import path_rng
 
 
@@ -318,6 +318,29 @@ def test_bootstrap_matches_per_resample_reference(name):
     w1_se, kolmogorov_se = _bootstrap_reference(x, 200, 11)
     assert report.kolmogorov_se == kolmogorov_se
     assert abs(report.w1_se - w1_se) <= 1e-12 * abs(w1_se)
+
+
+def test_bootstrap_se_of_a_far_sample_is_finite():
+    # np.std of the W1 replicates once overflowed squaring them, an error
+    # under the commands' errstate, though every replicate was finite.
+    # Scaling by a power of two is exact, so the reference scales by hand.
+    x = np.array([-1e200, 1.0, 2.0])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        report = distance_report(x, n_bootstrap=200, seed=11)
+    idx = _one_shot_idx(x.size, 200, 11)
+    w1 = np.array([w1_to_std_normal(x[i]) for i in idx])
+    kolm = np.array([kolmogorov_to_std_normal(x[i]) for i in idx])
+    want = 2.0**664 * float(np.std(w1 / 2.0**664, ddof=1))
+    assert math.isfinite(report.w1_se) and abs(report.w1_se - want) <= 1e-12 * want
+    assert report.kolmogorov_se == float(np.std(kolm, ddof=1))
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 0.5, 1.0 / 3.0, 1e5, 1e100, 1e150])
+def test_bootstrap_se_keeps_the_bits_of_np_std(scale):
+    # below about 1e150 no square overflows, and the scaled standard
+    # deviation is np.std's to the bit
+    replicates = np.random.default_rng(9).uniform(0.0, 1.0, size=200) * scale
+    assert _bootstrap_se(replicates) == float(np.std(replicates, ddof=1))
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -198,7 +198,7 @@ def test_block_draw_layout_matches_path_rng(variant, seed, lo, hi):
     # Z_0 (stationary only) then the innovations, bit for bit as path_rng
     # draws them; the one scan gives X and Z = X + e^{-theta t} Z_0.
     p = OuParams(theta=0.7, delta=0.1, n=40)
-    block = simulate_block(p, variant, seed, lo, hi, paths=True)
+    (block,) = simulate_block((p,), variant, seed, lo, hi, paths=True)
     z0, xi, x = _reference_rows(p, variant, seed, lo, hi)
     assert np.array_equal(block.innovations, xi)
     np.testing.assert_allclose(block.x, x, rtol=1e-12, atol=1e-14)
@@ -218,7 +218,7 @@ def test_block_sums_of_long_rows_split_across_chunks(monkeypatch, variant):
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 8)
     p = OuParams(theta=1.3, delta=0.07, n=3 * 8 + 5)
     seed, lo, hi = 5, 17, 21
-    sums = simulate_block(p, variant, seed, lo, hi)
+    (sums,) = simulate_block((p,), variant, seed, lo, hi)
     z0, xi, x = _reference_rows(p, variant, seed, lo, hi)
     z = x if variant is Variant.FROM_ZERO else x + np.outer(z0, np.exp(-p.theta * p.times()))
     head, tail = x[:, :-1], x[:, 1:]
@@ -288,11 +288,11 @@ def test_whole_rows_scan_as_chunks_bit_for_bit(monkeypatch, variant, theta, delt
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
     p = OuParams(theta=theta, delta=delta, n=3 * 64 + 17)
     seed, lo, hi = 5, 17, 21
-    block = simulate_block(p, variant, seed, lo, hi, paths=True)
+    (block,) = simulate_block((p,), variant, seed, lo, hi, paths=True)
     x = _scan_by_chunks(p, block.innovations, 64)
     assert np.array_equal(x, block.x)
 
-    sums = simulate_block(p, variant, seed, lo, hi)
+    (sums,) = simulate_block((p,), variant, seed, lo, hi)
     z = block.values
     head, tail = x[:, :-1], x[:, 1:]
     expected = {
@@ -307,22 +307,31 @@ def test_whole_rows_scan_as_chunks_bit_for_bit(monkeypatch, variant, theta, delt
         np.testing.assert_allclose(getattr(sums, name), want, rtol=1e-12, err_msg=name)
 
 
-def test_block_buffers_reused_across_calls_leak_nothing():
-    # A thread keeps its block buffers from call to call; each call must give
-    # the bits a fresh thread gives, whatever the previous call left behind.
+def test_block_buffers_reused_across_calls_leak_nothing(monkeypatch):
+    # A thread keeps its block buffers and scan tables from call to call;
+    # each call must give the bits a fresh thread gives, whatever the
+    # previous call left behind, also after the chunk length changed: the
+    # tables of a 64-step chunk cut a 300-step row into other segments.
     p = OuParams(theta=0.7, delta=0.1, n=40)
+    long = OuParams(theta=0.7, delta=0.1, n=300)
     calls = [
-        (p, Variant.STATIONARY, 3, 0, 5),
-        (OuParams(theta=1.3, delta=0.2, n=40), Variant.FROM_ZERO, 3, 5, 10),
-        (OuParams(theta=0.7, delta=0.1, n=33), Variant.STATIONARY, 9, 0, 7),
-        (p, Variant.STATIONARY, 3, 0, 5),
+        ((p,), Variant.STATIONARY, 3, 0, 5),
+        ((OuParams(theta=1.3, delta=0.2, n=40),), Variant.FROM_ZERO, 3, 5, 10),
+        ((OuParams(theta=0.7, delta=0.1, n=33),), Variant.STATIONARY, 9, 0, 7),
+        ((p,), Variant.STATIONARY, 3, 0, 5),
+        ((p, long), Variant.STATIONARY, 3, 0, 5),
     ]
-    in_turn = [simulate_block(*call) for call in calls]
+    in_turn = [simulate_block(*call) for call in calls[:-1]]
+    monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
+    simulate_block(*calls[-1])
+    monkeypatch.undo()
+    in_turn.append(simulate_block(*calls[-1]))
     for call, got in zip(calls, in_turn):
         with ThreadPoolExecutor(max_workers=1) as pool:
             want = pool.submit(simulate_block, *call).result()
-        for f in fields(want):
-            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+        for got_cell, want_cell in zip(got, want, strict=True):
+            for f in fields(want_cell):
+                assert np.array_equal(getattr(got_cell, f.name), getattr(want_cell, f.name)), f.name
 
 
 @pytest.mark.parametrize(
@@ -335,4 +344,4 @@ def test_block_rejects_out_of_range_keys(seed, lo, hi):
     for variant in Variant:
         for paths in (False, True):
             with pytest.raises(ValueError, match="uint64"):
-                simulate_block(p, variant, seed, lo, hi, paths=paths)
+                simulate_block((p,), variant, seed, lo, hi, paths=paths)

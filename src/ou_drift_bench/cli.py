@@ -239,12 +239,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> Path:
-    lines = [CSV_SCHEMA_LINE, ",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+def _write_lines(path: Path, header: tuple[str, ...], lines) -> Path:
+    """Write the formatted rows `lines` under the schema line and the header."""
+    text = "\n".join([CSV_SCHEMA_LINE, ",".join(header), *lines])
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8")
     return path
+
+
+def _write_csv(path: Path, header: tuple[str, ...], rows) -> Path:
+    return _write_lines(path, header, (",".join(map(_fmt, row)) for row in rows))
 
 
 def _write_table(out_dir: Path, name: str, records) -> Path:
@@ -302,29 +306,33 @@ def cmd_estimate(config: RunConfig) -> list[Path]:
     """
 
     def estimates(params, sums):
+        # Lists, which pickle (the result may come back from a worker): per
+        # estimator the mask of good paths and the values on those paths.
         columns = []
         for estimator in config.estimators:
             est, den, good = estimates_of_sums(sums, params, estimator, config.index_convention)
             nerr = normalized_error(est, params, config.theta_true)
-            # tolist() gives Python floats, which _fmt writes with repr
-            values = (
-                {"estimate": e, "denominator": d, "normalized_error": r}
-                for e, d, r in zip(est.tolist(), den.tolist(), nerr.tolist())
-            )
-            columns.append((estimator.value, good.tolist(), values))
+            columns.append((good.tolist(), est.tolist(), den.tolist(), nerr.tolist()))
         return columns
 
     params = OuParams(theta=config.theta_true, delta=config.delta, n=config.n)
     (columns,) = map_cells(
         (params,), Variant.FROM_ZERO, config.replications, config.master_seed, estimates
     )
-    records = (
-        {"estimator": name, "path": index, **next(values)}
-        for index in range(config.replications)
-        for name, good, values in columns
-        if good[index]
-    )
-    return [_write_table(config.output_dir, "estimates", records)]
+    # One line per row, as _write_table would write it: the values are
+    # Python floats, which _fmt writes with repr.
+    rows = [
+        (estimator.value, good, zip(est, den, nerr))
+        for estimator, (good, est, den, nerr) in zip(config.estimators, columns)
+    ]
+    lines = []
+    for index in range(config.replications):
+        for name, good, values in rows:
+            if good[index]:
+                e, d, r = next(values)
+                lines.append(f"{name},{index},{e!r},{d!r},{r!r}")
+    path = config.output_dir / "estimates.csv"
+    return [_write_lines(path, _COLUMNS["estimates"], lines)]
 
 
 def cmd_oracle(config: RunConfig) -> list[Path]:

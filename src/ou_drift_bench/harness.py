@@ -18,8 +18,10 @@ estimate` is one `map_cells` call, which opens one pool of forked worker
 processes.  The walk is one map of `simulate_block` over blocks of rows, each
 block simulated at every cell of the call: a row draws its normals once and
 each cell scans its own prefix of them.  The map is the pool's, or with one
-worker the builtin.  The caller's function runs on each cell in turn once
-the last block is in.
+worker the builtin.  Once the last block is in, the caller's function runs
+on each cell, one pool task a cell (in the calling process with one
+worker), and its results come back in cell order; as it runs in a worker,
+its side effects do not reach the caller.
 
 Determinism contract: every result is a pure function of (arguments,
 master_seed).  Path i of a cell draws from the counter-based stream
@@ -308,6 +310,20 @@ def _worker_count() -> int:
     return workers
 
 
+# A worker's cells and the function `map_cells` runs on each of them.
+_worker_each: tuple = ()
+
+
+def _take_each(cells: Sequence[OuParams], each: Callable) -> None:
+    global _worker_each
+    _worker_each = (cells, each)
+
+
+def _each_in_worker(c: int, sums: BlockSums):
+    cells, each = _worker_each
+    return each(cells[c], sums)
+
+
 def map_cells(
     cells: Sequence[OuParams],
     variant: Variant,
@@ -323,11 +339,15 @@ def map_cells(
     One map runs `simulate_block` over the blocks of rows, each block at
     every cell: a row draws its normals once, up to the largest n, and each
     cell scans its own prefix of them.  The pool's map gives every block to
-    the worker processes on entry; `each` runs here, in cell order, once the
-    last block is in, and leaving the map cancels the blocks not yet started
-    and ends the workers.  With one worker, or one block, the builtin map
-    runs each block here when the loop reaches it.  Every cell's sums are
-    held until the last block, 6 * reps doubles a cell.
+    the worker processes on entry.  Once the last block is in, `each` runs
+    in the workers, one task a cell; the workers have it from their fork,
+    so a closure serves, but its side effects stay in the worker and only
+    its result (which must pickle) comes back.  An error in `each` is
+    raised for the first failing cell in cell order.  Leaving the map
+    cancels the tasks not yet started and ends the workers.  With one
+    worker, or one block, the builtin map runs each block here when the
+    loop reaches it, and `each` runs here in cell order.  Every cell's sums
+    are held until the last block, 6 * reps doubles a cell.
 
     A value that leaves the range of a double, in a block or in `each`, ends
     the map in NonFiniteValue naming the cell, not in a warning and inf or
@@ -343,9 +363,14 @@ def map_cells(
     # first (0.44 s on a 2-core host), more than a small cell takes to
     # simulate.  The harness starts no thread; OpenBLAS stops its own around
     # a fork, and from Python 3.11 the executor forks all its workers before
-    # it starts its own.
+    # it starts its own.  The fork also hands them `cells` and `each`
+    # unpickled.
     context = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(workers, mp_context=context) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(
+            workers, mp_context=context, initializer=_take_each, initargs=(cells, each)
+        )
     sums = [BlockSums(*(np.empty(reps) for _ in fields(BlockSums))) for _ in cells]
     results = []
     try:
@@ -358,8 +383,10 @@ def map_cells(
                 for cell, block in zip(sums, cell_blocks):
                     for field in fields(BlockSums):
                         getattr(cell, field.name)[lo:hi] = getattr(block, field.name)
-            for params, cell in zip(cells, sums):
-                results.append(each(params, cell))
+            if pool:
+                tasks = [pool.submit(_each_in_worker, c, cell) for c, cell in enumerate(sums)]
+            for c, params in enumerate(cells):
+                results.append(tasks[c].result() if pool else each(params, sums[c]))
     except FloatingPointError as exc:
         where = at_cell(params)
         raise NonFiniteValue(f"a value leaves the range of a double {where}: {exc}") from exc

@@ -17,8 +17,11 @@ draws its normals once, up to the largest n, and each cell scans its own
 prefix of them, since a prefix of a row's draw is what a shorter draw gives.
 The scan uses numpy only: within a segment of time,
 x_l = a^l (a x_start + sum_{j <= l} (scale / a^j) xi_j) is a weighted
-cumulative sum (`_scan`).  The tail and Z sums are closed forms in the
-head sums, sum e^{-theta t} X and the end column.  The harness calls
+cumulative sum (`_scan`), taken over two rows at once as the real and
+imaginary parts of one complex row, so the two rows' chains of additions
+run side by side while each row keeps exactly its own additions.  The tail
+and Z sums are closed forms in the head sums, sum e^{-theta t} X and the
+end column.  The harness calls
 `simulate_block` in forked worker processes, as many as OU_BENCH_THREADS
 says; each keeps one set of block buffers, and the scan tables of its
 cells, from block to block, so a worker's memory is bounded by its block
@@ -192,8 +195,10 @@ def block_rows(n: int) -> int:
     return max(1, _BLOCK_VALUES // min(n, _SCAN_CHUNK))
 
 
-def _scan_tables(params: OuParams) -> tuple[float, np.ndarray, np.ndarray]:
-    """a, and the tables a^l and scale / a^l of one scan segment, l = 0..span-1.
+def _scan_tables(params: OuParams, stationary: bool) -> tuple:
+    """a, the tables a^l and scale / a^l of one scan segment, l = 0..span-1,
+    and in the stationary layout the decay e^{-theta t_i} of the first
+    chunk, i = 0..min(n, chunk)-1 (None in the from-zero one).
 
     The span is a power of two, at most _SCAN_CHUNK (itself a power of two,
     so segments never straddle a chunk), with theta*delta*span <= 300: then
@@ -206,7 +211,10 @@ def _scan_tables(params: OuParams) -> tuple[float, np.ndarray, np.ndarray]:
         span //= 2
     a, s2 = transition_coefficients(params.theta, params.delta)
     a_pow = a ** np.arange(span, dtype=np.float64)
-    return a, a_pow, math.sqrt(s2) / a_pow
+    decay = None
+    if stationary:
+        decay = np.exp(-theta_delta * np.arange(min(params.n, _SCAN_CHUNK)))
+    return a, a_pow, math.sqrt(s2) / a_pow, decay
 
 
 def _scan(xi: np.ndarray, w: np.ndarray, x: np.ndarray, a: float, a_pow, weights) -> None:
@@ -215,16 +223,26 @@ def _scan(xi: np.ndarray, w: np.ndarray, x: np.ndarray, a: float, a_pow, weights
     Time is cut into segments of len(a_pow) steps from column 0.  Within one,
     x_l = a^l (a x_start + sum_{j <= l} (scale / a^j) xi_j): weights into w,
     a x_start added to w's first column, a cumulative sum in place and the
-    powers of a back into x.  w has xi's shape.
+    powers of a back into x.  w is complex, with (rows + 1) // 2 rows of
+    xi's width: rows 2p and 2p + 1 are the real and imaginary parts of its
+    row p, so one complex cumulative sum runs their two chains of additions
+    side by side, each exactly a row's own.  An odd last row's partner is
+    zero, so the sum meets no stale value.
     """
     span, m = a_pow.size, xi.shape[-1]
+    w.imag[xi.shape[0] // 2 :] = 0.0
+    parts = ((w.real, xi[0::2], x[0::2]), (w.imag, xi[1::2], x[1::2]))
     for lo in range(0, m, span):
         hi = min(lo + span, m)
+        for part, xi_rows, x_rows in parts:
+            seg = part[: x_rows.shape[0], lo:hi]
+            np.multiply(xi_rows[:, lo:hi], weights[: hi - lo], out=seg)
+            seg[:, 0] += a * x_rows[:, lo]
         seg = w[:, lo:hi]
-        np.multiply(xi[:, lo:hi], weights[: hi - lo], out=seg)
-        seg[:, 0] += a * x[:, lo]
         np.cumsum(seg, axis=-1, out=seg)
-        np.multiply(seg, a_pow[: hi - lo], out=x[:, lo + 1 : hi + 1])
+        for part, _, x_rows in parts:
+            seg = part[: x_rows.shape[0], lo:hi]
+            np.multiply(seg, a_pow[: hi - lo], out=x_rows[:, lo + 1 : hi + 1])
 
 
 @dataclass(frozen=True)
@@ -255,10 +273,11 @@ class BlockPaths:
 
 def _new_buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
     """Draw, scan, x and diff buffers of one block.  The draws' column 0 takes
-    a stationary row's Z_0 and x's the scan's start column."""
+    a stationary row's Z_0 and x's the scan's start column; the scan buffer
+    holds the rows in complex pairs (`_scan`)."""
     return (
         np.empty((rows, width + 1)),
-        np.empty((rows, width)),
+        np.empty(((rows + 1) // 2, width), dtype=np.complex128),
         np.empty((rows, width + 1)),
         np.empty((rows, width)),
     )
@@ -273,14 +292,16 @@ def _thread_buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
     return _scratch.buffers
 
 
-def _thread_tables(cells: Sequence[OuParams]) -> list:
-    """This thread's scan tables of the cells, rebuilt only when the cells (or
-    the chunk length, which bounds the span) change: a map's every block is
-    at the same cells, and the tables of a long cell cost more than a small
+def _thread_tables(cells: Sequence[OuParams], stationary: bool) -> list:
+    """This thread's tables of the cells (`_scan_tables`), None for a cell
+    until its first scan builds them, so that a value out of range there
+    names the cell.  They are dropped only when the cells, the layout or the
+    chunk length (which bounds the tables) change: a map's every block is at
+    the same cells, and the tables of a long cell cost more than a small
     block's scan."""
-    key = (tuple(cells), _SCAN_CHUNK)
+    key = (tuple(cells), stationary, _SCAN_CHUNK)
     if getattr(_scratch, "cells", None) != key:
-        _scratch.tables = [_scan_tables(params) for params in cells]
+        _scratch.tables = [None] * len(cells)
         _scratch.cells = key
     return _scratch.tables
 
@@ -329,7 +350,7 @@ def simulate_block(
     for params, sd in zip(cells, sd0):
         if stationary and math.isinf(sd):
             raise NonFiniteValue(f"the stationary sd 1/sqrt(2 theta) is inf {at_cell(params)}")
-    tables = _thread_tables(cells)
+    tables = _thread_tables(cells, stationary)
     keys = _philox_keys(seed, lo, hi)
     bitgen = np.random.Philox(key=keys[0])
     fresh = bitgen.state if rows > 1 else None
@@ -367,7 +388,9 @@ def simulate_block(
                 mc = min(m, params.n - start)
                 if mc <= 0:
                     continue
-                a, a_pow, weights = tables[c]
+                if tables[c] is None:
+                    tables[c] = _scan_tables(params, stationary)
+                a, a_pow, weights, decay = tables[c]
                 z0 = z0s[c]
                 xi = draws[:, 1 : mc + 1]
                 # whole rows are returned, so each cell scans into its own
@@ -384,10 +407,15 @@ def simulate_block(
                 step = np.subtract(xc[:, 1:], x_head, out=diff[:, :mc])
                 total[1] -= np.einsum("ij,ij->i", x_head, step)
                 total[2] += np.einsum("ij,ij->i", x_head, xi)
-                if z0 is not None:
+                if z0 is not None and not start:
+                    total[3] += np.einsum("ij,j->i", x_head, decay[:mc])
+                elif z0 is not None:
+                    # a later chunk adds nothing once e^{-theta t} is 0 from
+                    # its start on, as it often is
                     theta_delta = params.theta * params.delta
-                    decay = np.exp(-theta_delta * np.arange(start, start + mc))
-                    total[3] += np.einsum("ij,j->i", x_head, decay)
+                    if np.exp(-theta_delta * start) != 0.0:
+                        later = np.exp(-theta_delta * np.arange(start, start + mc))
+                        total[3] += np.einsum("ij,j->i", x_head, later)
                 carry[c] = xc[:, mc]
         if paths:
             return results

@@ -279,13 +279,11 @@ def _failing_block(error, at, cells, variant, seed, lo, hi):
 def test_error_partway_through_a_schedule_ends_the_workers(
     tmp_path, monkeypatch, capsys, recorded_blocks, error, code
 ):
-    # The summaries run in cell order once the last block is in; an error in
-    # the second one must leave no worker behind and write nothing.
-    summarized = []
-
+    # The summaries run in the workers, one task a cell, once the last block
+    # is in; an error in the second cell's must leave no worker behind and
+    # write nothing.  It is patched here, before the pool forks its workers.
     def failing(params, *args):
-        summarized.append(params.n)
-        if len(summarized) == 2:
+        if params.n == 1024:
             raise error(f"stop at n={params.n}")
         return ()
 
@@ -293,22 +291,20 @@ def test_error_partway_through_a_schedule_ends_the_workers(
     argv = ["rates", "--preset", "coupling-sweep", "--reps", "4000"]
     assert main(argv + ["--out", str(tmp_path / "r")]) == code
     assert "stop at n=1024" in capsys.readouterr().err
-    assert summarized == [256, 1024]
-    # 4000 rows in blocks of 64, each block at all three cells
-    assert len(recorded_blocks) == 63
-    assert all(f.done() and not f.cancelled() for f in recorded_blocks)
+    # 4000 rows in blocks of 64, each block at all three cells, then one
+    # summary task for each cell
+    assert len(recorded_blocks) == 63 + 3
+    assert all(f.done() and not f.cancelled() for f in recorded_blocks[:63])
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "r").exists()
 
     # Every block is given to the workers up front; a block that raises
     # partway through must cancel the blocks not yet started, not simulate
-    # them.  The kernel is patched here, before the pool forks its workers.
-    summarized.clear()
+    # them, and no cell is summarized.  The kernel is patched here too.
     recorded_blocks.clear()
     monkeypatch.setattr(harness, "simulate_block", functools.partial(_failing_block, error, 128))
     assert main(argv + ["--out", str(tmp_path / "r")]) == code
     assert "stop at streams 128..192" in capsys.readouterr().err
-    assert summarized == []
     assert len(recorded_blocks) == 63
     cancelled = sum(f.cancelled() for f in recorded_blocks)
     assert cancelled >= 40, f"{cancelled} of 63 blocks cancelled"

@@ -1,7 +1,9 @@
 """Monte Carlo harness: cells, schedules, rate fits, coupling, determinism."""
 
 import math
+import os
 import re
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -205,6 +207,60 @@ def test_map_cells_matches_each_cell_alone(monkeypatch, variant, threads):
         for name in _STATS_FIELDS:
             got, want = getattr(sums, name), getattr(alone, name)
             assert got.tobytes() == want.tobytes(), (params, name)
+
+
+_EACH_CELLS = (
+    OuParams(theta=0.5, delta=0.2, n=40),
+    OuParams(theta=1.0, delta=0.05, n=64),
+    OuParams(theta=5.0, delta=1.0, n=100),
+)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_each_runs_in_the_workers(monkeypatch, threads):
+    # With two workers a closure runs in them, one task a cell, and what it
+    # appends stays there; with one it runs here.  Two blocks, so there is a
+    # pool.
+    monkeypatch.setenv("OU_BENCH_THREADS", threads)
+    seen = []
+
+    def each(params, sums):
+        seen.append(params)
+        return params.n, os.getpid()
+
+    reps = ou_core.block_rows(100) + 100
+    got = harness.map_cells(_EACH_CELLS, Variant.STATIONARY, reps, SEED, each)
+    assert [n for n, _ in got] == [40, 64, 100]
+    if threads == "1":
+        assert {pid for _, pid in got} == {os.getpid()}
+        assert seen == list(_EACH_CELLS)
+    else:
+        assert os.getpid() not in {pid for _, pid in got}
+        assert seen == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "error, raised", [(ValueError, ValueError), (FloatingPointError, NonFiniteValue)]
+)
+def test_each_error_names_the_first_failing_cell(monkeypatch, threads, error, raised):
+    # The second and third cells fail; with two workers the third fails
+    # while the second still sleeps.  The second is the one reported, and a
+    # FloatingPointError names its cell.
+    monkeypatch.setenv("OU_BENCH_THREADS", threads)
+
+    def each(params, sums):
+        if params.n == 64:
+            time.sleep(0.3)
+        if params.n > 40:
+            raise error(f"stop at n={params.n}")
+        return params.n
+
+    reps = ou_core.block_rows(100) + 100
+    with pytest.raises(raised, match="stop at n=64") as info:
+        harness.map_cells(_EACH_CELLS, Variant.STATIONARY, reps, SEED, each)
+    if raised is NonFiniteValue:
+        assert "at cell (theta=1.0, delta=0.05, n=64)" in str(info.value)
 
 
 @pytest.mark.parametrize(

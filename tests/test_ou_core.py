@@ -20,7 +20,7 @@ from ou_drift_bench import (
 )
 from ou_drift_bench.ou_core import simulate_block
 
-from reference import rho
+from reference import rho, row_scan
 
 
 def test_transition_coefficients_closed_form():
@@ -236,8 +236,8 @@ def test_block_sums_of_long_rows_split_across_chunks(monkeypatch, variant):
 
 def _scan_by_chunks(p, xi, chunk):
     """X of the rows xi, scanned by ou_core._scan a chunk at a time with the state carried."""
-    a, a_pow, weights = ou_core._scan_tables(p)
-    x, w = np.zeros((xi.shape[0], p.n + 1)), np.empty((xi.shape[0], chunk))
+    a, a_pow, weights, _ = ou_core._scan_tables(p, False)
+    x, w = np.zeros((xi.shape[0], p.n + 1)), np.empty(((xi.shape[0] + 1) // 2, chunk), complex)
     for start in range(0, p.n, chunk):
         m = min(chunk, p.n - start)
         ou_core._scan(xi[:, start : start + m], w[:, :m], x[:, start : start + m + 1],
@@ -259,7 +259,7 @@ def test_scan_matches_long_double_recursion(monkeypatch, theta, delta):
     # 1024 steps, of 1 to 512 segments each, scanned with the state carried.
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 1024)
     p = OuParams(theta=theta, delta=delta, n=4 * 1024 + 500)
-    _, a_pow, weights = ou_core._scan_tables(p)
+    _, a_pow, weights, _ = ou_core._scan_tables(p, False)
     span = a_pow.size
     assert span & (span - 1) == 0 and span <= 1024
     assert theta * delta * span <= 300.0 or span == 1
@@ -305,6 +305,49 @@ def test_whole_rows_scan_as_chunks_bit_for_bit(monkeypatch, variant, theta, delt
     }
     for name, want in expected.items():
         np.testing.assert_allclose(getattr(sums, name), want, rtol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 16, 17])
+def test_paired_scan_matches_row_scan_bit_for_bit(rows):
+    # Rows are scanned in complex pairs, each with exactly its own additions.
+    # The work buffer starts stale here: an odd last row's partner must be
+    # zeroed, or its cumulative sum of 1e308s overflows.  At theta*delta = 5
+    # a span is 32 steps, so 200 steps are seven segments, the last partial.
+    p = OuParams(theta=5.0, delta=1.0, n=200)
+    a, a_pow, weights, _ = ou_core._scan_tables(p, False)
+    assert a_pow.size == 32
+    rng = np.random.default_rng(rows)
+    xi = rng.standard_normal((rows, p.n))
+    x, want = np.zeros((2, rows, p.n + 1))
+    x[:, 0] = want[:, 0] = rng.standard_normal(rows)
+    stale = np.full(((rows + 1) // 2, p.n), 1e308 + 1e308j)
+    with np.errstate(over="raise", invalid="raise"):
+        ou_core._scan(xi, stale, x, a, a_pow, weights)
+    row_scan(xi, np.empty(xi.shape), want, a, a_pow, weights)
+    assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("paths", [False, True], ids=["sums", "paths"])
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("rows", [1, 2, 3, 16, 17])
+def test_block_of_paired_scans_matches_row_scans(monkeypatch, rows, variant, paths):
+    # The kernel's every output, byte for byte as with each row scanned
+    # alone: 3 chunks of 64 steps and a partial one, of two 32-step spans
+    # each at theta*delta = 5, and a cell shorter than a chunk.
+    monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
+    cells = (OuParams(theta=5.0, delta=1.0, n=3 * 64 + 17), OuParams(theta=1.0, delta=0.05, n=40))
+    got = simulate_block(cells, variant, 5, 17, 17 + rows, paths=paths)
+    monkeypatch.setattr(
+        ou_core, "_scan", lambda xi, w, x, *tables: row_scan(xi, np.empty(xi.shape), x, *tables)
+    )
+    want = simulate_block(cells, variant, 5, 17, 17 + rows, paths=paths)
+    for got_cell, want_cell in zip(got, want, strict=True):
+        for f in fields(want_cell):
+            value = getattr(want_cell, f.name)
+            if value is None:
+                assert getattr(got_cell, f.name) is None, f.name
+            else:
+                assert getattr(got_cell, f.name).tobytes() == value.tobytes(), f.name
 
 
 def test_block_buffers_reused_across_calls_leak_nothing(monkeypatch):

@@ -619,6 +619,10 @@ def main(argv: list[str] | None = None) -> int:
     except FloatingPointError as exc:
         print(f"error: {exc}; a value leaves the range of a double", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     if isinstance(result, int):  # verify's exit code
         return result
     for path in result:

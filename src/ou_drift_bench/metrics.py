@@ -16,20 +16,23 @@ with deterministic bootstrap standard errors.
 Every W1 goes through one kernel, `_distances(xs, g, phi, count)`: both
 distances of the sample holding the sorted value xs[k] count[k] times, read off
 the tables g = G(xs) and phi = Phi(xs); only the gaps where the empirical CDF
-crosses Phi need ndtri.  `w1_to_std_normal` passes all-ones counts.
+crosses Phi need Phi^{-1}.  `w1_to_std_normal` passes all-ones counts.
 `distance_report` sorts once and builds the tables once, then passes all-ones
 counts for the point distances and each bootstrap resample's index counts, so
 no resample is sorted or transformed.  The kernel takes the Kolmogorov
 candidates of `kolmogorov_to_std_normal`, so it agrees with it to the bit.
+
+Phi and Phi^{-1} come from the standard library: Phi(x) = erfc(-x / sqrt 2) / 2
+with `math.erfc`, and `statistics.NormalDist.inv_cdf` (Wichura's AS241).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import EmptySample, NonFiniteValue, TooSmall
 from .ou_core import path_rng
@@ -45,6 +48,8 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_INV_CDF = NormalDist().inv_cdf
 # Smallest sample sample_cumulants accepts (the jackknife needs 4).
 CUMULANT_MIN_SAMPLE = 4
 # Stream id for bootstrap resampling, far above any per-path stream index so a
@@ -65,12 +70,23 @@ def _as_clean_1d(sample, what: str) -> np.ndarray:
     return arr
 
 
-def _big_phi_antideriv(x: np.ndarray) -> np.ndarray:
-    """G(x) = x Phi(x) + phi(x), the antiderivative of Phi with G(-inf) = 0."""
+def _big_phi(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = erfc(-x / sqrt 2) / 2, elementwise."""
+    return 0.5 * np.fromiter(map(math.erfc, (x * -_SQRT_HALF).tolist()), np.float64, x.size)
+
+
+def _big_phi_inv(p: np.ndarray) -> np.ndarray:
+    """Phi^{-1}(p) for p in (0, 1), elementwise."""
+    return np.fromiter(map(_INV_CDF, p.tolist()), np.float64, p.size)
+
+
+def _big_phi_antideriv(x: np.ndarray, big_phi: np.ndarray) -> np.ndarray:
+    """G(x) = x Phi(x) + phi(x), the antiderivative of Phi with G(-inf) = 0,
+    given the table big_phi = Phi(x)."""
     # -0.5 * x * x overflows for |x| above about 1.9e154, where phi(x) is 0 anyway
     with np.errstate(over="ignore"):
         phi = np.exp(-0.5 * x * x) / _SQRT_2PI
-    return x * ndtr(x) + phi
+    return x * big_phi + phi
 
 
 def _distances(xs: np.ndarray, g: np.ndarray, phi: np.ndarray, count: np.ndarray):
@@ -100,8 +116,8 @@ def _distances(xs: np.ndarray, g: np.ndarray, phi: np.ndarray, count: np.ndarray
     # resamples of a shifted sample often never cross Phi
     if j.size:
         lv, lo, hi = levels[j], xv[j], xv[j + 1]
-        cross = np.clip(ndtri(lv), lo, hi)
-        g_cross = _big_phi_antideriv(cross)
+        cross = np.clip(_big_phi_inv(lv), lo, hi)
+        g_cross = _big_phi_antideriv(cross, _big_phi(cross))
         below = lv * (cross - lo) - (g_cross - gv[j])
         above = (gv[j + 1] - g_cross) - lv * (hi - cross)
         piece[j] = np.maximum(below, 0.0) + np.maximum(above, 0.0)
@@ -116,14 +132,15 @@ def w1_to_std_normal(sample) -> float:
     statistics (see `_distances`).
     """
     x = np.sort(_as_clean_1d(sample, "w1_to_std_normal"))
-    return _distances(x, _big_phi_antideriv(x), ndtr(x), np.ones(x.size, dtype=np.intp))[0]
+    phi = _big_phi(x)
+    return _distances(x, _big_phi_antideriv(x, phi), phi, np.ones(x.size, dtype=np.intp))[0]
 
 
 def kolmogorov_to_std_normal(sample) -> float:
     """Kolmogorov sup-distance between the empirical law and N(0, 1)."""
     x = np.sort(_as_clean_1d(sample, "kolmogorov_to_std_normal"))
     n = x.size
-    phi = ndtr(x)
+    phi = _big_phi(x)
     steps = np.arange(1, n + 1, dtype=np.float64) / n
     upper = np.max(steps - phi)
     lower = np.max(phi - (steps - 1.0 / n))
@@ -257,7 +274,8 @@ def distance_report(sample, n_bootstrap: int = 200, seed: int = 0) -> DistanceRe
     xs = x[order]
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    g, phi = _big_phi_antideriv(xs), ndtr(xs)
+    phi = _big_phi(xs)
+    g = _big_phi_antideriv(xs, phi)
     w1, kolmogorov = _distances(xs, g, phi, np.ones(n, dtype=np.intp))
     w1_rep, k_rep = zip(
         *(

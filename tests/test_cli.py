@@ -634,6 +634,30 @@ def test_value_out_of_double_range_is_an_error(tmp_path, capsys, monkeypatch, ar
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 745. GiB for an array with shape "
+                     "(100000000000,) and data type float64"),
+         "Unable to allocate 745. GiB for an array with shape (100000000000,) "
+         "and data type float64"),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["numpy-message", "no-message"],
+)
+def test_out_of_memory_is_an_error(tmp_path, capsys, monkeypatch, exc, message):
+    # `oracle --n 100000000000` once ended in numpy's _ArrayMemoryError
+    # traceback.  A real allocation that large could be granted and then
+    # killed on a host that overcommits memory, so the failure is simulated.
+    def out_of_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "moment_report", out_of_memory)
+    assert main(["oracle", "--n", "100000000000", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_excessive_degeneracy_aborts_naming_the_cell(tmp_path, capsys):
     # At n = 1 every AMCE denominator is at the guard; the abort names the
     # cell as every other error on a cell does.

@@ -56,15 +56,23 @@ def test_no_module_imports_a_private_name():
     assert found == []
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal alone once took about 1 s and 50 MiB of every command's
-    # start-up; a stray import would bring that back silently.
+def test_cli_and_distances_leave_out_scipy():
+    # scipy is the tests' reference library, not a dependency: importing
+    # scipy.special alone once took more than half of every command's
+    # start-up and 26 MiB, and scipy.signal once 1 s and 50 MiB.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(ou_drift_bench.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
-    code = "import sys, ou_drift_bench.cli; print('scipy.signal' in sys.modules)"
+    code = (
+        "import sys, ou_drift_bench.cli\n"
+        "from ou_drift_bench import distance_report, w1_to_std_normal\n"
+        "sample = [-1.5, -0.2, 0.1, 0.7, 2.0]\n"
+        "distance_report(sample, n_bootstrap=20)\n"
+        "w1_to_std_normal(sample)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

@@ -26,7 +26,13 @@ from ou_drift_bench import (
     sample_cumulants,
     w1_to_std_normal,
 )
-from ou_drift_bench.metrics import _BOOTSTRAP_STREAM, _bootstrap_se, _resample_blocks
+from ou_drift_bench.metrics import (
+    _BOOTSTRAP_STREAM,
+    _big_phi,
+    _big_phi_inv,
+    _bootstrap_se,
+    _resample_blocks,
+)
 from ou_drift_bench.ou_core import path_rng
 
 
@@ -47,6 +53,34 @@ def _w1_by_quadrature(sample):
         else:
             total += quad(f, lo, hi, **eps)[0]
     return total
+
+
+def test_big_phi_and_its_inverse_match_scipy():
+    # The package's Phi and Phi^{-1} come from the standard library; scipy's
+    # ndtr and ndtri are an independent reference.  erfc's argument x / sqrt 2
+    # is rounded once, and Phi's relative condition number, about 1 + x^2 in
+    # the lower tail, magnifies that rounding in either implementation.
+    eps = np.finfo(np.float64).eps
+    x = np.linspace(-40.0, 40.0, 160_001)
+    got, ref = _big_phi(x), ndtr(x)
+    # below about x = -37.5 both are subnormal: a few of their spacings
+    tol = 4.0 * eps * (1.0 + x * x) * ref + 4.0 * np.nextafter(0.0, 1.0)
+    # ndtr flushes to 0 below about x = -37.68, where math.erfc carries on in
+    # subnormals down to about x = -38.48
+    both = ref > 0.0
+    assert np.all(np.abs(got - ref)[both] <= tol[both])
+    assert np.all(got[~both] < np.finfo(np.float64).tiny)
+    assert np.any((0.0 < ref) & (ref < np.finfo(np.float64).tiny))
+    # Phi^{-1} is well conditioned: one relative tolerance from 1e-300 to 1 - 1e-16
+    p = np.concatenate(
+        [
+            np.logspace(-300.0, -1.0, 20_001),
+            np.linspace(0.1, 0.9, 20_001),
+            1.0 - np.logspace(-16.0, -1.0, 20_001),
+        ]
+    )
+    got, ref = _big_phi_inv(p), ndtri(p)
+    assert np.all(np.abs(got - ref) <= 8.0 * eps * np.abs(ref))
 
 
 def test_w1_point_mass_at_zero():
@@ -131,7 +165,8 @@ def test_point_mass_closed_forms(c):
     big_phi = float(ndtr(c))
     w1 = 2.0 * phi_c + c * (2.0 * big_phi - 1.0)
     assert w1_to_std_normal([c]) == pytest.approx(w1, rel=1e-12, abs=1e-12)
-    assert kolmogorov_to_std_normal([c]) == max(big_phi, 1.0 - big_phi)
+    own = float(_big_phi(np.array([c]))[0])
+    assert kolmogorov_to_std_normal([c]) == max(own, 1.0 - own)
     # half the mass at -|c| and half at |c|: near the largest double the gap
     # between them is wider than any double
     a = abs(c)

@@ -7,13 +7,17 @@ directory (no network, `.git` unchanged).  A fixed list of commands runs on
 both sides at OU_BENCH_THREADS=1 and =2.  Each side runs from its own
 temporary working directory with a relative `--out`, so printed paths match.
 Every file written, stdout, stderr and exit code is compared; the exit code
-is 0 only if all of them are identical.  A full run takes a few minutes on
-two cores.
+is 0 only if all of them are identical.  For each file or stream that
+differs, the report also gives the number of differing lines, the largest
+relative difference between the numbers on those lines, and whether any
+other text on them differs.  A full run takes a few minutes on two cores.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,6 +26,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 MAX_DOUBLE = "1.7976931348623157e+308"
+NUMBER = re.compile(
+    rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|(?<![A-Za-z])[-+]?(?:inf|nan)(?![A-Za-z])"
+)
 
 # (name, arguments); a command given neither --out nor --help writes to out/<name>.
 COMMANDS = (
@@ -119,6 +126,35 @@ def first_difference(a: bytes, b: bytes) -> str:
     return "line endings differ"
 
 
+def size_of_difference(a: bytes, b: bytes) -> str:
+    """Differing lines, the largest relative difference between the numbers on
+    them, and whether any other text on them differs (a line on one side only,
+    or the text around the numbers; numbers are paired only on lines that hold
+    as many on both sides)."""
+    lines, worst, other = 0, 0.0, False
+    for x, y in zip_longest(a.splitlines(), b.splitlines()):
+        if x == y:
+            continue
+        lines += 1
+        if x is None or y is None:
+            other = True
+            continue
+        other = other or NUMBER.split(x) != NUMBER.split(y)
+        numbers = NUMBER.findall(x), NUMBER.findall(y)
+        if len(numbers[0]) != len(numbers[1]):
+            continue
+        for u, v in zip(*numbers):
+            p, q = float(u), float(v)
+            if u == v or p == q:
+                continue
+            finite = math.isfinite(p) and math.isfinite(q)
+            worst = max(worst, abs(p - q) / max(abs(p), abs(q)) if finite else math.inf)
+    return (
+        f"{lines} differing lines, numbers by at most {worst:.2g} relative, "
+        f"other text {'differs' if other else 'identical'}"
+    )
+
+
 def compare(old_dir: Path, new_dir: Path, old_runs, new_runs) -> list[str]:
     problems = []
     for (name, _), (old_code, *old_out), (new_code, *new_out) in zip(COMMANDS, old_runs, new_runs):
@@ -126,14 +162,19 @@ def compare(old_dir: Path, new_dir: Path, old_runs, new_runs) -> list[str]:
             problems.append(f"{name}: exit code {old_code} vs {new_code}")
         for what, a, b in zip(("stdout", "stderr"), old_out, new_out):
             if a != b:
-                problems.append(f"{name}: {what} differs at {first_difference(a, b)}")
+                problems.append(
+                    f"{name}: {what} differs at {first_difference(a, b)}; "
+                    + size_of_difference(a, b)
+                )
     old_files, new_files = files_under(old_dir), files_under(new_dir)
     for path in sorted(old_files ^ new_files):
         problems.append(f"{path}: written on one side only")
     for path in sorted(old_files & new_files):
         a, b = (old_dir / path).read_bytes(), (new_dir / path).read_bytes()
         if a != b:
-            problems.append(f"{path}: differs at {first_difference(a, b)}")
+            problems.append(
+                f"{path}: differs at {first_difference(a, b)}; " + size_of_difference(a, b)
+            )
     return problems
 
 

@@ -2,8 +2,8 @@
 
 Library layout:
 
-* `ou_core`: exact AR(1) simulation of the observed and stationary processes,
-  including coupled (X, Z) pairs driven by one innovation stream.
+* `ou_core`: exact AR(1) simulation of coupled (X, Z) pairs driven by one
+  innovation stream: the observed process from zero and the stationary one.
 * `estimators`: the moment-based (AMCE) and likelihood-based (AMLE) drift
   estimators, the second-chaos statistic F_n, and the martingale term Lambda_n.
 * `oracles`: exact closed-form moments and cumulants of F_n(Z) and Lambda_n,

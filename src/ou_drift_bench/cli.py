@@ -14,10 +14,10 @@ go through `harness.parse_int`, as OU_BENCH_THREADS does.  The replication
 floors live in the harness, which raises them as config errors.
 
 CSV outputs are UTF-8, comma-separated, '.' decimal, one header row, preceded
-by the schema comment line "# ou-drift-bench csv v1".  `read_bench_csv`
-rejects files with any other schema line.  Column order is the contract:
-`_COLUMNS` holds it for every file but paths.csv (t,x | t,z | t,z,x, as the
-variant and coupling decide), and the README's CSV table lists the same.
+by the schema comment line "# ou-drift-bench csv v1".  Column order is the
+contract: `_COLUMNS` holds it for every file but paths.csv (t,x | t,z |
+t,z,x, as the variant and coupling decide), and the README's CSV table lists
+the same.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "cmd_simulate",
     "cmd_verify",
     "main",
-    "read_bench_csv",
 ]
 
 CSV_SCHEMA_LINE = "# ou-drift-bench csv v1"
@@ -257,21 +256,8 @@ def _write_table(out_dir: Path, name: str, records) -> Path:
     return _write_csv(out_dir / f"{name}.csv", columns, map(itemgetter(*columns), records))
 
 
-def read_bench_csv(path: Path) -> tuple[list[str], list[dict]]:
-    """Read a bench CSV, rejecting unknown schema versions."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != CSV_SCHEMA_LINE:
-        found = lines[0] if lines else "<empty file>"
-        raise ConfigError(
-            f"{path}: unsupported csv schema line {found!r}; expected {CSV_SCHEMA_LINE!r}"
-        )
-    header = lines[1].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[2:] if line]
-    return header, rows
-
-
 def cmd_simulate(config: RunConfig) -> list[Path]:
-    """Write one simulated path (stream 0 of the master seed) to paths.csv.
+    """Write the variant's path of stream 0's coupled pair to paths.csv.
 
     `coupled` adds the from-zero X column next to a stationary Z, so it needs
     the stationary variant.
@@ -294,15 +280,14 @@ def cmd_simulate(config: RunConfig) -> list[Path]:
 
 
 def cmd_estimate(config: RunConfig) -> list[Path]:
-    """Run the configured estimators on fresh from-zero paths; one CSV row each.
+    """Run the configured estimators on the cell's paths; one CSV row each.
 
-    Path i is stream (master_seed, i) in the innovations-only layout; its
-    sums come from the harness's worker pool (`OU_BENCH_THREADS` applies) and
-    its estimates from `estimates_of_sums`, as in the harness, inside the
-    cell's `map_cells` call, so a value out of range names the cell.  Rows are
-    path-major, estimators in config order; degenerate paths are skipped and
-    get no row.  The paths are not verify's, which draws in the stationary
-    layout (Z_0 first).
+    Path i is the X of stream (master_seed, i)'s coupled pair, the path
+    verify draws there too; its sums come from the harness's worker pool
+    (`OU_BENCH_THREADS` applies) and its estimates from `estimates_of_sums`,
+    as in the harness, inside the cell's `map_cells` call, so a value out of
+    range names the cell.  Rows are path-major, estimators in config order;
+    degenerate paths are skipped and get no row.
     """
 
     def estimates(params, sums):
@@ -316,9 +301,7 @@ def cmd_estimate(config: RunConfig) -> list[Path]:
         return columns
 
     params = OuParams(theta=config.theta_true, delta=config.delta, n=config.n)
-    (columns,) = map_cells(
-        (params,), Variant.FROM_ZERO, config.replications, config.master_seed, estimates
-    )
+    (columns,) = map_cells((params,), config.replications, config.master_seed, estimates)
     # One line per row, as _write_table would write it: the values are
     # Python floats, which _fmt writes with repr.
     rows = [

@@ -10,15 +10,14 @@ estimator's rate bound, and measures the pathwise coupling of F_n(X) and
 F_n(Z) on the same paths (with no estimators, it measures only that coupling,
 as `ou-bench verify` does).  Per-path sums come from `map_cells`, and
 every statistic on them from `estimators`' `_of_sums` functions; `ou-bench
-estimate` uses both too, on paths in the from-zero layout instead of the
-stationary one.
+estimate` uses both too, on the same paths.
 
-Workers: each of `run_cell`, `run_schedule`, `cell_sums` and `ou-bench
-estimate` is one `map_cells` call, which opens one pool of forked worker
-processes.  The walk is one map of `simulate_block` over blocks of rows, each
-block simulated at every cell of the call: a row draws its normals once and
-each cell scans its own prefix of them.  The map is the pool's, or with one
-worker the builtin.  Once the last block is in, the caller's function runs
+Workers: each of `run_cell`, `run_schedule` and `ou-bench estimate` is one
+`map_cells` call, which opens one pool of forked worker processes.  The walk
+is one map of `simulate_block` over blocks of rows, each block simulated at
+every cell of the call: a row draws its normals once and each cell scans
+its own prefix of them.  The map is the pool's, or with one worker the
+builtin.  Once the last block is in, the caller's function runs
 on each cell, one pool task a cell (in the calling process with one
 worker), and its results come back in cell order; as it runs in a worker,
 its side effects do not reach the caller.
@@ -101,7 +100,6 @@ from .metrics import (
 from .ou_core import (
     BlockSums,
     OuParams,
-    Variant,
     block_rows,
     simulate_block,
 )
@@ -120,7 +118,6 @@ __all__ = [
     "RateFit",
     "Schedule",
     "ScheduleResult",
-    "cell_sums",
     "fit_rate",
     "map_cells",
     "parse_int",
@@ -326,15 +323,12 @@ def _each_in_worker(c: int, sums: BlockSums):
 
 def map_cells(
     cells: Sequence[OuParams],
-    variant: Variant,
     reps: int,
     master_seed: int,
     each: Callable[[OuParams, BlockSums], object],
 ) -> list:
     """[each(params, sums) for each cell], where sums are the cell's paths
-    0..reps-1, path i on stream (master_seed, i) in the variant's draw
-    layout.  In the stationary layout X and Z are the exact coupling; in the
-    from-zero layout Z is X.
+    0..reps-1: path i is the coupled pair (X, Z) of stream (master_seed, i).
 
     One map runs `simulate_block` over the blocks of rows, each block at
     every cell: a row draws its normals once, up to the largest n, and each
@@ -357,7 +351,7 @@ def map_cells(
         raise ValueError(f"replications must be >= 2, got {reps}")
     step = block_rows(max(params.n for params in cells))
     spans = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
-    jobs = [(cells, variant, master_seed, lo, hi) for lo, hi in spans]
+    jobs = [(cells, master_seed, lo, hi) for lo, hi in spans]
     workers = min(_worker_count(), len(jobs))
     # Forked, not spawned: a spawned or forkserver worker imports the package
     # first (0.44 s on a 2-core host), more than a small cell takes to
@@ -394,11 +388,6 @@ def map_cells(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return results
-
-
-def cell_sums(params: OuParams, variant: Variant, reps: int, master_seed: int) -> BlockSums:
-    """The per-path sums of one cell's paths 0..reps-1 (see `map_cells`)."""
-    return map_cells((params,), variant, reps, master_seed, lambda _, sums: sums)[0]
 
 
 def _se_check(name, exact, empirical, se, *, gated, note=""):
@@ -546,7 +535,7 @@ def run_cell(
     def summaries(params, sums):
         return _summaries(params, sums, estimators, master_seed, convention)
 
-    return map_cells((params,), Variant.STATIONARY, replications, master_seed, summaries)[0]
+    return map_cells((params,), replications, master_seed, summaries)[0]
 
 
 def fit_rate(pairs) -> RateFit:
@@ -645,9 +634,7 @@ def run_schedule(
         summaries = _summaries(params, sums, estimators, master_seed, convention)
         return summaries, _coupling_row(params, sums, convention)
 
-    per_cell, rows = zip(
-        *map_cells(schedule.cells, Variant.STATIONARY, replications, master_seed, cell)
-    )
+    per_cell, rows = zip(*map_cells(schedule.cells, replications, master_seed, cell))
     results = tuple(
         _schedule_result(schedule, estimator, summaries)
         for estimator, summaries in zip(estimators, zip(*per_cell))

@@ -6,9 +6,13 @@ regular grid t_i = i * delta, i = 0..n.  On that grid it is an exact AR(1) chain
     X_{t_{i+1}} = a X_{t_i} + sqrt(s2) xi_i,   a = e^{-theta delta},
     s2 = (1 - e^{-2 theta delta}) / (2 theta),  xi_i iid standard normal.
 
-The stationary variant starts from Z_0 ~ N(0, 1/(2 theta)) and follows the same
-recursion.  When both variants share one innovation stream the coupling identity
-X_{t_i} = Z_{t_i} - e^{-theta t_i} Z_0 holds pathwise, exactly.
+The stationary process Z starts from Z_0 ~ N(0, 1/(2 theta)) and follows the
+same recursion with the same innovations, so X_{t_i} = Z_{t_i} - e^{-theta t_i} Z_0
+holds pathwise, exactly.
+
+There is one draw layout: path i of seed s draws Z_0 and then its
+innovations from stream (s, i), and gives the coupled pair (X, Z).  The
+from-zero path is that pair's X.
 
 `simulate_block` is the one simulation kernel, with the draw layout, the
 AR(1) scan and the per-path sums; the per-path functions and the harness
@@ -33,9 +37,9 @@ from __future__ import annotations
 import enum
 import math
 import sys
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,13 +63,13 @@ _SEED_MAX = 2**64
 # Time steps per scan chunk, and values per rows x chunk array of a block.
 _SCAN_CHUNK = 16384
 _BLOCK_VALUES = 2**18
-# Each thread's block buffers and scan tables, kept from one simulate_block
-# call to the next.
-_scratch = threading.local()
+# This process's block buffers and scan tables, kept from one simulate_block
+# call to the next: each worker process has its own.
+_scratch = SimpleNamespace(shape=None, buffers=None, cells=None, tables=None)
 
 
 class Variant(enum.Enum):
-    """Initial condition of a simulated path."""
+    """Which path of the coupled pair a caller wants: X from zero or the stationary Z."""
 
     FROM_ZERO = "from-zero"
     STATIONARY = "stationary"
@@ -195,10 +199,9 @@ def block_rows(n: int) -> int:
     return max(1, _BLOCK_VALUES // min(n, _SCAN_CHUNK))
 
 
-def _scan_tables(params: OuParams, stationary: bool) -> tuple:
+def _scan_tables(params: OuParams) -> tuple:
     """a, the tables a^l and scale / a^l of one scan segment, l = 0..span-1,
-    and in the stationary layout the decay e^{-theta t_i} of the first
-    chunk, i = 0..min(n, chunk)-1 (None in the from-zero one).
+    and the decay e^{-theta t_i} of the first chunk, i = 0..min(n, chunk)-1.
 
     The span is a power of two, at most _SCAN_CHUNK (itself a power of two,
     so segments never straddle a chunk), with theta*delta*span <= 300: then
@@ -211,9 +214,7 @@ def _scan_tables(params: OuParams, stationary: bool) -> tuple:
         span //= 2
     a, s2 = transition_coefficients(params.theta, params.delta)
     a_pow = a ** np.arange(span, dtype=np.float64)
-    decay = None
-    if stationary:
-        decay = np.exp(-theta_delta * np.arange(min(params.n, _SCAN_CHUNK)))
+    decay = np.exp(-theta_delta * np.arange(min(params.n, _SCAN_CHUNK)))
     return a, a_pow, math.sqrt(s2) / a_pow, decay
 
 
@@ -249,8 +250,8 @@ def _scan(xi: np.ndarray, w: np.ndarray, x: np.ndarray, a: float, a_pow, weights
 class BlockSums:
     """Per-row sums of a block, each of shape (rows,); head is t_0..t_{n-1}, tail t_1..t_n.
 
-    Z = X + e^{-theta t} Z_0, and Z = X in the from-zero layout.  amle_num is
-    -sum x_head (x_tail - x_head); x_xi is sum x_head xi over the innovations.
+    Z = X + e^{-theta t} Z_0.  amle_num is -sum x_head (x_tail - x_head);
+    x_xi is sum x_head xi over the innovations.
     """
 
     x_head_sq: np.ndarray
@@ -263,17 +264,17 @@ class BlockSums:
 
 @dataclass(frozen=True)
 class BlockPaths:
-    """Whole rows of a block: X and the variant's values (Z or X), innovations, Z_0."""
+    """Whole rows of a block: X, Z, the innovations and Z_0."""
 
     x: np.ndarray
-    values: np.ndarray
+    z: np.ndarray
     innovations: np.ndarray
-    z0: np.ndarray | None
+    z0: np.ndarray
 
 
 def _new_buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
     """Draw, scan, x and diff buffers of one block.  The draws' column 0 takes
-    a stationary row's Z_0 and x's the scan's start column; the scan buffer
+    a row's Z_0 and x's the scan's start column; the scan buffer
     holds the rows in complex pairs (`_scan`)."""
     return (
         np.empty((rows, width + 1)),
@@ -284,23 +285,24 @@ def _new_buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
 
 
 def _thread_buffers(rows: int, width: int) -> tuple[np.ndarray, ...]:
-    """This thread's block buffers, reallocated only when the block shape changes."""
-    if getattr(_scratch, "shape", None) != (rows, width):
+    """This worker process's block buffers, reallocated only when the block
+    shape changes."""
+    if _scratch.shape != (rows, width):
         _scratch.buffers = None  # drop the old set before allocating the new one
         _scratch.buffers = _new_buffers(rows, width)
         _scratch.shape = (rows, width)
     return _scratch.buffers
 
 
-def _thread_tables(cells: Sequence[OuParams], stationary: bool) -> list:
-    """This thread's tables of the cells (`_scan_tables`), None for a cell
-    until its first scan builds them, so that a value out of range there
-    names the cell.  They are dropped only when the cells, the layout or the
-    chunk length (which bounds the tables) change: a map's every block is at
-    the same cells, and the tables of a long cell cost more than a small
-    block's scan."""
-    key = (tuple(cells), stationary, _SCAN_CHUNK)
-    if getattr(_scratch, "cells", None) != key:
+def _thread_tables(cells: Sequence[OuParams]) -> list:
+    """This worker process's tables of the cells (`_scan_tables`), None for
+    a cell until its first scan builds them, so that a value out of range
+    there names the cell.  They are dropped only when the cells or the chunk
+    length (which bounds the tables) change: a map's every block is at the
+    same cells, and the tables of a long cell cost more than a small block's
+    scan."""
+    key = (tuple(cells), _SCAN_CHUNK)
+    if _scratch.cells != key:
         _scratch.tables = [None] * len(cells)
         _scratch.cells = key
     return _scratch.tables
@@ -308,7 +310,6 @@ def _thread_tables(cells: Sequence[OuParams], stationary: bool) -> list:
 
 def simulate_block(
     cells: Sequence[OuParams],
-    variant: Variant,
     seed: int,
     lo: int,
     hi: int,
@@ -318,24 +319,22 @@ def simulate_block(
     """Simulate the paths on streams [lo, hi) of seed at every cell: the one
     simulation kernel.  One result per cell, in the order given.
 
-    Draw order is part of the determinism contract: a stationary row draws
-    Z_0 first, then the innovations; a from-zero row draws the innovations
-    only.  A row's first chunk is one draw call, Z_0 included, which gives
-    the same numbers as one call per value.  One Philox serves the block;
-    re-keyed to [seed, stream] with a zero counter and an empty buffer it
-    gives exactly path_rng(seed, stream).  Each row draws once, up to the
+    Draw order is part of the determinism contract: a row draws Z_0 first,
+    then the innovations.  A row's first chunk is one draw call, Z_0
+    included, which gives the same numbers as one call per value.  One
+    Philox serves the block; re-keyed to [seed, stream] with a zero counter
+    and an empty buffer it gives exactly path_rng(seed, stream).  Each row draws once, up to the
     largest n, and a cell of n steps takes the first n innovations, as a
     draw of n alone would give them.  X is scanned from zero by segmented
-    cumulative sums (`_scan`), and a stationary path is
-    Z = X + e^{-theta t} Z_0.
+    cumulative sums (`_scan`), and Z = X + e^{-theta t} Z_0.
 
     By default time is walked in chunks of _SCAN_CHUNK steps, carrying each
     row's generator state and, per cell, the scan's last column and the sums,
     so memory is bounded by the block size whatever n is; the buffers are
-    the calling thread's, kept for its next block.  The sums of X and X xi
-    are taken per chunk; the tail sums and the Z sums follow in closed form
-    from them, from sum e^{-theta t} X and from the end column, so no Z is
-    formed.  With ``paths`` the rows are scanned whole and returned.  Scan
+    the calling worker process's, kept for its next block.  The sums of X
+    and X xi are taken per chunk; the tail sums and the Z sums follow in
+    closed form from them, from sum e^{-theta t} X and from the end column,
+    so no Z is formed.  With ``paths`` the rows are scanned whole and returned.  Scan
     segments start at multiples of their span in absolute time, and chunks
     at multiples of every span, so no row's values depend on the chunking,
     on the block it is in or on the other cells.
@@ -345,17 +344,15 @@ def simulate_block(
     """
     n, rows = max(params.n for params in cells), hi - lo
     width = n if paths else min(n, _SCAN_CHUNK)
-    stationary = variant is Variant.STATIONARY
     sd0 = [math.sqrt(1.0 / (2.0 * params.theta)) for params in cells]
     for params, sd in zip(cells, sd0):
-        if stationary and math.isinf(sd):
-            raise NonFiniteValue(f"the stationary sd 1/sqrt(2 theta) is inf {at_cell(params)}")
-    tables = _thread_tables(cells, stationary)
+        if math.isinf(sd):
+            raise NonFiniteValue(f"Z_0's sd 1/sqrt(2 theta) is inf {at_cell(params)}")
+    tables = _thread_tables(cells)
     keys = _philox_keys(seed, lo, hi)
     bitgen = np.random.Philox(key=keys[0])
     fresh = bitgen.state if rows > 1 else None
     rng = np.random.Generator(bitgen)
-    z0s: list = [None] * len(cells)
     saved: list = [None] * rows
     # Buffers are reused from chunk to chunk, and (unless the rows are
     # returned) from block to block; a fresh 2 MiB array per step costs more
@@ -371,8 +368,8 @@ def simulate_block(
     try:
         for start in range(0, n, width):
             m = min(width, n - start)
-            # A stationary row's first call draws Z_0 and its first innovations.
-            first = 0 if stationary and not start else 1
+            # A row's first call draws Z_0 and its first innovations.
+            first = 1 if start else 0
             for k in range(rows):
                 if start:
                     bitgen.state = saved[k]
@@ -382,14 +379,14 @@ def simulate_block(
                 rng.standard_normal(out=draws[k, first : m + 1])
                 if start + m < n:
                     saved[k] = bitgen.state
-            if not first:
+            if not start:
                 z0s = [draws[:, 0] * sd for sd in sd0]
             for c, params in enumerate(cells):
                 mc = min(m, params.n - start)
                 if mc <= 0:
                     continue
                 if tables[c] is None:
-                    tables[c] = _scan_tables(params, stationary)
+                    tables[c] = _scan_tables(params)
                 a, a_pow, weights, decay = tables[c]
                 z0 = z0s[c]
                 xi = draws[:, 1 : mc + 1]
@@ -398,8 +395,7 @@ def simulate_block(
                 xc[:, 0] = carry[c]
                 _scan(xi, w_buf[:, :mc], xc, a, a_pow, weights)
                 if paths:
-                    values = xc if z0 is None else _add_start(xc, z0, params)
-                    results.append(BlockPaths(x=xc, values=values, innovations=xi, z0=z0))
+                    results.append(BlockPaths(xc, _add_start(xc, z0, params), xi, z0))
                     continue
                 x_head = xc[:, :mc]
                 total = sums[c]
@@ -407,9 +403,9 @@ def simulate_block(
                 step = np.subtract(xc[:, 1:], x_head, out=diff[:, :mc])
                 total[1] -= np.einsum("ij,ij->i", x_head, step)
                 total[2] += np.einsum("ij,ij->i", x_head, xi)
-                if z0 is not None and not start:
+                if not start:
                     total[3] += np.einsum("ij,j->i", x_head, decay[:mc])
-                elif z0 is not None:
+                else:
                     # a later chunk adds nothing once e^{-theta t} is 0 from
                     # its start on, as it often is
                     theta_delta = params.theta * params.delta
@@ -433,8 +429,6 @@ def _closed_sums(params: OuParams, sums: np.ndarray, x_n: np.ndarray, z0) -> Blo
     sum x_head xi, sum e^{-theta t} x_head), its end column X_n and Z_0."""
     x_head_sq, amle_num, x_xi, decay_x = sums
     x_tail_sq = x_head_sq + x_n * x_n
-    if z0 is None:
-        return BlockSums(x_head_sq, x_tail_sq, x_head_sq, x_tail_sq, amle_num, x_xi)
     n, theta_delta = params.n, params.theta * params.delta
     # sum_{i<n} e^{-2 theta t_i}, a geometric sum; n when theta*delta underflows to 0
     decay_sq = (
@@ -449,25 +443,23 @@ def _closed_sums(params: OuParams, sums: np.ndarray, x_n: np.ndarray, z0) -> Blo
 
 
 def simulate_path(params: OuParams, variant: Variant, seed: int, stream: int = 0) -> SamplePath:
-    """Simulate one path: a one-row simulate_block.  Innovations are retained."""
-    (block,) = simulate_block((params,), variant, seed, stream, stream + 1, paths=True)
-    z0 = None if block.z0 is None else float(block.z0[0])
-    return SamplePath(params, variant, block.values[0], block.innovations[0], z0)
+    """The variant's path of the coupled pair (`simulate_coupled`): X from
+    zero or the stationary Z.  Innovations are retained."""
+    x_path, z_path = simulate_coupled(params, seed, stream)
+    return z_path if variant is Variant.STATIONARY else x_path
 
 
 def simulate_coupled(
     params: OuParams, seed: int, stream: int = 0
 ) -> tuple[SamplePath, SamplePath]:
-    """Simulate an (X, Z) pair driven by one innovation stream.
+    """Simulate an (X, Z) pair driven by one innovation stream: a one-row
+    simulate_block.
 
     X starts at 0 and Z = X + e^{-theta t} Z_0 with Z_0 ~ N(0, 1/(2 theta)),
     the path the same AR(1) recursion gives from Z_0 with identical
-    innovations.  The stream layout is the stationary variant's (Z_0 first,
-    then innovations).
+    innovations.
     """
-    (block,) = simulate_block(
-        (params,), Variant.STATIONARY, seed, stream, stream + 1, paths=True
-    )
+    (block,) = simulate_block((params,), seed, stream, stream + 1, paths=True)
     xi, z0 = block.innovations[0], float(block.z0[0])
     x_path = SamplePath(params, Variant.FROM_ZERO, block.x[0], xi)
-    return x_path, SamplePath(params, Variant.STATIONARY, block.values[0], xi, z0)
+    return x_path, SamplePath(params, Variant.STATIONARY, block.z[0], xi, z0)

@@ -34,7 +34,6 @@ from ou_drift_bench import (
     amle,
     big_f_n,
     big_f_n_of_sums,
-    cell_sums,
     exact_k3_lambda,
     exact_k4_lambda,
     exact_var_fn_z,
@@ -55,15 +54,10 @@ from ou_drift_bench import (
 from ou_drift_bench.cli import main
 from ou_drift_bench.ou_core import simulate_block
 
-from reference import rho
+from reference import cell_sums, rho
 from test_metrics import _w1_by_quadrature
 
 SEED = 20260822
-
-
-def _row_sums(params, variant, reps):
-    """Kernel row sums of streams 0..reps-1, from the harness's worker pool."""
-    return cell_sums(params, variant, reps, SEED)
 
 
 def test_01_stationary_covariance_matches_rho_grid():
@@ -75,10 +69,8 @@ def test_01_stationary_covariance_matches_rho_grid():
     reps, n, delta = 100_000, 4, 0.5
     for idx, theta in enumerate((0.5, 1.0, 2.0)):
         params = OuParams(theta=theta, delta=delta, n=n)
-        (block,) = simulate_block(
-            (params,), Variant.STATIONARY, SEED, idx * reps, (idx + 1) * reps, paths=True
-        )
-        batch = block.values
+        (block,) = simulate_block((params,), SEED, idx * reps, (idx + 1) * reps, paths=True)
+        batch = block.z
         for i in range(n + 1):
             for j in range(n + 1):
                 prod = batch[:, i] * batch[:, j]
@@ -102,7 +94,7 @@ def test_02_var_fn_z_parity_and_monotone_asymptotic_gap():
     start = time.perf_counter()
     theta, delta, n, reps = 1.0, 0.05, 1000, 100_000
     params = OuParams(theta=theta, delta=delta, n=n)
-    sums = _row_sums(params, Variant.STATIONARY, reps)
+    sums = cell_sums(params, reps, SEED)
     f = big_f_n_of_sums(sums, params, IndexConvention.BODY)
     probe = simulate_path(params, Variant.STATIONARY, SEED, stream=7)
     probe_f = big_f_n(probe, theta)
@@ -141,7 +133,7 @@ def test_03_cumulant_oracles_fn_z_and_lambda():
 
     theta, delta, n = 1.0, 0.1, 64
     params = OuParams(theta=theta, delta=delta, n=n)
-    sums = _row_sums(params, Variant.STATIONARY, reps)
+    sums = cell_sums(params, reps, SEED)
     f = big_f_n_of_sums(sums, params, IndexConvention.BODY)
     probe = simulate_path(params, Variant.STATIONARY, SEED, stream=5)
     assert f[5] == pytest.approx(big_f_n(probe, theta), rel=1e-12, abs=1e-12)
@@ -158,7 +150,7 @@ def test_03_cumulant_oracles_fn_z_and_lambda():
 
     theta, delta, n = 1.0, 0.05, 256
     params = OuParams(theta=theta, delta=delta, n=n)
-    sums = _row_sums(params, Variant.FROM_ZERO, reps)
+    sums = cell_sums(params, reps, SEED)
     lam = lambda_n_of_sums(sums, params) / math.sqrt(n * delta)
     probe = simulate_path(params, Variant.FROM_ZERO, SEED, stream=3)
     probe_lam = lambda_n(probe) / math.sqrt(params.horizon)

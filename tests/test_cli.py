@@ -22,17 +22,15 @@ from ou_drift_bench import (
     exact_var_fn_z,
     harness,
     k3_fn_z,
+    simulate_coupled,
     simulate_path,
 )
 from ou_drift_bench import cli
-from ou_drift_bench.cli import CSV_SCHEMA_LINE, build_config, main, read_bench_csv
+from ou_drift_bench.cli import CSV_SCHEMA_LINE, build_config, main
 from ou_drift_bench.errors import ConfigError, ExcessiveDegeneracy
 from ou_drift_bench.ou_core import simulate_block
 
-
-def _rows(path: Path):
-    header, rows = read_bench_csv(path)
-    return header, rows
+from reference import read_bench_csv
 
 
 def test_simulate_row_count_and_schema(tmp_path):
@@ -42,7 +40,7 @@ def test_simulate_row_count_and_schema(tmp_path):
     target = out / "paths.csv"
     text = target.read_text()
     assert text.splitlines()[0] == CSV_SCHEMA_LINE
-    header, rows = _rows(target)
+    header, rows = read_bench_csv(target)
     assert header[:2] == ["t", "x"]
     assert len(rows) == 5
     assert float(rows[0]["x"]) == 0.0
@@ -53,13 +51,13 @@ def test_simulate_variant_columns(tmp_path):
     out = tmp_path / "stat"
     assert main(["simulate", "--n", "3", "--variant", "stationary",
                  "--out", str(out)]) == 0
-    header, _ = _rows(out / "paths.csv")
+    header, _ = read_bench_csv(out / "paths.csv")
     assert header == ["t", "z"]
 
     out2 = tmp_path / "coupled"
     assert main(["simulate", "--n", "3", "--variant", "stationary", "--coupled",
                  "--out", str(out2)]) == 0
-    header2, rows2 = _rows(out2 / "paths.csv")
+    header2, rows2 = read_bench_csv(out2 / "paths.csv")
     assert header2 == ["t", "z", "x"]
     # coupled pair shares the stationary path minus the decayed start
     assert float(rows2[0]["x"]) == 0.0
@@ -85,7 +83,7 @@ def test_estimate_outputs_records(tmp_path):
     out = tmp_path / "est"
     assert main(["estimate", "--n", "200", "--delta", "0.05", "--reps", "8",
                  "--seed", "3", "--out", str(out)]) == 0
-    header, rows = _rows(out / "estimates.csv")
+    header, rows = read_bench_csv(out / "estimates.csv")
     assert header == ["estimator", "path", "estimate", "denominator", "normalized_error"]
     # both estimators on each of the 8 paths
     assert len(rows) == 16
@@ -103,7 +101,7 @@ def test_estimate_rows_match_per_path_api(tmp_path, n, convention):
     assert main(["estimate", "--n", str(n), "--delta", str(delta), "--theta", str(theta),
                  "--reps", str(reps), "--index-convention", convention, "--seed", "4",
                  "--out", str(out)]) == 0
-    _, rows = _rows(out / "estimates.csv")
+    _, rows = read_bench_csv(out / "estimates.csv")
     params = OuParams(theta=theta, delta=delta, n=n)
     expected = []
     for index in range(reps):
@@ -125,11 +123,39 @@ def test_estimate_rows_match_per_path_api(tmp_path, n, convention):
             ), column
 
 
+def test_simulate_from_zero_is_the_coupled_x(tmp_path):
+    # one draw layout: the from-zero path is the X of the coupled pair
+    argv = ["simulate", "--n", "500", "--seed", "7", "--out"]
+    assert main(argv + [str(tmp_path / "x")]) == 0
+    assert main(argv + [str(tmp_path / "zx"), "--variant", "stationary", "--coupled"]) == 0
+    _, alone = read_bench_csv(tmp_path / "x" / "paths.csv")
+    _, coupled = read_bench_csv(tmp_path / "zx" / "paths.csv")
+    assert [r["x"] for r in alone] == [r["x"] for r in coupled]
+    assert len(alone) == 501
+
+
+def test_estimate_rows_are_the_coupled_x_estimates(tmp_path):
+    # estimate draws the paths verify and rates draw: path i is the X of
+    # stream i's coupled pair
+    out = tmp_path / "est"
+    params = OuParams(theta=0.7, delta=0.1, n=250)
+    assert main(["estimate", "--n", "250", "--delta", "0.1", "--theta", "0.7", "--reps", "6",
+                 "--seed", "11", "--out", str(out)]) == 0
+    _, rows = read_bench_csv(out / "estimates.csv")
+    assert len(rows) == 12
+    for row in rows:
+        x, _ = simulate_coupled(params, 11, stream=int(row["path"]))
+        estimator = amce if row["estimator"] == "amce" else amle
+        record = estimator(x, 0.7)
+        for column in ("estimate", "denominator", "normalized_error"):
+            assert float(row[column]) == pytest.approx(getattr(record, column), rel=1e-12)
+
+
 def test_oracle_values_round_trip(tmp_path):
     out = tmp_path / "orc"
     assert main(["oracle", "--theta", "3.0", "--n", "64", "--delta", "0.1",
                  "--out", str(out)]) == 0
-    header, rows = _rows(out / "oracle.csv")
+    header, rows = read_bench_csv(out / "oracle.csv")
     assert header == ["quantity", "exact", "asymptotic", "bound"]
     by_name = {r["quantity"]: r for r in rows}
     expected = exact_var_fn_z(OuParams(theta=3.0, delta=0.1, n=64))
@@ -144,7 +170,7 @@ def test_oracle_rows_filled_at_large_n(tmp_path, capsys):
         out = tmp_path / f"orc-{n}"
         assert main(["oracle", "--n", str(n), "--delta", "0.05", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
-        _, rows = _rows(out / "oracle.csv")
+        _, rows = read_bench_csv(out / "oracle.csv")
         by_name = {r["quantity"]: r for r in rows}
         assert all(r["exact"] != "" for r in rows)
         assert float(by_name["k3_fn_z"]["exact"]) == k3_fn_z(OuParams(theta=1.0, delta=0.05, n=n))
@@ -181,7 +207,7 @@ def test_oracle_rows_finite_at_tiny_delta(tmp_path):
     for argv in (["--delta", "1e-200"], ["--theta", "1e-100", "--delta", "1e-100", "--n", "4"]):
         out = tmp_path / "-".join(argv)
         assert main(["oracle", *argv, "--out", str(out)]) == 0
-        _, rows = _rows(out / "oracle.csv")
+        _, rows = read_bench_csv(out / "oracle.csv")
         values = [float(r[c]) for r in rows for c in ("exact", "asymptotic", "bound")]
         assert len(values) == 15 and all(math.isfinite(v) for v in values)
 
@@ -192,7 +218,7 @@ def test_simulate_where_two_theta_delta_underflows(tmp_path):
     out = tmp_path / "s"
     argv = ["simulate", "--theta", "1e-200", "--delta", "1e-200", "--n", "5", "--seed", "5"]
     assert main(argv + ["--out", str(out)]) == 0
-    _, rows = _rows(out / "paths.csv")
+    _, rows = read_bench_csv(out / "paths.csv")
     x = [float(r["x"]) for r in rows]
     path = simulate_path(OuParams(theta=1e-200, delta=1e-200, n=5), Variant.FROM_ZERO, 5)
     want = 1e-100 * np.cumsum(path.innovations)
@@ -266,11 +292,11 @@ def test_no_worker_outlives_a_command(tmp_path, recorded_blocks):
         assert multiprocessing.active_children() == [], argv
 
 
-def _failing_block(error, at, cells, variant, seed, lo, hi):
+def _failing_block(error, at, cells, seed, lo, hi):
     """The kernel, except that the block of streams from `at` raises error."""
     if lo == at:
         raise error(f"stop at streams {lo}..{hi}")
-    return simulate_block(cells, variant, seed, lo, hi)
+    return simulate_block(cells, seed, lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -320,7 +346,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     # flag overrides the file value for theta, file wins for delta
     assert main(["oracle", "--config", str(cfg), "--theta", "3.0", "--n", "32",
                  "--out", str(out)]) == 0
-    _, rows = _rows(out / "oracle.csv")
+    _, rows = read_bench_csv(out / "oracle.csv")
     by_name = {r["quantity"]: r for r in rows}
     expected = exact_var_fn_z(OuParams(theta=3.0, delta=0.2, n=32))
     assert float(by_name["var_fn_z"]["exact"]) == expected
@@ -475,9 +501,10 @@ def test_readme_csv_table_lists_the_columns():
 
 
 def test_read_bench_csv_rejects_foreign_schema(tmp_path):
+    # the tests' reader, so every CSV they read is checked for the schema line
     alien = tmp_path / "alien.csv"
     alien.write_text("# some other tool v9\na,b\n1,2\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="schema line"):
         read_bench_csv(alien)
 
 
@@ -497,15 +524,15 @@ def test_rates_coupling_sweep_outputs(tmp_path):
     out = tmp_path / "sweep"
     assert main(["rates", "--preset", "coupling-sweep", "--reps", "300",
                  "--estimator", "amce", "--out", str(out)]) == 0
-    header, rows = _rows(out / "cells.csv")
+    header, rows = read_bench_csv(out / "cells.csv")
     assert len(rows) == 3
     for col in ("estimator", "n", "delta", "T", "w1", "w1_se", "kolmogorov"):
         assert col in header
-    _, crows = _rows(out / "coupling.csv")
+    _, crows = read_bench_csv(out / "coupling.csv")
     assert len(crows) == 3
     assert (out / "report.md").exists()
     # no rate fit on a non-CLT schedule
-    _, rrows = _rows(out / "rates.csv")
+    _, rrows = read_bench_csv(out / "rates.csv")
     assert rrows == []
 
 
@@ -513,13 +540,13 @@ def test_rates_clt_preset_emits_fits_and_plotdata(tmp_path):
     out = tmp_path / "clt"
     assert main(["rates", "--preset", "amce-gamma-half", "--reps", "120",
                  "--estimator", "amce", "--out", str(out)]) == 0
-    _, rrows = _rows(out / "rates.csv")
+    _, rrows = read_bench_csv(out / "rates.csv")
     assert len(rrows) == 2
     kinds = {r["predictor"] for r in rrows}
     assert "delta^2 + (n delta)^(-1/2)" in kinds
     for r in rrows:
         assert float(r["slope"]) > 0.0
-    header, prows = _rows(out / "plotdata.csv")
+    header, prows = read_bench_csv(out / "plotdata.csv")
     assert len(prows) == 7
     assert header == ["estimator", "n", "delta", "T", "bound_term_1",
                       "bound_term_2", "w1", "w1_se", "kolmogorov"]
@@ -533,7 +560,7 @@ def test_rates_labels_each_fit(tmp_path):
     out = tmp_path / "amle"
     assert main(["rates", "--preset", "amle-gamma-3q", "--reps", "100",
                  "--estimator", "both", "--out", str(out)]) == 0
-    _, rrows = _rows(out / "rates.csv")
+    _, rrows = read_bench_csv(out / "rates.csv")
     labels = [[r[k] for k in ("schedule", "estimator", "response", "predictor")] for r in rrows]
     amce_bound = "delta^2 + (n delta)^(-1/2)"
     amle_bound = "(n delta)^(-1/2) + (n delta^3)^(1/2)"
@@ -602,9 +629,10 @@ def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threa
     "argv, message",
     [
         (["simulate", "--variant", "stationary", "--theta", "5e-324", "--n", "60"],
-         "the stationary sd 1/sqrt(2 theta) is inf at cell (theta=5e-324, delta=0.05, n=60)"),
+         "Z_0's sd 1/sqrt(2 theta) is inf at cell (theta=5e-324, delta=0.05, n=60)"),
         (["simulate", "--n", "36", "--delta", "1.7976931348623157e+308"],
-         "overflow encountered in multiply; a value leaves the range of a double"),
+         "a value leaves the range of a double at cell "
+         "(theta=1.0, delta=1.7976931348623157e+308, n=36): overflow encountered in multiply"),
         (["estimate", "--n", "17", "--delta", "1.7976931348623157e+308", "--reps", "2"],
          "a value leaves the range of a double at cell "
          "(theta=1.0, delta=1.7976931348623157e+308, n=17): overflow encountered in multiply"),
@@ -619,9 +647,13 @@ def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threa
           "1.7976931348623157e+308"],
          "a value leaves the range of a double at cell "
          "(theta=1.0, delta=1.7976931348623157e+308, n=36): overflow encountered in multiply"),
+        # Z_0^2 sum e^{-2 theta t_i}, about n / (2 theta), overflows in the Z sums
+        (["estimate", "--n", "50", "--theta", "3e-308"],
+         "a value leaves the range of a double at cell (theta=3e-308, delta=0.05, n=50): "
+         "overflow encountered in multiply"),
     ],
     ids=["stationary-sd", "times", "estimate-sums", "verify-in-workers", "rates-names-the-cell",
-         "simulate-names-the-cell"],
+         "simulate-names-the-cell", "estimate-small-theta"],
 )
 def test_value_out_of_double_range_is_an_error(tmp_path, capsys, monkeypatch, argv, message):
     # Found by test_fuzz: the first ended in a ValueError traceback, the

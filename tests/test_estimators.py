@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ou_drift_bench import (
     DegenerateDenominator,
@@ -17,11 +19,16 @@ from ou_drift_bench import (
     amle,
     big_f_n,
     big_f_n_of_sums,
-    cell_sums,
     decomposition_residual,
     estimates_of_sums,
+    exact_k3_lambda,
+    exact_k4_lambda,
+    exact_var_fn_z,
+    exact_var_lambda,
     f_n,
     f_n_of_sums,
+    k3_fn_z,
+    k4_fn_z_bound,
     lambda_n,
     lambda_n_of_sums,
     normalized_error,
@@ -29,6 +36,8 @@ from ou_drift_bench import (
     simulate_path,
     transition_coefficients,
 )
+
+from reference import cell_sums
 
 
 def _hand_path(values, theta=1.0, delta=0.1, innovations=None):
@@ -222,7 +231,7 @@ def test_sum_side_statistics_match_the_per_path_references(convention):
     # with its independently coded per-path reference on every path.
     p = OuParams(theta=1.3, delta=0.05, n=300)
     reps = 40
-    sums = cell_sums(p, Variant.STATIONARY, reps, 17)
+    sums = cell_sums(p, reps, 17)
     fx, fz = f_n_of_sums(sums, p, convention)
     big_f = big_f_n_of_sums(sums, p, convention)
     lam = lambda_n_of_sums(sums, p)
@@ -251,7 +260,7 @@ def test_sum_side_estimates_skip_degenerate_paths():
     # AMLE denominator, so every path is degenerate there; the abstract AMCE
     # window X_{t_1} is not.
     p = OuParams(theta=1.0, delta=0.1, n=1)
-    sums = cell_sums(p, Variant.FROM_ZERO, 5, 3)
+    sums = cell_sums(p, 5, 3)
     for estimator, convention, kept in (
         (Estimator.AMLE, IndexConvention.BODY, 0),
         (Estimator.AMCE, IndexConvention.BODY, 0),
@@ -286,3 +295,42 @@ def test_estimator_consistency_monte_carlo():
         small_gap, small_se = gaps[(label, 100_000)]
         assert small_gap <= 4.0 * small_se + 0.005
         assert small_gap < big_gap
+
+
+# Each exact oracle and its power of c under (theta, delta) -> (c theta, delta / c).
+_SCALED_ORACLES = (
+    (exact_var_fn_z, -3.0), (k3_fn_z, -4.5), (k4_fn_z_bound, -6.0),
+    (exact_var_lambda, -1.0), (exact_k3_lambda, -1.5), (exact_k4_lambda, -2.0),
+)
+
+
+@settings(deadline=None)
+@given(
+    theta=st.floats(0.25, 4.0),
+    delta=st.floats(1e-3, 1.0),
+    n=st.integers(2, 200),
+    c=st.sampled_from([0.5, 2.0, 3.0, 4.0]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_normalized_errors_invariant_under_time_scaling(theta, delta, n, c, seed):
+    # Under (theta, delta) -> (c theta, delta / c), a is unchanged and s2
+    # scales as 1/c: on the same draws every path scales as c^{-1/2} and
+    # every estimate as c, so each normalized error is unchanged.  Rounding
+    # apart: the gap measured at most 25 eps max |error| over 6000 draws,
+    # and 0 at c = 4, where every factor is a power of two.  32 paths are
+    # one block, simulated in this process.
+    p, q = OuParams(theta, delta, n), OuParams(c * theta, delta / c, n)
+    sums_p, sums_q = cell_sums(p, 32, seed), cell_sums(q, 32, seed)
+    for estimator in Estimator:
+        est_p, _, good_p = estimates_of_sums(sums_p, p, estimator, IndexConvention.BODY)
+        est_q, _, good_q = estimates_of_sums(sums_q, q, estimator, IndexConvention.BODY)
+        assert np.array_equal(good_p, good_q)
+        err_p, err_q = normalized_error(est_p, p, theta), normalized_error(est_q, q, c * theta)
+        scale = np.finfo(float).eps * float(np.max(np.abs(err_p)))
+        assert float(np.max(np.abs(err_q - err_p))) <= 128 * scale, estimator
+    # F_n(Z) = sqrt(T) (f_n(Z) - 1/(2 theta)) scales as c^{-3/2} and
+    # Lambda_n / sqrt(T) as c^{-1/2}, so a cumulant of order k scales by the
+    # k-th power of that
+    for oracle, power in _SCALED_ORACLES:
+        want = c**power * oracle(p)
+        assert abs(oracle(q) - want) <= 1e-12 * abs(want), oracle.__name__

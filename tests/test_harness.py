@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ou_drift_bench import (
+    GATE_SE,
     ConfigError,
     Estimator,
     IndexConvention,
@@ -23,9 +24,9 @@ from ou_drift_bench import (
     Schedule,
     Variant,
     amle,
-    cell_sums,
     exact_var_fn_z,
     f_n,
+    f_n_of_sums,
     fit_rate,
     harness,
     lambda_n,
@@ -37,6 +38,8 @@ from ou_drift_bench import (
     simulate_coupled,
     transition_coefficients,
 )
+
+from reference import PAIR_FIELDS, cell_sums, coupling_second_moment
 
 SEED = 20260822
 
@@ -168,7 +171,7 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
     p = OuParams(theta=1.0, delta=0.05, n=3 * 64 + 17)
     monkeypatch.setenv("OU_BENCH_THREADS", "1")
-    stats = cell_sums(p, Variant.STATIONARY, 130, SEED)
+    stats = cell_sums(p, 130, SEED)
     ref = _per_path_stats(p, 130, SEED)
     for name in _STATS_FIELDS:
         np.testing.assert_allclose(
@@ -177,9 +180,9 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
 
     # Enough rows for two blocks, so two workers really split the cell.
     reps = ou_core.block_rows(p.n) + 100
-    serial = cell_sums(p, Variant.STATIONARY, reps, SEED)
+    serial = cell_sums(p, reps, SEED)
     monkeypatch.setenv("OU_BENCH_THREADS", "2")
-    threaded = cell_sums(p, Variant.STATIONARY, reps, SEED)
+    threaded = cell_sums(p, reps, SEED)
     for name in _STATS_FIELDS:
         assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
 
@@ -188,10 +191,10 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_map_cells_matches_each_cell_alone(monkeypatch, variant, threads):
     # A row draws its normals once for every cell of a map, and each cell
-    # scans its own prefix of them: its sums must be those of the cell
-    # simulated alone, byte for byte.  n = 209 is three chunks and a
-    # partial one, n = 40 less than one chunk, and at theta*delta = 5 a
-    # chunk is two scan segments.
+    # scans its own prefix of them: the sums of the variant's path of the
+    # pair must be those of the cell simulated alone, byte for byte.  n = 209
+    # is three chunks and a partial one, n = 40 less than one chunk, and at
+    # theta*delta = 5 a chunk is two scan segments.
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
     cells = (
         OuParams(theta=0.5, delta=0.2, n=40),
@@ -201,10 +204,11 @@ def test_map_cells_matches_each_cell_alone(monkeypatch, variant, threads):
     # two blocks, so two workers really split the map
     reps = ou_core.block_rows(3 * 64 + 17) + 100
     monkeypatch.setenv("OU_BENCH_THREADS", threads)
-    together = harness.map_cells(cells, variant, reps, SEED, lambda _, sums: sums)
+    together = harness.map_cells(cells, reps, SEED, lambda _, sums: sums)
+    names = [name for name in _STATS_FIELDS if name in PAIR_FIELDS[variant]]
     for params, sums in zip(cells, together):
-        alone = cell_sums(params, variant, reps, SEED)
-        for name in _STATS_FIELDS:
+        alone = cell_sums(params, reps, SEED)
+        for name in names:
             got, want = getattr(sums, name), getattr(alone, name)
             assert got.tobytes() == want.tobytes(), (params, name)
 
@@ -229,7 +233,7 @@ def test_each_runs_in_the_workers(monkeypatch, threads):
         return params.n, os.getpid()
 
     reps = ou_core.block_rows(100) + 100
-    got = harness.map_cells(_EACH_CELLS, Variant.STATIONARY, reps, SEED, each)
+    got = harness.map_cells(_EACH_CELLS, reps, SEED, each)
     assert [n for n, _ in got] == [40, 64, 100]
     if threads == "1":
         assert {pid for _, pid in got} == {os.getpid()}
@@ -258,7 +262,7 @@ def test_each_error_names_the_first_failing_cell(monkeypatch, threads, error, ra
 
     reps = ou_core.block_rows(100) + 100
     with pytest.raises(raised, match="stop at n=64") as info:
-        harness.map_cells(_EACH_CELLS, Variant.STATIONARY, reps, SEED, each)
+        harness.map_cells(_EACH_CELLS, reps, SEED, each)
     if raised is NonFiniteValue:
         assert "at cell (theta=1.0, delta=0.05, n=64)" in str(info.value)
 
@@ -278,7 +282,7 @@ def test_long_cell_memory_bounded(monkeypatch, n, reps):
         cells = (OuParams(theta=1.0, delta=0.05, n=n),)
     tracemalloc.start()
     try:
-        harness.map_cells(cells, Variant.STATIONARY, reps, SEED, lambda _, sums: sums)
+        harness.map_cells(cells, reps, SEED, lambda _, sums: sums)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -475,4 +479,22 @@ def test_coupling_check_contracted_sweep():
     for row in report.rows:
         assert row.l2 > 0.0
         assert row.l2_scaled == pytest.approx(row.l2 * row.n * row.delta, rel=1e-12)
+
+
+def test_coupling_second_moment_matches_exact():
+    # At each coupling-sweep cell the mean of (F_n(X) - F_n(Z))^2 =
+    # T (f_n(X) - f_n(Z))^2 over 10^4 coupled paths is within GATE_SE
+    # standard errors of its exact value; a Z_0 drawn at 1.1 sigma fails
+    # here, though the factor-10 spread passes.
+    cells = preset_schedule("coupling-sweep").cells
+    reps = 10_000
+
+    def squares(params, sums):
+        fx, fz = f_n_of_sums(sums, params, IndexConvention.BODY)
+        return params.horizon * (fx - fz) ** 2
+
+    for params, sq in zip(cells, harness.map_cells(cells, reps, SEED, squares)):
+        mean, exact = float(np.mean(sq)), coupling_second_moment(params)
+        se = float(np.std(sq, ddof=1)) / math.sqrt(reps)
+        assert abs(mean - exact) <= GATE_SE * se, (params, mean, exact, se)
 

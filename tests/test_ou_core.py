@@ -1,9 +1,9 @@
 """Exact discretization, path simulation, and the stationary coupling."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from ou_drift_bench import (
 )
 from ou_drift_bench.ou_core import simulate_block
 
-from reference import rho, row_scan
+from reference import PAIR_FIELDS, rho, row_scan
 
 
 def test_transition_coefficients_closed_form():
@@ -174,14 +174,13 @@ def test_path_rng_streams_are_reproducible_and_distinct():
 _U64 = 2**64
 
 
-def _reference_rows(p, variant, seed, lo, hi):
+def _reference_rows(p, seed, lo, hi):
     """Z_0, innovations and from-zero X of streams [lo, hi), one path_rng each."""
     a, s2 = transition_coefficients(p.theta, p.delta)
     z0, xi, x = [], [], np.zeros((hi - lo, p.n + 1))
     for k, stream in enumerate(range(lo, hi)):
         rng = path_rng(seed, stream)
-        if variant is Variant.STATIONARY:
-            z0.append(rng.standard_normal() * math.sqrt(1.0 / (2.0 * p.theta)))
+        z0.append(rng.standard_normal() * math.sqrt(1.0 / (2.0 * p.theta)))
         xi.append(rng.standard_normal(p.n))
         for i in range(p.n):
             x[k, i + 1] = a * x[k, i] + math.sqrt(s2) * xi[k][i]
@@ -195,32 +194,40 @@ def _reference_rows(p, variant, seed, lo, hi):
     ids=["from-stream-0", "offset-block", "streams-near-2^64"],
 )
 def test_block_draw_layout_matches_path_rng(variant, seed, lo, hi):
-    # Z_0 (stationary only) then the innovations, bit for bit as path_rng
-    # draws them; the one scan gives X and Z = X + e^{-theta t} Z_0.
+    # Z_0 then the innovations, bit for bit as path_rng draws them; the one
+    # scan gives X and Z = X + e^{-theta t} Z_0, and simulate_path the
+    # variant's path of each row.
     p = OuParams(theta=0.7, delta=0.1, n=40)
-    (block,) = simulate_block((p,), variant, seed, lo, hi, paths=True)
-    z0, xi, x = _reference_rows(p, variant, seed, lo, hi)
+    (block,) = simulate_block((p,), seed, lo, hi, paths=True)
+    z0, xi, x = _reference_rows(p, seed, lo, hi)
     assert np.array_equal(block.innovations, xi)
-    np.testing.assert_allclose(block.x, x, rtol=1e-12, atol=1e-14)
     if variant is Variant.STATIONARY:
         assert np.array_equal(block.z0, z0)
         decay = np.exp(-p.theta * p.times())
-        np.testing.assert_allclose(block.values, x + np.outer(z0, decay), rtol=1e-12, atol=1e-14)
-        assert np.array_equal(block.values[:, 0], z0)
+        np.testing.assert_allclose(block.z, x + np.outer(z0, decay), rtol=1e-12, atol=1e-14)
+        assert np.array_equal(block.z[:, 0], z0)
+        rows = block.z
     else:
-        assert block.z0 is None and block.values is block.x
+        np.testing.assert_allclose(block.x, x, rtol=1e-12, atol=1e-14)
+        assert np.all(block.x[:, 0] == 0.0)
+        rows = block.x
+    for k, stream in enumerate(range(lo, hi)):
+        path = simulate_path(p, variant, seed, stream)
+        assert path.values.tobytes() == rows[k].tobytes()
+        assert path.innovations.tobytes() == xi[k].tobytes()
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_block_sums_of_long_rows_split_across_chunks(monkeypatch, variant):
     # Rows of 3 chunks of 8 steps and a partial one: the generator state, the
-    # scan state and the decay offsets must carry across chunk boundaries.
+    # scan state and (for Z) the decay offsets must carry across chunk
+    # boundaries, in the sums of the variant's path of the pair.
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 8)
     p = OuParams(theta=1.3, delta=0.07, n=3 * 8 + 5)
     seed, lo, hi = 5, 17, 21
-    (sums,) = simulate_block((p,), variant, seed, lo, hi)
-    z0, xi, x = _reference_rows(p, variant, seed, lo, hi)
-    z = x if variant is Variant.FROM_ZERO else x + np.outer(z0, np.exp(-p.theta * p.times()))
+    (sums,) = simulate_block((p,), seed, lo, hi)
+    z0, xi, x = _reference_rows(p, seed, lo, hi)
+    z = x + np.outer(z0, np.exp(-p.theta * p.times()))
     head, tail = x[:, :-1], x[:, 1:]
     expected = {
         "x_head_sq": np.sum(head**2, axis=1),
@@ -230,13 +237,15 @@ def test_block_sums_of_long_rows_split_across_chunks(monkeypatch, variant):
         "amle_num": -np.sum(head * (tail - head), axis=1),
         "x_xi": np.sum(head * xi, axis=1),
     }
-    for name, want in expected.items():
-        np.testing.assert_allclose(getattr(sums, name), want, rtol=1e-12, err_msg=name)
+    for name in PAIR_FIELDS[variant]:
+        if name in expected:
+            np.testing.assert_allclose(getattr(sums, name), expected[name], rtol=1e-12,
+                                       err_msg=name)
 
 
 def _scan_by_chunks(p, xi, chunk):
     """X of the rows xi, scanned by ou_core._scan a chunk at a time with the state carried."""
-    a, a_pow, weights, _ = ou_core._scan_tables(p, False)
+    a, a_pow, weights, _ = ou_core._scan_tables(p)
     x, w = np.zeros((xi.shape[0], p.n + 1)), np.empty(((xi.shape[0] + 1) // 2, chunk), complex)
     for start in range(0, p.n, chunk):
         m = min(chunk, p.n - start)
@@ -259,7 +268,7 @@ def test_scan_matches_long_double_recursion(monkeypatch, theta, delta):
     # 1024 steps, of 1 to 512 segments each, scanned with the state carried.
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 1024)
     p = OuParams(theta=theta, delta=delta, n=4 * 1024 + 500)
-    _, a_pow, weights, _ = ou_core._scan_tables(p, False)
+    _, a_pow, weights, _ = ou_core._scan_tables(p)
     span = a_pow.size
     assert span & (span - 1) == 0 and span <= 1024
     assert theta * delta * span <= 300.0 or span == 1
@@ -284,16 +293,17 @@ def test_scan_matches_long_double_recursion(monkeypatch, theta, delta):
 def test_whole_rows_scan_as_chunks_bit_for_bit(monkeypatch, variant, theta, delta):
     # paths=True scans each row whole; the sums path scans it chunk by chunk.
     # Scan segments start at multiples of their span in absolute time, so
-    # both give the same X bits, whether a chunk is one segment or two.
+    # both give the same X bits, whether a chunk is one segment or two, and
+    # the sums of the variant's path of the pair are those of the whole rows.
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
     p = OuParams(theta=theta, delta=delta, n=3 * 64 + 17)
     seed, lo, hi = 5, 17, 21
-    (block,) = simulate_block((p,), variant, seed, lo, hi, paths=True)
+    (block,) = simulate_block((p,), seed, lo, hi, paths=True)
     x = _scan_by_chunks(p, block.innovations, 64)
     assert np.array_equal(x, block.x)
 
-    (sums,) = simulate_block((p,), variant, seed, lo, hi)
-    z = block.values
+    (sums,) = simulate_block((p,), seed, lo, hi)
+    z = block.z
     head, tail = x[:, :-1], x[:, 1:]
     expected = {
         "x_head_sq": np.sum(head**2, axis=1),
@@ -303,8 +313,10 @@ def test_whole_rows_scan_as_chunks_bit_for_bit(monkeypatch, variant, theta, delt
         "amle_num": -np.sum(head * (tail - head), axis=1),
         "x_xi": np.sum(head * block.innovations, axis=1),
     }
-    for name, want in expected.items():
-        np.testing.assert_allclose(getattr(sums, name), want, rtol=1e-12, err_msg=name)
+    for name in PAIR_FIELDS[variant]:
+        if name in expected:
+            np.testing.assert_allclose(getattr(sums, name), expected[name], rtol=1e-12,
+                                       err_msg=name)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 16, 17])
@@ -314,7 +326,7 @@ def test_paired_scan_matches_row_scan_bit_for_bit(rows):
     # zeroed, or its cumulative sum of 1e308s overflows.  At theta*delta = 5
     # a span is 32 steps, so 200 steps are seven segments, the last partial.
     p = OuParams(theta=5.0, delta=1.0, n=200)
-    a, a_pow, weights, _ = ou_core._scan_tables(p, False)
+    a, a_pow, weights, _ = ou_core._scan_tables(p)
     assert a_pow.size == 32
     rng = np.random.default_rng(rows)
     xi = rng.standard_normal((rows, p.n))
@@ -331,47 +343,46 @@ def test_paired_scan_matches_row_scan_bit_for_bit(rows):
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("rows", [1, 2, 3, 16, 17])
 def test_block_of_paired_scans_matches_row_scans(monkeypatch, rows, variant, paths):
-    # The kernel's every output, byte for byte as with each row scanned
-    # alone: 3 chunks of 64 steps and a partial one, of two 32-step spans
-    # each at theta*delta = 5, and a cell shorter than a chunk.
+    # The kernel's every output for the variant's path of the pair, byte for
+    # byte as with each row scanned alone: 3 chunks of 64 steps and a partial
+    # one, of two 32-step spans each at theta*delta = 5, and a cell shorter
+    # than a chunk.
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
     cells = (OuParams(theta=5.0, delta=1.0, n=3 * 64 + 17), OuParams(theta=1.0, delta=0.05, n=40))
-    got = simulate_block(cells, variant, 5, 17, 17 + rows, paths=paths)
+    got = simulate_block(cells, 5, 17, 17 + rows, paths=paths)
     monkeypatch.setattr(
         ou_core, "_scan", lambda xi, w, x, *tables: row_scan(xi, np.empty(xi.shape), x, *tables)
     )
-    want = simulate_block(cells, variant, 5, 17, 17 + rows, paths=paths)
+    want = simulate_block(cells, 5, 17, 17 + rows, paths=paths)
     for got_cell, want_cell in zip(got, want, strict=True):
-        for f in fields(want_cell):
-            value = getattr(want_cell, f.name)
-            if value is None:
-                assert getattr(got_cell, f.name) is None, f.name
-            else:
-                assert getattr(got_cell, f.name).tobytes() == value.tobytes(), f.name
+        names = [f.name for f in fields(want_cell) if f.name in PAIR_FIELDS[variant]]
+        for name in names:
+            assert getattr(got_cell, name).tobytes() == getattr(want_cell, name).tobytes(), name
 
 
 def test_block_buffers_reused_across_calls_leak_nothing(monkeypatch):
-    # A thread keeps its block buffers and scan tables from call to call;
-    # each call must give the bits a fresh thread gives, whatever the
+    # A worker process keeps its block buffers and scan tables from call to
+    # call; each call must give the bits a fresh process gives, whatever the
     # previous call left behind, also after the chunk length changed: the
     # tables of a 64-step chunk cut a 300-step row into other segments.
     p = OuParams(theta=0.7, delta=0.1, n=40)
     long = OuParams(theta=0.7, delta=0.1, n=300)
     calls = [
-        ((p,), Variant.STATIONARY, 3, 0, 5),
-        ((OuParams(theta=1.3, delta=0.2, n=40),), Variant.FROM_ZERO, 3, 5, 10),
-        ((OuParams(theta=0.7, delta=0.1, n=33),), Variant.STATIONARY, 9, 0, 7),
-        ((p,), Variant.STATIONARY, 3, 0, 5),
-        ((p, long), Variant.STATIONARY, 3, 0, 5),
+        ((p,), 3, 0, 5),
+        ((OuParams(theta=1.3, delta=0.2, n=40),), 3, 5, 10),
+        ((OuParams(theta=0.7, delta=0.1, n=33),), 9, 0, 7),
+        ((p,), 3, 0, 5),
+        ((p, long), 3, 0, 5),
     ]
     in_turn = [simulate_block(*call) for call in calls[:-1]]
-    monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
-    simulate_block(*calls[-1])
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(ou_core, "_SCAN_CHUNK", 64)
+        simulate_block(*calls[-1])
     in_turn.append(simulate_block(*calls[-1]))
+    fresh = dict.fromkeys(vars(ou_core._scratch))  # what a new process starts with
     for call, got in zip(calls, in_turn):
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            want = pool.submit(simulate_block, *call).result()
+        monkeypatch.setattr(ou_core, "_scratch", SimpleNamespace(**fresh))
+        want = simulate_block(*call)
         for got_cell, want_cell in zip(got, want, strict=True):
             for f in fields(want_cell):
                 assert np.array_equal(getattr(got_cell, f.name), getattr(want_cell, f.name)), f.name
@@ -384,7 +395,6 @@ def test_block_buffers_reused_across_calls_leak_nothing(monkeypatch):
 )
 def test_block_rejects_out_of_range_keys(seed, lo, hi):
     p = OuParams(theta=1.0, delta=0.1, n=4)
-    for variant in Variant:
-        for paths in (False, True):
-            with pytest.raises(ValueError, match="uint64"):
-                simulate_block((p,), variant, seed, lo, hi, paths=paths)
+    for paths in (False, True):
+        with pytest.raises(ValueError, match="uint64"):
+            simulate_block((p,), seed, lo, hi, paths=paths)

@@ -31,9 +31,8 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .errors import ConfigError, OuBenchError
+from .errors import ConfigError, NonFiniteValue, OuBenchError, at_cell
 from .estimators import Estimator, IndexConvention, estimates_of_sums, normalized_error
 from .harness import (
     GATE_SE,
@@ -190,6 +189,9 @@ _FIELDS = {
 
 
 def _load_config_file(path: Path) -> dict:
+    # imported here: a command without a config file does not need it
+    import yaml
+
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -274,7 +276,13 @@ def cmd_simulate(config: RunConfig) -> list[Path]:
         path = simulate_path(params, config.variant, config.master_seed)
         header = ("t", "z" if config.variant is Variant.STATIONARY else "x")
         columns = (path.values,)
-    rows = [[float(v) for v in row] for row in zip(params.times(), *columns)]
+    try:
+        times = params.times()
+    except FloatingPointError as exc:
+        raise NonFiniteValue(
+            f"a value leaves the range of a double {at_cell(params)}: {exc}"
+        ) from exc
+    rows = [[float(v) for v in row] for row in zip(times, *columns)]
     out = _write_csv(config.output_dir / "paths.csv", header, rows)
     return [out]
 

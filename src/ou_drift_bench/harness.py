@@ -16,8 +16,9 @@ Workers: each of `run_cell`, `run_schedule` and `ou-bench estimate` is one
 `map_cells` call, which opens one pool of forked worker processes.  The walk
 is one map of `simulate_block` over blocks of rows, each block simulated at
 every cell of the call: a row draws its normals once and each cell scans
-its own prefix of them.  The map is the pool's, or with one worker the
-builtin.  Once the last block is in, the caller's function runs
+its own prefix of them.  The map is the pool's, which sends the blocks'
+row spans in chunks and gets each block's sums back as one array, or with
+one worker the builtin.  Once the last block is in, the caller's function runs
 on each cell, one pool task a cell (in the calling process with one
 worker), and its results come back in cell order; as it runs in a worker,
 its side effects do not reach the caller.
@@ -68,6 +69,7 @@ import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -307,17 +309,29 @@ def _worker_count() -> int:
     return workers
 
 
-# A worker's cells and the function `map_cells` runs on each of them.
+# A worker's cells, master seed and the function `map_cells` runs on each cell.
 _worker_each: tuple = ()
 
 
-def _take_each(cells: Sequence[OuParams], each: Callable) -> None:
+def _take_each(cells: Sequence[OuParams], master_seed: int, each: Callable) -> None:
     global _worker_each
-    _worker_each = (cells, each)
+    _worker_each = (cells, master_seed, each)
+
+
+def _block_table(cells: Sequence[OuParams], master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """The sums of rows [lo, hi) at every cell as one (cells, 6, rows) array,
+    in BlockSums field order."""
+    blocks = simulate_block(cells, master_seed, lo, hi)
+    return np.array([[getattr(block, f.name) for f in fields(BlockSums)] for block in blocks])
+
+
+def _block_in_worker(lo: int, hi: int) -> np.ndarray:
+    cells, master_seed, _ = _worker_each
+    return _block_table(cells, master_seed, lo, hi)
 
 
 def _each_in_worker(c: int, sums: BlockSums):
-    cells, each = _worker_each
+    cells, _, each = _worker_each
     return each(cells[c], sums)
 
 
@@ -332,16 +346,20 @@ def map_cells(
 
     One map runs `simulate_block` over the blocks of rows, each block at
     every cell: a row draws its normals once, up to the largest n, and each
-    cell scans its own prefix of them.  The pool's map gives every block to
-    the worker processes on entry.  Once the last block is in, `each` runs
-    in the workers, one task a cell; the workers have it from their fork,
-    so a closure serves, but its side effects stay in the worker and only
-    its result (which must pickle) comes back.  An error in `each` is
-    raised for the first failing cell in cell order.  Leaving the map
-    cancels the tasks not yet started and ends the workers.  With one
-    worker, or one block, the builtin map runs each block here when the
-    loop reaches it, and `each` runs here in cell order.  Every cell's sums
-    are held until the last block, 6 * reps doubles a cell.
+    cell scans its own prefix of them.  A block comes back as one
+    (cells, 6, rows) array of its sums, copied with one slice assignment
+    into a (cells, 6, reps) table; each cell's sums are views of its slab.
+    The pool's map gives every block to the worker processes on entry, in
+    chunks of blocks, each job only its row span: the workers have the
+    cells, the seed and `each` from their fork.  Once the last block is in,
+    `each` runs in the workers, one task a cell; as it comes from the fork,
+    a closure serves, but its side effects stay in the worker and only its
+    result (which must pickle) comes back.  An error in `each` is raised
+    for the first failing cell in cell order.  Leaving the map cancels the
+    tasks not yet started and ends the workers.  With one worker, or one
+    block, the builtin map runs each block here when the loop reaches it,
+    into the same table, and `each` runs here in cell order.  Every cell's
+    sums are held until the last block, 6 * reps doubles a cell.
 
     A value that leaves the range of a double, in a block or in `each`, ends
     the map in NonFiniteValue naming the cell, not in a warning and inf or
@@ -351,32 +369,39 @@ def map_cells(
         raise ValueError(f"replications must be >= 2, got {reps}")
     step = block_rows(max(params.n for params in cells))
     spans = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
-    jobs = [(cells, master_seed, lo, hi) for lo, hi in spans]
-    workers = min(_worker_count(), len(jobs))
+    workers = min(_worker_count(), len(spans))
     # Forked, not spawned: a spawned or forkserver worker imports the package
     # first (0.44 s on a 2-core host), more than a small cell takes to
     # simulate.  The harness starts no thread; OpenBLAS stops its own around
     # a fork, and from Python 3.11 the executor forks all its workers before
-    # it starts its own.  The fork also hands them `cells` and `each`
-    # unpickled.
+    # it starts its own.  The fork also hands them `cells`, the seed and
+    # `each` unpickled.
     context = multiprocessing.get_context("fork")
     pool = None
     if workers > 1:
         pool = ProcessPoolExecutor(
-            workers, mp_context=context, initializer=_take_each, initargs=(cells, each)
+            workers,
+            mp_context=context,
+            initializer=_take_each,
+            initargs=(cells, master_seed, each),
         )
-    sums = [BlockSums(*(np.empty(reps) for _ in fields(BlockSums))) for _ in cells]
+    table = np.empty((len(cells), len(fields(BlockSums)), reps))
+    sums = [BlockSums(*slab) for slab in table]
     results = []
     try:
         # The workers are forked inside this state, so they raise too; the
         # kernel names the cell of a value out of range in a block.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            blocks = (pool.map if pool else map)(simulate_block, *zip(*jobs))
-            for (lo, hi), cell_blocks in zip(spans, blocks):
-                # each cell's block, copied into its rows
-                for cell, block in zip(sums, cell_blocks):
-                    for field in fields(BlockSums):
-                        getattr(cell, field.name)[lo:hi] = getattr(block, field.name)
+            if pool:
+                # About 64 messages a worker at most: each costs the parent a
+                # pickle round trip, and the work left when the last chunk
+                # starts, the map's imbalance, is at most one chunk.
+                chunk = -(-len(spans) // (64 * workers))
+                blocks = pool.map(_block_in_worker, *zip(*spans), chunksize=chunk)
+            else:
+                blocks = map(partial(_block_table, cells, master_seed), *zip(*spans))
+            for (lo, hi), block in zip(spans, blocks):
+                table[:, :, lo:hi] = block
             if pool:
                 tasks = [pool.submit(_each_in_worker, c, cell) for c, cell in enumerate(sums)]
             for c, params in enumerate(cells):

@@ -651,9 +651,14 @@ def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, threa
         (["estimate", "--n", "50", "--theta", "3e-308"],
          "a value leaves the range of a double at cell (theta=3e-308, delta=0.05, n=50): "
          "overflow encountered in multiply"),
+        # theta * delta * t stays in range in the kernel; the time grid
+        # i * delta of paths.csv does not
+        (["simulate", "--theta", "1e-10", "--n", "36", "--delta", "1.7976931348623157e+308"],
+         "a value leaves the range of a double at cell "
+         "(theta=1e-10, delta=1.7976931348623157e+308, n=36): overflow encountered in multiply"),
     ],
     ids=["stationary-sd", "times", "estimate-sums", "verify-in-workers", "rates-names-the-cell",
-         "simulate-names-the-cell", "estimate-small-theta"],
+         "simulate-names-the-cell", "estimate-small-theta", "time-grid"],
 )
 def test_value_out_of_double_range_is_an_error(tmp_path, capsys, monkeypatch, argv, message):
     # Found by test_fuzz: the first ended in a ValueError traceback, the

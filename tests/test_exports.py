@@ -59,7 +59,9 @@ def test_no_module_imports_a_private_name():
 def test_cli_and_distances_leave_out_scipy():
     # scipy is the tests' reference library, not a dependency: importing
     # scipy.special alone once took more than half of every command's
-    # start-up and 26 MiB, and scipy.signal once 1 s and 50 MiB.
+    # start-up and 26 MiB, and scipy.signal once 1 s and 50 MiB.  yaml is
+    # read only with a config file; imported with the command line, it took
+    # 13-18 ms of every command's start-up.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(ou_drift_bench.__file__).parents[1]), env.get("PYTHONPATH", "")]
@@ -70,7 +72,7 @@ def test_cli_and_distances_leave_out_scipy():
         "sample = [-1.5, -0.2, 0.1, 0.7, 2.0]\n"
         "distance_report(sample, n_bootstrap=20)\n"
         "w1_to_std_normal(sample)\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -187,14 +187,34 @@ def test_chunked_scan_matches_per_path_api(monkeypatch):
         assert getattr(serial, name).tobytes() == getattr(threaded, name).tobytes(), name
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+# One worker and two, over two blocks; "chunked" makes the blocks 2 rows,
+# so that two workers get more than 64 blocks each and the pool's map sends
+# them in chunks of at least 2 (the last one shorter).
+_BLOCKINGS = [
+    pytest.param("1", False, id="1"),
+    pytest.param("2", False, id="2"),
+    pytest.param("1", True, id="1-chunked"),
+    pytest.param("2", True, id="2-chunked"),
+]
+
+
+def _two_row_blocks(monkeypatch, n):
+    """Blocks of 2 rows at a largest n of n; the reps that make them chunked."""
+    monkeypatch.setattr(ou_core, "_BLOCK_VALUES", 2 * min(n, ou_core._SCAN_CHUNK))
+    assert ou_core.block_rows(n) == 2
+    # 131 blocks, the last of 1 row: more than 64 for each of two workers
+    return 261
+
+
+@pytest.mark.parametrize("threads, chunked", _BLOCKINGS)
 @pytest.mark.parametrize("variant", list(Variant))
-def test_map_cells_matches_each_cell_alone(monkeypatch, variant, threads):
+def test_map_cells_matches_each_cell_alone(monkeypatch, variant, threads, chunked):
     # A row draws its normals once for every cell of a map, and each cell
     # scans its own prefix of them: the sums of the variant's path of the
-    # pair must be those of the cell simulated alone, byte for byte.  n = 209
-    # is three chunks and a partial one, n = 40 less than one chunk, and at
-    # theta*delta = 5 a chunk is two scan segments.
+    # pair must be those of the cell simulated alone, byte for byte, and a
+    # block's rows must land in the cell's rows whatever chunk carried it.
+    # n = 209 is three chunks and a partial one, n = 40 less than one chunk,
+    # and at theta*delta = 5 a chunk is two scan segments.
     monkeypatch.setattr(ou_core, "_SCAN_CHUNK", 64)
     cells = (
         OuParams(theta=0.5, delta=0.2, n=40),
@@ -203,6 +223,8 @@ def test_map_cells_matches_each_cell_alone(monkeypatch, variant, threads):
     )
     # two blocks, so two workers really split the map
     reps = ou_core.block_rows(3 * 64 + 17) + 100
+    if chunked:
+        reps = _two_row_blocks(monkeypatch, 3 * 64 + 17)
     monkeypatch.setenv("OU_BENCH_THREADS", threads)
     together = harness.map_cells(cells, reps, SEED, lambda _, sums: sums)
     names = [name for name in _STATS_FIELDS if name in PAIR_FIELDS[variant]]
@@ -307,14 +329,15 @@ def test_run_cell_two_replications_deterministic(monkeypatch):
     assert isinstance(one.cumulants, SampleCumulants)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_out_of_range_cell_names_the_cell(monkeypatch, threads):
+@pytest.mark.parametrize("threads, chunked", _BLOCKINGS)
+def test_out_of_range_cell_names_the_cell(monkeypatch, threads, chunked):
     # The library call once warned "invalid value encountered in multiply"
     # and then raised ExcessiveDegeneracy (8 of 8 paths degenerate).  Two
-    # blocks, so with two workers the error comes from a forked worker.
+    # blocks, so with two workers the error comes from a forked worker, in
+    # a chunk of blocks when chunked.
     monkeypatch.setenv("OU_BENCH_THREADS", threads)
     p = OuParams(theta=1e300, delta=1e300, n=8)
-    reps = ou_core.block_rows(p.n) + 8
+    reps = _two_row_blocks(monkeypatch, p.n) if chunked else ou_core.block_rows(p.n) + 8
     cell = re.escape("at cell (theta=1e+300, delta=1e+300, n=8): invalid value")
     before = np.geterr()
     with pytest.raises(NonFiniteValue, match=cell):

@@ -17,22 +17,25 @@ Workers: each of `run_cell`, `run_schedule` and `ou-bench estimate` is one
 is one map of `simulate_block` over blocks of rows, each block simulated at
 every cell of the call: a row draws its normals once and each cell scans
 its own prefix of them.  The map is the pool's, which sends the blocks'
-row spans in chunks and gets each block's sums back as one array, or with
-one worker the builtin.  Once the last block is in, the caller's function runs
-on each cell, one pool task a cell (in the calling process with one
-worker), and its results come back in cell order; as it runs in a worker,
-its side effects do not reach the caller.
+row spans in chunks, or with one worker the builtin.  A block writes its
+sums into its rows of one table of every cell's sums, which the workers
+share with the calling process, and sends nothing back.  Once the last
+block is written, the caller's function runs on each cell, one pool task a
+cell (in the calling process with one worker), on read-only views of the
+cell's rows of the table, and its results come back in cell order; as it
+runs in a worker, its side effects do not reach the caller.
 
 Determinism contract: every result is a pure function of (arguments,
 master_seed).  Path i of a cell draws from the counter-based stream
 (master_seed, i), blocks of paths are filled into disjoint slices of
 preallocated arrays, and reductions run in index order, so results are
 bit-identical across runs and across worker counts.  OU_BENCH_THREADS sets
-the number of worker processes (default min(cores, 8)) without affecting
-values; anything there but a positive integer in ASCII digits (`parse_int`)
-is a ConfigError.  Cells share streams (common random numbers): comparisons
-across cells and between estimators on the same cell reuse the same paths,
-which tightens monotonicity comparisons.
+the number of worker processes (default min(cores, 8), counting the cores
+the process may run on) without affecting values; anything there but a
+positive integer in ASCII digits (`parse_int`) is a ConfigError.  Cells
+share streams (common random numbers): comparisons across cells and between
+estimators on the same cell reuse the same paths, which tightens
+monotonicity comparisons.
 
 Memory: each block of paths goes through `ou_core.simulate_block`, which
 scans along time in chunks of 16384 steps and keeps only per-path sums.  A
@@ -40,7 +43,10 @@ block has `ou_core.block_rows(n)` rows at the largest n of its cells, about
 2^18 values per rows x chunk array (2 MiB).  A worker keeps one set of block
 buffers, so beyond the pages it shares with the process it was forked from,
 its memory is bounded whatever n and the replication count are.  Block size
-changes no path's values.
+changes no path's values.  The sums table, 6 x reps doubles a cell, is an
+anonymous shared mapping: its pages exist once, however many processes map
+them, and with workers the calling process touches none of them, so its
+memory does not grow with the replication count.
 
 Replication floors: given estimators, `run_cell` and `run_schedule` refuse
 fewer than CUMULANT_MIN_SAMPLE replications, or FIT_MIN_REPLICATIONS on a
@@ -64,6 +70,7 @@ is visible, not hidden.
 from __future__ import annotations
 
 import math
+import mmap
 import multiprocessing
 import os
 from collections.abc import Callable, Sequence
@@ -296,9 +303,12 @@ def parse_int(value) -> int:
 
 
 def _worker_count() -> int:
-    """Worker processes: OU_BENCH_THREADS if set, else min(cores, 8)."""
+    """Worker processes: OU_BENCH_THREADS if set, else min(cores, 8), where
+    the cores are those this process may run on, where the platform says."""
     raw = os.environ.get("OU_BENCH_THREADS")
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return min(len(os.sched_getaffinity(0)), 8)
         return min(os.cpu_count() or 1, 8)
     try:
         workers = parse_int(raw)
@@ -309,30 +319,37 @@ def _worker_count() -> int:
     return workers
 
 
-# A worker's cells, master seed and the function `map_cells` runs on each cell.
+# A worker's job, from its fork: the cells, the master seed, the function
+# `map_cells` runs on each cell and the shared table of every cell's sums.
 _worker_each: tuple = ()
 
 
-def _take_each(cells: Sequence[OuParams], master_seed: int, each: Callable) -> None:
+def _take_each(*job) -> None:
     global _worker_each
-    _worker_each = (cells, master_seed, each)
+    _worker_each = job
 
 
-def _block_table(cells: Sequence[OuParams], master_seed: int, lo: int, hi: int) -> np.ndarray:
-    """The sums of rows [lo, hi) at every cell as one (cells, 6, rows) array,
-    in BlockSums field order."""
-    blocks = simulate_block(cells, master_seed, lo, hi)
-    return np.array([[getattr(block, f.name) for f in fields(BlockSums)] for block in blocks])
+def _write_block(job: tuple, lo: int, hi: int) -> None:
+    """Simulate rows [lo, hi) at every cell into the table's columns lo..hi-1."""
+    cells, master_seed, _, table = job
+    for slab, block in zip(table, simulate_block(cells, master_seed, lo, hi)):
+        slab[:, lo:hi] = [getattr(block, f.name) for f in fields(BlockSums)]
 
 
-def _block_in_worker(lo: int, hi: int) -> np.ndarray:
-    cells, master_seed, _ = _worker_each
-    return _block_table(cells, master_seed, lo, hi)
+def _each_of_cell(job: tuple, c: int):
+    """`each` on cell c, given read-only views of the cell's sums."""
+    cells, _, each, table = job
+    slab = table[c].view()
+    slab.flags.writeable = False
+    return each(cells[c], BlockSums(*slab))
 
 
-def _each_in_worker(c: int, sums: BlockSums):
-    cells, _, each = _worker_each
-    return each(cells[c], sums)
+def _block_in_worker(lo: int, hi: int) -> None:
+    _write_block(_worker_each, lo, hi)
+
+
+def _each_in_worker(c: int):
+    return _each_of_cell(_worker_each, c)
 
 
 def map_cells(
@@ -346,20 +363,25 @@ def map_cells(
 
     One map runs `simulate_block` over the blocks of rows, each block at
     every cell: a row draws its normals once, up to the largest n, and each
-    cell scans its own prefix of them.  A block comes back as one
-    (cells, 6, rows) array of its sums, copied with one slice assignment
-    into a (cells, 6, reps) table; each cell's sums are views of its slab.
-    The pool's map gives every block to the worker processes on entry, in
-    chunks of blocks, each job only its row span: the workers have the
-    cells, the seed and `each` from their fork.  Once the last block is in,
-    `each` runs in the workers, one task a cell; as it comes from the fork,
-    a closure serves, but its side effects stay in the worker and only its
-    result (which must pickle) comes back.  An error in `each` is raised
-    for the first failing cell in cell order.  Leaving the map cancels the
-    tasks not yet started and ends the workers.  With one worker, or one
-    block, the builtin map runs each block here when the loop reaches it,
-    into the same table, and `each` runs here in cell order.  Every cell's
-    sums are held until the last block, 6 * reps doubles a cell.
+    cell scans its own prefix of them.  Every cell's sums live in one
+    (cells, 6, reps) table in an anonymous shared mapping, made before the
+    workers are forked, so the workers share it: a block writes its sums
+    into its own rows of the table and sends nothing back.  The pool's map
+    gives every block to the worker processes on entry, in chunks of
+    blocks, each job only its row span: the workers have the cells, the
+    seed, `each` and the table from their fork.  Once the last block is
+    written, `each` runs in the workers, one task a cell, each task only the
+    cell's index; `each` gets read-only views of the cell's rows of the
+    table, so it cannot write into them.  As it comes from the fork, a
+    closure serves, but its side effects stay in the worker and only its
+    result (which must pickle) comes back.  An error in a block is raised
+    for the first failing block in row order, and one in `each` for the
+    first failing cell in cell order.  Leaving the map cancels the tasks
+    not yet started and ends the workers.  With one worker, or one block,
+    the builtin map runs each block here when the loop reaches it, into the
+    same table, and `each` runs here in cell order on the same read-only
+    views.  The calling process touches the table's pages only then, so
+    with workers its memory does not grow with reps.
 
     A value that leaves the range of a double, in a block or in `each`, ends
     the map in NonFiniteValue naming the cell, not in a warning and inf or
@@ -370,23 +392,21 @@ def map_cells(
     step = block_rows(max(params.n for params in cells))
     spans = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
     workers = min(_worker_count(), len(spans))
+    shape = (len(cells), len(fields(BlockSums)), reps)
+    # Shared, so that what a forked worker writes is what the caller reads.
+    table = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8), dtype=np.float64).reshape(shape)
+    job = (cells, master_seed, each, table)
     # Forked, not spawned: a spawned or forkserver worker imports the package
     # first (0.44 s on a 2-core host), more than a small cell takes to
     # simulate.  The harness starts no thread; OpenBLAS stops its own around
     # a fork, and from Python 3.11 the executor forks all its workers before
-    # it starts its own.  The fork also hands them `cells`, the seed and
-    # `each` unpickled.
+    # it starts its own.  The fork also hands them the job unpickled.
     context = multiprocessing.get_context("fork")
     pool = None
     if workers > 1:
         pool = ProcessPoolExecutor(
-            workers,
-            mp_context=context,
-            initializer=_take_each,
-            initargs=(cells, master_seed, each),
+            workers, mp_context=context, initializer=_take_each, initargs=job
         )
-    table = np.empty((len(cells), len(fields(BlockSums)), reps))
-    sums = [BlockSums(*slab) for slab in table]
     results = []
     try:
         # The workers are forked inside this state, so they raise too; the
@@ -394,18 +414,18 @@ def map_cells(
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if pool:
                 # About 64 messages a worker at most: each costs the parent a
-                # pickle round trip, and the work left when the last chunk
-                # starts, the map's imbalance, is at most one chunk.
+                # round trip, and the work left when the last chunk starts,
+                # the map's imbalance, is at most one chunk.
                 chunk = -(-len(spans) // (64 * workers))
                 blocks = pool.map(_block_in_worker, *zip(*spans), chunksize=chunk)
             else:
-                blocks = map(partial(_block_table, cells, master_seed), *zip(*spans))
-            for (lo, hi), block in zip(spans, blocks):
-                table[:, :, lo:hi] = block
+                blocks = map(partial(_write_block, job), *zip(*spans))
+            for _ in blocks:
+                pass
             if pool:
-                tasks = [pool.submit(_each_in_worker, c, cell) for c, cell in enumerate(sums)]
+                tasks = [pool.submit(_each_in_worker, c) for c in range(len(cells))]
             for c, params in enumerate(cells):
-                results.append(tasks[c].result() if pool else each(params, sums[c]))
+                results.append(tasks[c].result() if pool else _each_of_cell(job, c))
     except FloatingPointError as exc:
         where = at_cell(params)
         raise NonFiniteValue(f"a value leaves the range of a double {where}: {exc}") from exc
@@ -495,9 +515,7 @@ def _summaries(
     reps = sums.x_xi.size
     # The oracle values by check name, before any sample statistic, so a cell
     # where one is not finite ends in NonFiniteValue rather than in
-    # overflowing sample statistics.  After the simulation: taken before it,
-    # their temporary arrays raised verify's peak RSS at n = 262144 from 133
-    # to 153 MiB.
+    # overflowing sample statistics.
     exact = {name: getattr(oracles, name)(params) for name, *_ in _CELL_CHECKS}
     selections = [estimates_of_sums(sums, params, e, convention) for e in estimators]
     degenerate = [reps - int(np.count_nonzero(good)) for _, _, good in selections]

@@ -308,6 +308,22 @@ def _thread_tables(cells: Sequence[OuParams]) -> list:
     return _scratch.tables
 
 
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j x_ij y_ij for each row i, where y is a rows x m array or a
+    length-m vector shared by every row.
+
+    einsum sums each of several rows in one pass, but a single row in
+    buffered pieces of 8192 values, which changes the order of its additions
+    once m > 8192; so a single row is summed as two stride-0 copies of itself.
+    """
+    spec = "ij,ij->i" if y.ndim == 2 else "ij,j->i"
+    if x.shape[0] > 1:
+        return np.einsum(spec, x, y)
+    twice = (2, x.shape[1])
+    y = np.broadcast_to(y, twice) if y.ndim == 2 else y
+    return np.einsum(spec, np.broadcast_to(x, twice), y)[:1]
+
+
 def simulate_block(
     cells: Sequence[OuParams],
     seed: int,
@@ -337,7 +353,9 @@ def simulate_block(
     so no Z is formed.  With ``paths`` the rows are scanned whole and returned.  Scan
     segments start at multiples of their span in absolute time, and chunks
     at multiples of every span, so no row's values depend on the chunking,
-    on the block it is in or on the other cells.
+    on the block it is in or on the other cells.  A block of one row, as the
+    last block of a map often is, sums that row as a block of two rows would
+    (`_row_dot`), so its sums are those of any other block too.
 
     A value that leaves the range of a double in a cell's arithmetic ends the
     block in NonFiniteValue naming the cell.
@@ -399,19 +417,19 @@ def simulate_block(
                     continue
                 x_head = xc[:, :mc]
                 total = sums[c]
-                total[0] += np.einsum("ij,ij->i", x_head, x_head)
+                total[0] += _row_dot(x_head, x_head)
                 step = np.subtract(xc[:, 1:], x_head, out=diff[:, :mc])
-                total[1] -= np.einsum("ij,ij->i", x_head, step)
-                total[2] += np.einsum("ij,ij->i", x_head, xi)
+                total[1] -= _row_dot(x_head, step)
+                total[2] += _row_dot(x_head, xi)
                 if not start:
-                    total[3] += np.einsum("ij,j->i", x_head, decay[:mc])
+                    total[3] += _row_dot(x_head, decay[:mc])
                 else:
                     # a later chunk adds nothing once e^{-theta t} is 0 from
                     # its start on, as it often is
                     theta_delta = params.theta * params.delta
                     if np.exp(-theta_delta * start) != 0.0:
                         later = np.exp(-theta_delta * np.arange(start, start + mc))
-                        total[3] += np.einsum("ij,j->i", x_head, later)
+                        total[3] += _row_dot(x_head, later)
                 carry[c] = xc[:, mc]
         if paths:
             return results

@@ -123,6 +123,21 @@ def test_estimate_rows_match_per_path_api(tmp_path, n, convention):
             ), column
 
 
+def test_estimate_path_does_not_depend_on_reps(tmp_path, monkeypatch):
+    # At n = 16384 a block has 16 rows, so 17 reps end in a block of one
+    # row, whose sums einsum once added in another order: path 16 read
+    # 1.0144925211221363 for amce at 17 reps and 1.0144925211221376 at 32.
+    monkeypatch.setenv("OU_BENCH_THREADS", "1")
+    lines = {}
+    for reps in (17, 32):
+        out = tmp_path / str(reps)
+        assert main(["estimate", "--n", "16384", "--reps", str(reps), "--estimator", "both",
+                     "--seed", "3", "--out", str(out)]) == 0
+        lines[reps] = (out / "estimates.csv").read_text().splitlines()
+    assert len(lines[17]) == 2 + 2 * 17
+    assert lines[17] == lines[32][: len(lines[17])]
+
+
 def test_simulate_from_zero_is_the_coupled_x(tmp_path):
     # one draw layout: the from-zero path is the X of the coupled pair
     argv = ["simulate", "--n", "500", "--seed", "7", "--out"]

@@ -3,9 +3,12 @@
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +149,23 @@ def test_run_cell_bit_identical_across_workers(monkeypatch):
     assert serial == threaded
 
 
+def test_default_worker_count_reads_the_affinity_mask(monkeypatch):
+    # Under `taskset -c 0` os.cpu_count() still counts every core of the
+    # host, so two workers once shared the one CPU the process may use.
+    monkeypatch.delenv("OU_BENCH_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert harness._worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)))
+    assert harness._worker_count() == 8
+    monkeypatch.setenv("OU_BENCH_THREADS", "3")
+    assert harness._worker_count() == 3
+    # where the platform has no affinity mask, the core count
+    monkeypatch.delenv("OU_BENCH_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness._worker_count() == 6
+
+
 _STATS_FIELDS = tuple(f.name for f in fields(ou_core.BlockSums))
 
 
@@ -267,26 +287,73 @@ def test_each_runs_in_the_workers(monkeypatch, threads):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize(
-    "error, raised", [(ValueError, ValueError), (FloatingPointError, NonFiniteValue)]
+    "error, raised",
+    [
+        (ValueError, ValueError),
+        (FloatingPointError, NonFiniteValue),
+        pytest.param("write", ValueError, id="write-into-sums"),
+    ],
 )
 def test_each_error_names_the_first_failing_cell(monkeypatch, threads, error, raised):
     # The second and third cells fail; with two workers the third fails
     # while the second still sleeps.  The second is the one reported, and a
-    # FloatingPointError names its cell.
+    # FloatingPointError names its cell.  `each` gets read-only sums: they
+    # are views of the table that every cell's sums share.
     monkeypatch.setenv("OU_BENCH_THREADS", threads)
 
     def each(params, sums):
         if params.n == 64:
             time.sleep(0.3)
-        if params.n > 40:
+        if params.n > 40 and error == "write":
+            sums.x_xi[0] = 0.0
+        elif params.n > 40:
             raise error(f"stop at n={params.n}")
         return params.n
 
     reps = ou_core.block_rows(100) + 100
-    with pytest.raises(raised, match="stop at n=64") as info:
+    match = "read-only" if error == "write" else "stop at n=64"
+    with pytest.raises(raised, match=match) as info:
         harness.map_cells(_EACH_CELLS, reps, SEED, each)
     if raised is NonFiniteValue:
         assert "at cell (theta=1.0, delta=0.05, n=64)" in str(info.value)
+
+
+_PARENT_PEAK = """
+from ou_drift_bench import OuParams, harness
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+cells = tuple(OuParams(theta=0.5 + 0.25 * k, delta=0.1, n=16) for k in range(8))
+before = peak()
+harness.map_cells(cells, 50_000, 7, lambda _, sums: float(sums.x_xi[-1]))
+print(peak() - before)
+"""
+
+
+def test_parent_memory_does_not_grow_with_reps():
+    # With workers, every cell's sums live in a table the workers share and
+    # the calling process never touches: here 8 cells x 6 x 50 000 doubles,
+    # 18.3 MiB, in 4 blocks of 16 384 rows.  The calling process once held
+    # the table and a pickled copy of each slab, and its peak grew by 42 MiB.
+    # The peak (VmHWM) is a lifetime one, so it is read in a fresh process.
+    try:
+        with open("/proc/self/status") as status:
+            if not any(line.startswith("VmHWM:") for line in status):
+                pytest.skip("no VmHWM in /proc/self/status")
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    env = dict(os.environ, OU_BENCH_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _PARENT_PEAK],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    table_kib = 8 * 6 * 50_000 * 8 / 1024
+    assert int(result.stdout) < table_kib / 4, f"peak grew {result.stdout.strip()} KiB"
 
 
 @pytest.mark.parametrize(

@@ -360,6 +360,23 @@ def test_block_of_paired_scans_matches_row_scans(monkeypatch, rows, variant, pat
             assert getattr(got_cell, name).tobytes() == getattr(want_cell, name).tobytes(), name
 
 
+@pytest.mark.parametrize("n", [8192, 10000, 16384, 40000])
+def test_block_row_sums_do_not_depend_on_block_rows(n):
+    # A map's last block may have one row.  einsum once summed a single row
+    # of more than 8192 values in another order than a row of a larger block,
+    # so a path's six sums depended on the replication count.  Stream 40 is
+    # row r = rows // 2 of each block; at n = 40000 its row spans three
+    # chunks, the later ones still adding to sum e^{-theta t} X.
+    cells = (OuParams(theta=1.0, delta=n**-0.5, n=n),)
+    want = None
+    for rows in (1, 2, 3, 16, 17):
+        lo = 40 - rows // 2
+        (block,) = simulate_block(cells, 9, lo, lo + rows)
+        got = [getattr(block, f.name)[rows // 2].tobytes() for f in fields(block)]
+        want = want or got
+        assert got == want, rows
+
+
 def test_block_buffers_reused_across_calls_leak_nothing(monkeypatch):
     # A worker process keeps its block buffers and scan tables from call to
     # call; each call must give the bits a fresh process gives, whatever the

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValue, OuBenchError, at_cell
+from .errors import ConfigError, OuBenchError, out_of_range
 from .estimators import Estimator, IndexConvention, estimates_of_sums, normalized_error
 from .harness import (
     GATE_SE,
@@ -45,7 +45,7 @@ from .harness import (
     run_schedule,
 )
 from .oracles import MomentQuantity, moment_report
-from .ou_core import OuParams, Variant, simulate_coupled, simulate_path
+from .ou_core import SEED_MAX, OuParams, Variant, simulate_coupled, simulate_path
 
 __all__ = [
     "CSV_SCHEMA_LINE",
@@ -60,8 +60,8 @@ __all__ = [
 ]
 
 CSV_SCHEMA_LINE = "# ou-drift-bench csv v1"
-
-_SEED_MAX = 2**64
+# Rows of paths.csv turned into Python floats at a time.
+_PATH_ROWS = 65536
 
 # Column order of each fixed-schema CSV, by file stem.
 _COLUMNS = {
@@ -113,7 +113,7 @@ class RunConfig:
             )
         if self.replications < 2:
             raise ConfigError(f"replications must be >= 2, got {self.replications!r}")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < _SEED_MAX):
+        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < SEED_MAX):
             raise ConfigError(f"master_seed must be a uint64, got {self.master_seed!r}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n!r}")
@@ -241,10 +241,12 @@ def _fmt(value) -> str:
 
 
 def _write_lines(path: Path, header: tuple[str, ...], lines) -> Path:
-    """Write the formatted rows `lines` under the schema line and the header."""
-    text = "\n".join([CSV_SCHEMA_LINE, ",".join(header), *lines])
+    """Write the formatted rows `lines` under the schema line and the header,
+    a line at a time, so the file's text is never held whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as file:
+        file.write(f"{CSV_SCHEMA_LINE}\n{','.join(header)}\n")
+        file.writelines(f"{line}\n" for line in lines)
     return path
 
 
@@ -277,53 +279,49 @@ def cmd_simulate(config: RunConfig) -> list[Path]:
         header = ("t", "z" if config.variant is Variant.STATIONARY else "x")
         columns = (path.values,)
     try:
-        times = params.times()
+        columns = (params.times(), *columns)
     except FloatingPointError as exc:
-        raise NonFiniteValue(
-            f"a value leaves the range of a double {at_cell(params)}: {exc}"
-        ) from exc
-    rows = [[float(v) for v in row] for row in zip(times, *columns)]
-    out = _write_csv(config.output_dir / "paths.csv", header, rows)
-    return [out]
+        raise out_of_range(params, exc) from exc
+    # A slice at a time: the whole path as Python floats is about 14 times its size
+    rows = (
+        row
+        for lo in range(0, params.n + 1, _PATH_ROWS)
+        for row in zip(*(column[lo : lo + _PATH_ROWS].tolist() for column in columns))
+    )
+    return [_write_csv(config.output_dir / "paths.csv", header, rows)]
 
 
 def cmd_estimate(config: RunConfig) -> list[Path]:
     """Run the configured estimators on the cell's paths; one CSV row each.
 
     Path i is the X of stream (master_seed, i)'s coupled pair, the path
-    verify draws there too; its sums come from the harness's worker pool
-    (`OU_BENCH_THREADS` applies) and its estimates from `estimates_of_sums`,
-    as in the harness, inside the cell's `map_cells` call, so a value out of
-    range names the cell.  Rows are path-major, estimators in config order;
-    degenerate paths are skipped and get no row.
+    verify draws there too.  The cell's `map_cells` call (`OU_BENCH_THREADS`
+    applies) takes its estimates from `estimates_of_sums`, as the harness
+    does, and formats its rows where the cell runs, which also names the
+    cell of a value out of range.  Rows are path-major, estimators in config
+    order; degenerate paths are skipped and get no row.
     """
 
-    def estimates(params, sums):
-        # Lists, which pickle (the result may come back from a worker): per
-        # estimator the mask of good paths and the values on those paths.
+    def lines(params, sums):
+        # One line per row, as _write_table would write it: the values are
+        # Python floats, which _fmt writes with repr.
         columns = []
         for estimator in config.estimators:
             est, den, good = estimates_of_sums(sums, params, estimator, config.index_convention)
             nerr = normalized_error(est, params, config.theta_true)
-            columns.append((good.tolist(), est.tolist(), den.tolist(), nerr.tolist()))
-        return columns
+            values = zip(est.tolist(), den.tolist(), nerr.tolist())
+            columns.append((estimator.value, good.tolist(), values))
+        rows = []
+        for index in range(config.replications):
+            for name, good, values in columns:
+                if good[index]:
+                    e, d, r = next(values)
+                    rows.append(f"{name},{index},{e!r},{d!r},{r!r}")
+        return rows
 
     params = OuParams(theta=config.theta_true, delta=config.delta, n=config.n)
-    (columns,) = map_cells((params,), config.replications, config.master_seed, estimates)
-    # One line per row, as _write_table would write it: the values are
-    # Python floats, which _fmt writes with repr.
-    rows = [
-        (estimator.value, good, zip(est, den, nerr))
-        for estimator, (good, est, den, nerr) in zip(config.estimators, columns)
-    ]
-    lines = []
-    for index in range(config.replications):
-        for name, good, values in rows:
-            if good[index]:
-                e, d, r = next(values)
-                lines.append(f"{name},{index},{e!r},{d!r},{r!r}")
-    path = config.output_dir / "estimates.csv"
-    return [_write_lines(path, _COLUMNS["estimates"], lines)]
+    (rows,) = map_cells((params,), config.replications, config.master_seed, lines)
+    return [_write_lines(config.output_dir / "estimates.csv", _COLUMNS["estimates"], rows)]
 
 
 def cmd_oracle(config: RunConfig) -> list[Path]:

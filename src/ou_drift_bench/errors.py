@@ -14,6 +14,7 @@ __all__ = [
     "ExcessiveDegeneracy",
     "ConfigError",
     "at_cell",
+    "out_of_range",
 ]
 
 
@@ -61,3 +62,9 @@ def at_cell(params) -> str:
     """Where a value failed, in every error that names a cell:
     "at cell (theta=..., delta=..., n=...)"."""
     return f"at cell (theta={params.theta!r}, delta={params.delta!r}, n={params.n})"
+
+
+def out_of_range(params, exc: FloatingPointError) -> NonFiniteValue:
+    """The error for a value that left the range of a double at a cell,
+    from the FloatingPointError `exc` that numpy raised there."""
+    return NonFiniteValue(f"a value leaves the range of a double {at_cell(params)}: {exc}")

@@ -13,17 +13,16 @@ every statistic on them from `estimators`' `_of_sums` functions; `ou-bench
 estimate` uses both too, on the same paths.
 
 Workers: each of `run_cell`, `run_schedule` and `ou-bench estimate` is one
-`map_cells` call, which opens one pool of forked worker processes.  The walk
-is one map of `simulate_block` over blocks of rows, each block simulated at
-every cell of the call: a row draws its normals once and each cell scans
-its own prefix of them.  The map is the pool's, which sends the blocks'
-row spans in chunks, or with one worker the builtin.  A block writes its
-sums into its rows of one table of every cell's sums, which the workers
-share with the calling process, and sends nothing back.  Once the last
-block is written, the caller's function runs on each cell, one pool task a
-cell (in the calling process with one worker), on read-only views of the
-cell's rows of the table, and its results come back in cell order; as it
-runs in a worker, its side effects do not reach the caller.
+`map_cells` call, which forks one pool of worker processes; they have the
+call's job (the cells, the seed, the caller's function and one shared table
+of every cell's sums) from their fork.  The walk is two maps, the pool's
+or, with one worker, the builtin's.  The first runs `simulate_block` over
+blocks of rows, each at every cell of the call (a row draws its normals
+once and each cell scans its own prefix of them), and writes each block's
+sums into its rows of the table.  The second runs the caller's function on
+each cell, on read-only views of the cell's rows, and returns its results
+in cell order; a value out of range there names the cell.  In a worker,
+its side effects do not reach the caller.
 
 Determinism contract: every result is a pure function of (arguments,
 master_seed).  Path i of a cell draws from the counter-based stream
@@ -76,7 +75,6 @@ import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -85,9 +83,9 @@ from .errors import (
     ConfigError,
     ExcessiveDegeneracy,
     InsufficientCells,
-    NonFiniteValue,
     NonPositiveValue,
     at_cell,
+    out_of_range,
 )
 from .estimators import (
     Estimator,
@@ -319,37 +317,30 @@ def _worker_count() -> int:
     return workers
 
 
-# A worker's job, from its fork: the cells, the master seed, the function
-# `map_cells` runs on each cell and the shared table of every cell's sums.
-_worker_each: tuple = ()
+# The job of the `map_cells` call under way: the cells, the master seed,
+# the function it runs on each cell and the shared table of every cell's
+# sums.  It is set before the pool forks, so the workers have it from their
+# fork, and emptied when the call ends, so the module holds no table.
+_job: tuple = ()
 
 
-def _take_each(*job) -> None:
-    global _worker_each
-    _worker_each = job
-
-
-def _write_block(job: tuple, lo: int, hi: int) -> None:
+def _write_block(lo: int, hi: int) -> None:
     """Simulate rows [lo, hi) at every cell into the table's columns lo..hi-1."""
-    cells, master_seed, _, table = job
+    cells, master_seed, _, table = _job
     for slab, block in zip(table, simulate_block(cells, master_seed, lo, hi)):
         slab[:, lo:hi] = [getattr(block, f.name) for f in fields(BlockSums)]
 
 
-def _each_of_cell(job: tuple, c: int):
-    """`each` on cell c, given read-only views of the cell's sums."""
-    cells, _, each, table = job
+def _each_of_cell(c: int):
+    """`each` on cell c, given read-only views of the cell's sums; a value
+    that leaves the range of a double names the cell."""
+    cells, _, each, table = _job
     slab = table[c].view()
     slab.flags.writeable = False
-    return each(cells[c], BlockSums(*slab))
-
-
-def _block_in_worker(lo: int, hi: int) -> None:
-    _write_block(_worker_each, lo, hi)
-
-
-def _each_in_worker(c: int):
-    return _each_of_cell(_worker_each, c)
+    try:
+        return each(cells[c], BlockSums(*slab))
+    except FloatingPointError as exc:
+        raise out_of_range(cells[c], exc) from exc
 
 
 def map_cells(
@@ -361,32 +352,27 @@ def map_cells(
     """[each(params, sums) for each cell], where sums are the cell's paths
     0..reps-1: path i is the coupled pair (X, Z) of stream (master_seed, i).
 
-    One map runs `simulate_block` over the blocks of rows, each block at
-    every cell: a row draws its normals once, up to the largest n, and each
-    cell scans its own prefix of them.  Every cell's sums live in one
-    (cells, 6, reps) table in an anonymous shared mapping, made before the
-    workers are forked, so the workers share it: a block writes its sums
-    into its own rows of the table and sends nothing back.  The pool's map
-    gives every block to the worker processes on entry, in chunks of
-    blocks, each job only its row span: the workers have the cells, the
-    seed, `each` and the table from their fork.  Once the last block is
-    written, `each` runs in the workers, one task a cell, each task only the
-    cell's index; `each` gets read-only views of the cell's rows of the
-    table, so it cannot write into them.  As it comes from the fork, a
-    closure serves, but its side effects stay in the worker and only its
-    result (which must pickle) comes back.  An error in a block is raised
-    for the first failing block in row order, and one in `each` for the
-    first failing cell in cell order.  Leaving the map cancels the tasks
-    not yet started and ends the workers.  With one worker, or one block,
-    the builtin map runs each block here when the loop reaches it, into the
-    same table, and `each` runs here in cell order on the same read-only
-    views.  The calling process touches the table's pages only then, so
-    with workers its memory does not grow with reps.
-
-    A value that leaves the range of a double, in a block or in `each`, ends
-    the map in NonFiniteValue naming the cell, not in a warning and inf or
-    nan in its sums or results.
+    Two phases, one map each.  The first runs `simulate_block` over blocks
+    of rows, each block at every cell: a row draws its normals once, up to
+    the largest n, and each cell scans its own prefix of them.  A block
+    writes its sums into its rows of one (cells, 6, reps) table, an
+    anonymous shared mapping, and sends nothing back.  The second runs
+    `each` on every cell, given read-only views of the cell's rows of the
+    table.  The cells, the seed, `each` and the table are the call's job,
+    set before the workers fork, so a block's task is only its row span and
+    a cell's only its index; a closure serves as `each`, but its side
+    effects stay in the worker and only its result (which must pickle)
+    comes back.  With workers both maps are the pool's, blocks in chunks
+    and cells one task each; with one worker, or one block, both are the
+    builtin's, here, on the same table.  With workers the calling process
+    touches none of the table, so its memory does not grow with reps.  An
+    error is raised for the first failing block in row order, then for the
+    first failing cell in cell order; leaving the map cancels the tasks not
+    yet started and ends the workers.  A value that leaves the range of a
+    double ends the map in NonFiniteValue naming the cell, raised where the
+    cell runs, not in a warning and inf or nan in its results.
     """
+    global _job
     if reps < 2:
         raise ValueError(f"replications must be >= 2, got {reps}")
     step = block_rows(max(params.n for params in cells))
@@ -395,44 +381,32 @@ def map_cells(
     shape = (len(cells), len(fields(BlockSums)), reps)
     # Shared, so that what a forked worker writes is what the caller reads.
     table = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8), dtype=np.float64).reshape(shape)
-    job = (cells, master_seed, each, table)
     # Forked, not spawned: a spawned or forkserver worker imports the package
     # first (0.44 s on a 2-core host), more than a small cell takes to
     # simulate.  The harness starts no thread; OpenBLAS stops its own around
     # a fork, and from Python 3.11 the executor forks all its workers before
     # it starts its own.  The fork also hands them the job unpickled.
     context = multiprocessing.get_context("fork")
-    pool = None
-    if workers > 1:
-        pool = ProcessPoolExecutor(
-            workers, mp_context=context, initializer=_take_each, initargs=job
-        )
-    results = []
+    pool = ProcessPoolExecutor(workers, mp_context=context) if workers > 1 else None
+    _job = (cells, master_seed, each, table)
     try:
-        # The workers are forked inside this state, so they raise too; the
-        # kernel names the cell of a value out of range in a block.
+        # The workers are forked inside this state, so they raise too.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if pool:
                 # About 64 messages a worker at most: each costs the parent a
                 # round trip, and the work left when the last chunk starts,
                 # the map's imbalance, is at most one chunk.
                 chunk = -(-len(spans) // (64 * workers))
-                blocks = pool.map(_block_in_worker, *zip(*spans), chunksize=chunk)
+                blocks = pool.map(_write_block, *zip(*spans), chunksize=chunk)
             else:
-                blocks = map(partial(_write_block, job), *zip(*spans))
+                blocks = map(_write_block, *zip(*spans))
             for _ in blocks:
                 pass
-            if pool:
-                tasks = [pool.submit(_each_in_worker, c) for c in range(len(cells))]
-            for c, params in enumerate(cells):
-                results.append(tasks[c].result() if pool else _each_of_cell(job, c))
-    except FloatingPointError as exc:
-        where = at_cell(params)
-        raise NonFiniteValue(f"a value leaves the range of a double {where}: {exc}") from exc
+            return list((pool.map if pool else map)(_each_of_cell, range(len(cells))))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return results
+        _job = ()
 
 
 def _se_check(name, exact, empirical, se, *, gated, note=""):

@@ -43,9 +43,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import NonFiniteValue, at_cell
+from .errors import NonFiniteValue, at_cell, out_of_range
 
 __all__ = [
+    "SEED_MAX",
     "Variant",
     "OuParams",
     "SamplePath",
@@ -59,7 +60,8 @@ __all__ = [
     "simulate_coupled",
 ]
 
-_SEED_MAX = 2**64
+# Seeds and streams are uint64s: each is below this.
+SEED_MAX = 2**64
 # Time steps per scan chunk, and values per rows x chunk array of a block.
 _SCAN_CHUNK = 16384
 _BLOCK_VALUES = 2**18
@@ -163,10 +165,10 @@ def transition_coefficients(theta: float, delta: float) -> tuple[float, float]:
 
 def _philox_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     """Philox keys [seed, stream] of streams lo..hi-1, one row each."""
-    if not (0 <= seed < _SEED_MAX):
+    if not (0 <= seed < SEED_MAX):
         raise ValueError(f"seed must be a uint64, got {seed!r}")
     for stream in (lo, hi - 1):
-        if not (0 <= stream < _SEED_MAX):
+        if not (0 <= stream < SEED_MAX):
             raise ValueError(f"stream must be a uint64, got {stream!r}")
     keys = np.empty((hi - lo, 2), dtype=np.uint64)
     keys[:, 0] = seed
@@ -186,10 +188,14 @@ def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_philox_keys(seed, stream, stream + 1)[0]))
 
 
+def _decay(params: OuParams, steps):
+    """e^{-theta t_i} at the steps i (t_i = i delta), as -(theta delta) i."""
+    return np.exp(-(params.theta * params.delta) * steps)
+
+
 def _add_start(x: np.ndarray, z0: np.ndarray, params: OuParams) -> np.ndarray:
     """Z = X + e^{-theta t} Z_0 on the whole rows x."""
-    steps = np.arange(x.shape[-1])
-    z = np.multiply.outer(z0, np.exp(-params.theta * params.delta * steps))
+    z = np.multiply.outer(z0, _decay(params, np.arange(x.shape[-1])))
     z += x
     return z
 
@@ -214,7 +220,7 @@ def _scan_tables(params: OuParams) -> tuple:
         span //= 2
     a, s2 = transition_coefficients(params.theta, params.delta)
     a_pow = a ** np.arange(span, dtype=np.float64)
-    decay = np.exp(-theta_delta * np.arange(min(params.n, _SCAN_CHUNK)))
+    decay = _decay(params, np.arange(min(params.n, _SCAN_CHUNK)))
     return a, a_pow, math.sqrt(s2) / a_pow, decay
 
 
@@ -426,9 +432,8 @@ def simulate_block(
                 else:
                     # a later chunk adds nothing once e^{-theta t} is 0 from
                     # its start on, as it often is
-                    theta_delta = params.theta * params.delta
-                    if np.exp(-theta_delta * start) != 0.0:
-                        later = np.exp(-theta_delta * np.arange(start, start + mc))
+                    if _decay(params, start) != 0.0:
+                        later = _decay(params, np.arange(start, start + mc))
                         total[3] += _row_dot(x_head, later)
                 carry[c] = xc[:, mc]
         if paths:
@@ -436,9 +441,7 @@ def simulate_block(
         for c, params in enumerate(cells):
             results.append(_closed_sums(params, sums[c], carry[c], z0s[c]))
     except FloatingPointError as exc:
-        raise NonFiniteValue(
-            f"a value leaves the range of a double {at_cell(params)}: {exc}"
-        ) from exc
+        raise out_of_range(params, exc) from exc
     return results
 
 

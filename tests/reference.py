@@ -1,9 +1,13 @@
 """Closed forms, kernels and readers that only the tests use, kept out of the package."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ou_drift_bench import BlockSums, OuParams, Variant, map_cells, transition_coefficients
 from ou_drift_bench.cli import CSV_SCHEMA_LINE
@@ -61,6 +65,36 @@ def coupling_second_moment(params: OuParams) -> float:
         c_sq += c * c
     decay_sq = sum(a ** (2 * i) for i in range(n))
     return params.horizon / n**2 * (4.0 * var0 * s2 * c_sq + 3.0 * var0**2 * decay_sq**2)
+
+
+_PEAK = """
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+
+
+def peak_growth_kib(setup: str, body: str, threads: str = "2") -> int:
+    """How far the peak resident size (VmHWM, KiB) of a fresh interpreter
+    grows over `body`, run after `setup` with the package on its path and
+    OU_BENCH_THREADS=threads.  The peak is a lifetime one, hence the fresh
+    process.  Skips the calling test where there is no VmHWM."""
+    try:
+        with open("/proc/self/status") as status:
+            if not any(line.startswith("VmHWM:") for line in status):
+                pytest.skip("no VmHWM in /proc/self/status")
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    env = dict(os.environ, OU_BENCH_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    script = f"{_PEAK}\n{setup}\nbefore = peak()\n{body}\nprint(peak() - before)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return int(result.stdout.split()[-1])
 
 
 def cell_sums(params: OuParams, reps: int, master_seed: int) -> BlockSums:

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import time
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,11 +261,7 @@ def test_06_w1_clt_decrease_with_pilot_baseline(clt_results):
     Budget fifteen minutes.
     """
     results, elapsed = clt_results
-    baseline = json.loads(
-        resources.files("ou_drift_bench")
-        .joinpath("data/pilot_baselines.json")
-        .read_text()
-    )
+    baseline = json.loads(Path(__file__).with_name("pilot_baselines.json").read_text())
     schedule = preset_schedule("amce-gamma-half")
     last_cell = schedule.cells[-1]
     assert baseline["schedule"] == "amce-gamma-half"

@@ -30,7 +30,7 @@ from ou_drift_bench.cli import CSV_SCHEMA_LINE, build_config, main
 from ou_drift_bench.errors import ConfigError, ExcessiveDegeneracy
 from ou_drift_bench.ou_core import simulate_block
 
-from reference import read_bench_csv
+from reference import peak_growth_kib, read_bench_csv
 
 
 def test_simulate_row_count_and_schema(tmp_path):
@@ -77,6 +77,33 @@ def test_simulate_byte_identical_rerun(tmp_path):
     for out in (a, b):
         assert main(["simulate", "--n", "16", "--seed", "9", "--out", str(out)]) == 0
     assert (a / "paths.csv").read_bytes() == (b / "paths.csv").read_bytes()
+
+
+def test_simulate_rows_do_not_depend_on_the_slice(tmp_path, monkeypatch):
+    # paths.csv is formatted a slice of rows at a time; slices of 3 rows,
+    # the last one partial, write the same bytes as one slice.
+    argv = ["simulate", "--n", "16", "--variant", "stationary", "--coupled"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(cli, "_PATH_ROWS", 3)
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "paths.csv").read_bytes() == (
+        tmp_path / "b" / "paths.csv"
+    ).read_bytes()
+
+
+def test_simulate_memory_does_not_grow_with_the_path(tmp_path):
+    # At n = 200 000 the coupled path's arrays take about 10 MiB.  A list of
+    # Python floats of the whole path and the file's text in one string once
+    # grew the peak by 83 MiB; formatted a slice at a time it grows by 20.
+    setup = "from ou_drift_bench.cli import main"
+    out = tmp_path / "big"
+    body = (
+        'main(["simulate", "--variant", "stationary", "--coupled", "--n", "200000", '
+        f'"--out", {str(out)!r}])'
+    )
+    growth = peak_growth_kib(setup, body)
+    assert growth < 40 * 1024, f"peak grew {growth / 1024:.1f} MiB"
+    assert len((out / "paths.csv").read_bytes().splitlines()) == 200_003
 
 
 def test_estimate_outputs_records(tmp_path):

@@ -3,12 +3,9 @@
 import math
 import os
 import re
-import subprocess
-import sys
 import time
 import tracemalloc
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +39,7 @@ from ou_drift_bench import (
     transition_coefficients,
 )
 
-from reference import PAIR_FIELDS, cell_sums, coupling_second_moment
+from reference import PAIR_FIELDS, cell_sums, coupling_second_moment, peak_growth_kib
 
 SEED = 20260822
 
@@ -318,42 +315,40 @@ def test_each_error_names_the_first_failing_cell(monkeypatch, threads, error, ra
         assert "at cell (theta=1.0, delta=0.05, n=64)" in str(info.value)
 
 
-_PARENT_PEAK = """
-from ou_drift_bench import OuParams, harness
-
-def peak():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-
-cells = tuple(OuParams(theta=0.5 + 0.25 * k, delta=0.1, n=16) for k in range(8))
-before = peak()
-harness.map_cells(cells, 50_000, 7, lambda _, sums: float(sums.x_xi[-1]))
-print(peak() - before)
-"""
-
-
 def test_parent_memory_does_not_grow_with_reps():
     # With workers, every cell's sums live in a table the workers share and
     # the calling process never touches: here 8 cells x 6 x 50 000 doubles,
     # 18.3 MiB, in 4 blocks of 16 384 rows.  The calling process once held
     # the table and a pickled copy of each slab, and its peak grew by 42 MiB.
-    # The peak (VmHWM) is a lifetime one, so it is read in a fresh process.
-    try:
-        with open("/proc/self/status") as status:
-            if not any(line.startswith("VmHWM:") for line in status):
-                pytest.skip("no VmHWM in /proc/self/status")
-    except OSError:
-        pytest.skip("no /proc/self/status")
-    env = dict(os.environ, OU_BENCH_THREADS="2")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    setup = (
+        "from ou_drift_bench import OuParams, harness\n"
+        "cells = tuple(OuParams(theta=0.5 + 0.25 * k, delta=0.1, n=16) for k in range(8))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", _PARENT_PEAK],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
+    body = "harness.map_cells(cells, 50_000, 7, lambda _, sums: float(sums.x_xi[-1]))"
+    growth = peak_growth_kib(setup, body)
     table_kib = 8 * 6 * 50_000 * 8 / 1024
-    assert int(result.stdout) < table_kib / 4, f"peak grew {result.stdout.strip()} KiB"
+    assert growth < table_kib / 4, f"peak grew {growth} KiB"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_job_does_not_outlive_the_walk(monkeypatch, threads, fails):
+    # The job, the table with it, is the module's only while a map runs, so
+    # the module does not keep a finished map's table alive.
+    monkeypatch.setenv("OU_BENCH_THREADS", threads)
+
+    def each(params, sums):
+        if fails:
+            raise ValueError("stop")
+        return params.n
+
+    reps = ou_core.block_rows(100) + 100
+    if fails:
+        with pytest.raises(ValueError, match="stop"):
+            harness.map_cells(_EACH_CELLS, reps, SEED, each)
+    else:
+        assert harness.map_cells(_EACH_CELLS, reps, SEED, each) == [40, 64, 100]
+    assert harness._job == ()
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ou_drift_bench
 from ou_drift_bench import BlockSums, OuParams, Variant, map_cells, transition_coefficients
 from ou_drift_bench.cli import CSV_SCHEMA_LINE
 
@@ -87,7 +88,7 @@ def peak_growth_kib(setup: str, body: str, threads: str = "2") -> int:
         pytest.skip("no /proc/self/status")
     env = dict(os.environ, OU_BENCH_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")]
+        [str(Path(ou_drift_bench.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
     script = f"{_PEAK}\n{setup}\nbefore = peak()\n{body}\nprint(peak() - before)\n"
     result = subprocess.run(

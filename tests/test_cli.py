@@ -92,9 +92,9 @@ def test_simulate_rows_do_not_depend_on_the_slice(tmp_path, monkeypatch):
 
 
 def test_simulate_memory_does_not_grow_with_the_path(tmp_path):
-    # At n = 200 000 the coupled path's arrays take about 10 MiB.  A list of
-    # Python floats of the whole path and the file's text in one string once
-    # grew the peak by 83 MiB; formatted a slice at a time it grows by 20.
+    # At n = 200 000 a list of Python floats of the whole path and the
+    # file's text in one string once grew the peak by 83 MiB; formatted a
+    # slice at a time, the peak grows by about 20, mostly the kernel's arrays.
     setup = "from ou_drift_bench.cli import main"
     out = tmp_path / "big"
     body = (
